@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Solve a small ensemble and print per-path summaries plus the
+"""Solve an ensemble and print per-path summaries plus the
 mean-square energy check.
 
 Usage: python3 scripts/run_default.py [config]

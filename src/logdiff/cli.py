@@ -29,6 +29,7 @@ from .noise import (
 )
 from .solver import StepFailureError, epsilon_sweep, solve_path
 from .verifier import (
+    MEAN_SQUARE_MIN_PATHS,
     Flag,
     Report,
     build_test_process,
@@ -193,6 +194,8 @@ def _ratio_report(name: str, eps_list, values, ratio_max: float) -> Report:
 
 
 def cmd_verify(cfg: ExperimentConfig, out_dir: str, n_paths: int) -> int:
+    if "mean_square" in cfg.verify.checks and n_paths < MEAN_SQUARE_MIN_PATHS:
+        raise ConfigError(f"mean_square needs >= {MEAN_SQUARE_MIN_PATHS} paths, got {n_paths}")
     grid = cfg.grid_spec()
     eigen = cfg.eigen(grid)
     x0 = cfg.initial_datum(grid, eigen)

@@ -19,7 +19,10 @@ exactly yosida_shifted.
 The scalar root solve is a Newton iteration safeguarded by bisection on
 the bracket [0, |x|]; it is driven below its rounding floor (far below
 the 1e-12*max(1,|x|) residual contract) so that the two Yosida formulas
-agree to 1e-10 even after division by eps.
+agree to 1e-10 even after division by eps.  It serves the public maps
+here and the verifier; the solver's implicit step needs no root solve,
+because it takes u = J_eps(x) as its unknown and evaluates the flux as
+signed_log(u) + eps*x with x = u + eps*signed_log(u).
 """
 
 from __future__ import annotations
@@ -98,6 +101,17 @@ def _resolvent(eps, arr: np.ndarray) -> np.ndarray:
     return s * y
 
 
+def _via_resolvent(eps, x, formula):
+    """Validate eps and x, then return formula(eps, x, J_eps(x)) shaped like x."""
+    _check_eps(eps)
+    arr, scalar = _prepare(x)
+    return _output(formula(np.asarray(eps, dtype=float), arr, _resolvent(eps, arr)), scalar)
+
+
+def _envelope(e, x, j):
+    return (x - j) ** 2 / (2.0 * e) + potential(j)
+
+
 def resolvent(eps, x):
     """Solve y + eps*signed_log(y) = x for y (elementwise).
 
@@ -107,17 +121,12 @@ def resolvent(eps, x):
     residual contract 1e-12*max(1,|x|) cannot be met (must not happen
     for finite input).
     """
-    _check_eps(eps)
-    arr, scalar = _prepare(x)
-    return _output(_resolvent(eps, arr), scalar)
+    return _via_resolvent(eps, x, lambda e, x, j: j)
 
 
 def yosida(eps, x):
     """(x - resolvent(eps, x)) / eps; equals signed_log at the resolvent."""
-    _check_eps(eps)
-    arr, scalar = _prepare(x)
-    j = _resolvent(eps, arr)
-    return _output((arr - j) / np.asarray(eps, dtype=float), scalar)
+    return _via_resolvent(eps, x, lambda e, x, j: (x - j) / e)
 
 
 def moreau_envelope(eps, x):
@@ -126,30 +135,17 @@ def moreau_envelope(eps, x):
     This closed form (via the resolvent) is the primary definition; the
     underlying minimization over y is kept as a test oracle only.
     """
-    _check_eps(eps)
-    arr, scalar = _prepare(x)
-    j = _resolvent(eps, arr)
-    e = np.asarray(eps, dtype=float)
-    return _output((arr - j) ** 2 / (2.0 * e) + potential(j), scalar)
+    return _via_resolvent(eps, x, _envelope)
 
 
 def yosida_shifted(eps, x):
     """yosida(eps, x) + eps*x, strictly monotone with slope >= eps."""
-    _check_eps(eps)
-    arr, scalar = _prepare(x)
-    e = np.asarray(eps, dtype=float)
-    j = _resolvent(eps, arr)
-    return _output((arr - j) / e + e * arr, scalar)
+    return _via_resolvent(eps, x, lambda e, x, j: (x - j) / e + e * x)
 
 
 def potential_shifted(eps, x):
     """moreau_envelope(eps, x) + eps*x^2/2; derivative is yosida_shifted."""
-    _check_eps(eps)
-    arr, scalar = _prepare(x)
-    e = np.asarray(eps, dtype=float)
-    j = _resolvent(eps, arr)
-    env = (arr - j) ** 2 / (2.0 * e) + potential(j)
-    return _output(env + 0.5 * e * arr**2, scalar)
+    return _via_resolvent(eps, x, lambda e, x, j: _envelope(e, x, j) + 0.5 * e * x**2)
 
 
 def yosida_derivative(eps, x):
@@ -158,9 +154,9 @@ def yosida_derivative(eps, x):
     Values lie in (0, 1/(1+eps)] subset of (0, 1/eps]; at x = 0 the
     value is 1/(1+eps).
     """
-    _check_eps(eps)
-    arr, scalar = _prepare(x)
-    j = _resolvent(eps, arr)
-    slope = 1.0 / (1.0 + np.abs(j))
-    e = np.asarray(eps, dtype=float)
-    return _output(slope / (1.0 + e * slope), scalar)
+
+    def formula(e, x, j):
+        slope = 1.0 / (1.0 + np.abs(j))
+        return slope / (1.0 + e * slope)
+
+    return _via_resolvent(eps, x, formula)

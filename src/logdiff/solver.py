@@ -10,9 +10,17 @@ The primary scheme is implicit Euler,
 
     Y_{n+1} - dt * Lap_h F_eps(Y_{n+1} + W_{n+1}) = Y_n,
 
-solved by a damped Newton iteration with a tridiagonal Jacobian.  An
-explicit Euler step (noise evaluated at the left endpoint) serves as an
-independent cross-check; it refuses to run outside its stability bound
+solved by damped Newton for the resolvent variable u = J_eps(Y_{n+1} +
+W_{n+1}).  Since F_eps = signed_log(J_eps) + eps*id, with s = signed_log(u)
+
+    Y_{n+1} = u + eps*s - W_{n+1},   F_eps(Y_{n+1} + W_{n+1}) = s + eps*(u + eps*s),
+
+so no scalar root solve runs inside a step.  Newton starts at
+u = Y_n + W_{n+1} and stops once the residual in Y is below newton_tol;
+its Jacobian diag(a) - dt * Lap_h diag(b), with a = 1 + eps/(1+|u|) and
+b = 1/(1+|u|) + eps*a, is tridiagonal.  An explicit Euler step
+(noise evaluated at the left endpoint) serves as an independent
+cross-check; it refuses to run outside its stability bound
 
     dt * (4/h^2) * max_j F_eps'(Y_n + W_n) <= 1.
 
@@ -30,10 +38,9 @@ from typing import Sequence
 import numpy as np
 from scipy.linalg import solve_banded
 
-from .grid import Field, GridSpec, _hminus1_norms, _laplacian, _norm_l2
-from .noise import NoisePath, NoiseSpec, synthesize, time_grid
-from .grid import EigenSystem
-from .nonlinearity import _check_eps, _resolvent
+from .grid import EigenSystem, Field, GridSpec, _hminus1_norms, _laplacian, _norm_l2
+from .noise import NoisePath, NoiseSpec, synthesize
+from .nonlinearity import _check_eps, signed_log, yosida_derivative, yosida_shifted
 
 RETRY_BUDGET = 3
 _MAX_DAMPING_HALVINGS = 30
@@ -129,18 +136,6 @@ class Trajectory:
         return self.y_field(0)
 
 
-def _flux(eps: float, z: np.ndarray) -> np.ndarray:
-    """yosida_shifted via one resolvent solve."""
-    j = _resolvent(eps, z)
-    return (z - j) / eps + eps * z
-
-
-def _flux_and_derivative(eps: float, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    j = _resolvent(eps, z)
-    slope = 1.0 / (1.0 + np.abs(j))
-    return (z - j) / eps + eps * z, slope / (1.0 + eps * slope) + eps
-
-
 def _step_implicit_core(
     y_prev: np.ndarray,
     w_next: np.ndarray,
@@ -150,15 +145,16 @@ def _step_implicit_core(
     newton_tol: float,
     newton_max_iter: int,
 ) -> tuple[np.ndarray, int, float]:
-    """One damped-Newton implicit Euler step; returns (y, iters, residual)."""
-    h = grid.h
-    n = grid.n_interior
+    """One damped-Newton implicit Euler step in u = J_eps(Y + W); returns (y, iters, residual)."""
+    scale = dt / grid.h**2
 
-    def residual(y: np.ndarray) -> np.ndarray:
-        return y - dt * _laplacian(_flux(eps, y + w_next), h) - y_prev
+    def state_and_residual(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        s = signed_log(u)
+        y = u + eps * s - w_next
+        return y, y - dt * _laplacian(s + eps * (u + eps * s), grid.h) - y_prev
 
-    y = y_prev.copy()
-    r = residual(y)
+    u = y_prev + w_next
+    y, r = state_and_residual(u)
     rnorm = _norm_l2(grid, r)
     iters = 0
     while rnorm > newton_tol:
@@ -168,21 +164,22 @@ def _step_implicit_core(
                 f"(residual {rnorm:.3g})",
                 residual=rnorm,
             )
-        _, deriv = _flux_and_derivative(eps, y + w_next)
-        scale = dt / h**2
-        ab = np.empty((3, n))
-        ab[1] = 1.0 + 2.0 * scale * deriv
-        ab[0, 1:] = -scale * deriv[1:]
-        ab[2, :-1] = -scale * deriv[:-1]
+        slope = 1.0 / (1.0 + np.abs(u))
+        a = 1.0 + eps * slope
+        b = slope + eps * a
+        ab = np.zeros((3, grid.n_interior))
+        ab[0, 1:] = -scale * b[1:]
+        ab[1] = a + 2.0 * scale * b
+        ab[2, :-1] = -scale * b[:-1]
         delta = solve_banded((1, 1), ab, -r)
 
         alpha = 1.0
         for _ in range(_MAX_DAMPING_HALVINGS):
-            y_try = y + alpha * delta
-            r_try = residual(y_try)
+            u_try = u + alpha * delta
+            y_try, r_try = state_and_residual(u_try)
             r_try_norm = _norm_l2(grid, r_try)
             if r_try_norm < rnorm:
-                y, r, rnorm = y_try, r_try, r_try_norm
+                u, y, r, rnorm = u_try, y_try, r_try, r_try_norm
                 break
             alpha *= 0.5
         else:
@@ -196,11 +193,11 @@ def _step_implicit_core(
 def _step_explicit_core(
     y_prev: np.ndarray, w_prev: np.ndarray, grid: GridSpec, eps: float, dt: float
 ) -> np.ndarray:
-    flux, deriv = _flux_and_derivative(eps, y_prev + w_prev)
-    bound = dt * (4.0 / grid.h**2) * float(np.max(deriv))
+    z = y_prev + w_prev
+    bound = dt * (4.0 / grid.h**2) * float(np.max(yosida_derivative(eps, z) + eps))
     if bound > 1.0:
         raise StabilityError(bound, dt)
-    return y_prev + dt * _laplacian(flux, grid.h)
+    return y_prev + dt * _laplacian(yosida_shifted(eps, z), grid.h)
 
 
 def step_implicit(y_prev: Field, w_next: Field, cfg: SolverConfig) -> Field:

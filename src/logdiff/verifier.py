@@ -46,6 +46,7 @@ from .solver import Trajectory
 C_VI = 0.05
 
 _ROUNDING_SLACK = 1e-12
+MEAN_SQUARE_MIN_PATHS = 30
 
 
 @dataclass(frozen=True)
@@ -306,11 +307,11 @@ def mean_square_bound(
     Requires at least 30 trajectories with one config, one initial
     datum, and pairwise distinct seeds.  The empirical mean must stay
     below the bound plus three standard errors (plus a relative
-    rounding slack) at every grid time.
+    rounding slack) at every grid time; the flag reports the worst t > 0.
     """
     trajs = list(trajectories)
-    if len(trajs) < 30:
-        raise ValueError(f"need at least 30 trajectories, got {len(trajs)}")
+    if len(trajs) < MEAN_SQUARE_MIN_PATHS:
+        raise ValueError(f"need at least {MEAN_SQUARE_MIN_PATHS} trajectories, got {len(trajs)}")
     cfg = trajs[0].config
     x0 = trajs[0].y_fields[0]
     seeds = [t.noise.spec.seed for t in trajs]
@@ -338,7 +339,9 @@ def mean_square_bound(
     bound = x0_sq + times * growth
     rhs = bound + 3.0 * se + _ROUNDING_SLACK * np.maximum(1.0, bound)
 
-    worst = int(np.argmax(mean - rhs))
+    # all paths start at x: at t = 0 the margin is only the rounding slack
+    gap = (rhs - mean)[1:]
+    worst = 1 + int(np.argmin(gap))
     flag = Flag(
         name="mean_below_bound",
         lhs=float(mean[worst]),
@@ -350,7 +353,7 @@ def mean_square_bound(
     l4_sup = np.array(
         [np.max((h * np.sum(t.x_fields**4, axis=1)) ** 0.25) for t in trajs]
     )
-    rel_margin = float(np.min((rhs - mean)[1:] / np.maximum(rhs[1:], 1e-300))) if len(times) > 1 else 1.0
+    rel_margin = float(np.min(gap / np.maximum(rhs[1:], 1e-300)))
     return Report(
         name="mean_square_bound",
         flags=[flag],
@@ -358,7 +361,7 @@ def mean_square_bound(
             "n_paths": float(len(trajs)),
             "growth_rate": growth,
             "x0_l2_sq": x0_sq,
-            "min_margin": float(np.min(rhs - mean)),
+            "min_margin": float(np.min(gap)),
             "min_relative_margin": rel_margin,
             "l4_sup_mean": float(np.mean(l4_sup)),
             "l4_sup_max": float(np.max(l4_sup)),

@@ -2,6 +2,7 @@
 
 import csv
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -40,6 +41,10 @@ class TestParseConfig:
         assert cfg.solver.epsilon == 1e-2
         assert cfg.initial.profile == "zero"
         assert cfg.output.workers == 1
+
+    def test_default_cfg_spells_out_the_defaults(self, tmp_path):
+        default = Path(__file__).parents[1] / "scripts" / "configs" / "default.cfg"
+        assert parse_config(str(default)) == parse_config(write(tmp_path / "c.cfg", ""))
 
     def test_missing_file(self):
         with pytest.raises(ConfigError):
@@ -234,6 +239,15 @@ class TestCliOther:
         ):
             assert (out / f"report_{name}.csv").exists(), name
         assert "overall: PASS" in (out / "verify_summary.txt").read_text()
+
+    def test_verify_too_few_paths_exit_2_before_solving(self, tmp_path, monkeypatch):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solve_path ran")
+
+        monkeypatch.setattr("logdiff.cli.solve_path", no_solve)
+        cfg = write(tmp_path / "c.cfg", BASE)
+        out = tmp_path / "out"
+        assert main(["verify", "--config", cfg, "--out", str(out), "--paths", "5"]) == 2
 
     def test_noise_check_passes(self, tmp_path):
         cfg = write(tmp_path / "c.cfg", BASE)

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_banded
 
 from logdiff.grid import Field, GridSpec, eigensystem, norm_hminus1, norm_l2
 from logdiff.noise import ExplicitGammas, NoiseSpec, PowerLawGammas, synthesize
@@ -229,6 +230,23 @@ class TestSolvePath:
         assert np.all(traj.newton_residuals <= cfg.newton_tol)
         assert np.all(traj.substeps == 1)
 
+    def test_band_matrix_is_finite_with_zero_corners(self, monkeypatch):
+        # solve_banded rejects a band array with a non-finite entry anywhere,
+        # including the two corners outside the tridiagonal matrix
+        seen = []
+
+        def checked(l_and_u, ab, b):
+            assert np.all(np.isfinite(ab))
+            assert ab[0, 0] == ab[2, -1] == 0.0
+            seen.append(ab.shape)
+            return solve_banded(l_and_u, ab, b)
+
+        monkeypatch.setattr("logdiff.solver.solve_banded", checked)
+        noise = default_noise(G127, E127, t_final=0.05, n_steps=20)
+        cfg = SolverConfig(epsilon=1e-2, dt=0.05 / 20, t_final=0.05)
+        solve_path(Field(G127, np.sin(np.pi * G127.nodes)), noise, cfg)
+        assert seen and all(shape == (3, 127) for shape in seen)
+
     def test_grid_mismatch_rejected(self):
         noise = default_noise(G127, E127)
         cfg = SolverConfig(epsilon=1e-2, dt=0.5 / 200, t_final=0.5)
@@ -240,6 +258,23 @@ class TestSolvePath:
         cfg = SolverConfig(epsilon=1e-2, dt=1e-3, t_final=0.5)  # 500 steps
         with pytest.raises(ValueError):
             solve_path(Field(G127, np.zeros(127)), noise, cfg)
+
+
+class TestTightTolerance:
+    @pytest.mark.parametrize(
+        "n, amplitude, epsilons, n_steps",
+        [(255, 5.0, (1e-3,), 1), (1023, 1.0, (1e-3, 1e-4), 50)],
+    )
+    def test_reaches_1e12_without_retries(self, n, amplitude, epsilons, n_steps):
+        grid = GridSpec(length=1.0, n_interior=n)
+        noise = default_noise(grid, eigensystem(grid, 8), t_final=n_steps * 1e-3, n_steps=n_steps)
+        x0 = Field(grid, amplitude * np.sin(np.pi * grid.nodes))
+        for eps in epsilons:
+            cfg = SolverConfig(epsilon=eps, dt=1e-3, t_final=n_steps * 1e-3, newton_tol=1e-12)
+            traj = solve_path(x0, noise, cfg)
+            assert np.all(traj.substeps == 1)
+            assert np.all(traj.newton_residuals <= cfg.newton_tol)
+            assert np.array_equal(traj.x_fields, traj.y_fields + noise.values)
 
 
 class TestRetryMachinery:

@@ -233,6 +233,14 @@ class TestMeanSquareBound:
         m_half = mean_square_bound(half, spec_half, E).scalars["min_relative_margin"]
         assert m_half > m_full
 
+    def test_flag_reports_a_time_after_the_start(self):
+        # zero datum: at t = 0 both sides are zero up to the rounding slack
+        trajs, spec = self.build(30)
+        rep = mean_square_bound(trajs, spec, E)
+        flag = rep.flags[0]
+        assert flag.lhs > 0.0
+        assert flag.margin == rep.scalars["min_margin"]
+
     def test_l4_statistics_recorded(self):
         trajs, spec = self.build(30)
         rep = mean_square_bound(trajs, spec, E)

@@ -12,7 +12,6 @@ import argparse
 import csv
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -27,7 +26,7 @@ from .noise import (
     synthesize,
     validate_decay,
 )
-from .solver import StepFailureError, epsilon_sweep, solve_path
+from .solver import StepFailureError, epsilon_sweep, run_ensemble, solve_path
 from .verifier import (
     MEAN_SQUARE_MIN_PATHS,
     Flag,
@@ -81,53 +80,33 @@ def _write_report_csv(path: str, report: Report) -> None:
 
 
 def _dump_trajectory(traj, out_dir: str, index: int) -> None:
-    rows = []
-    for n in range(traj.n_steps + 1):
-        t = float(traj.times[n])
-        for j in range(traj.grid.n_interior):
-            rows.append((n, t, j + 1, float(traj.y_fields[n, j]), float(traj.x_fields[n, j])))
+    rows = ((n, traj.times[n], j + 1, traj.y_fields[n, j], traj.x_fields[n, j])
+            for n in range(traj.n_steps + 1) for j in range(traj.grid.n_interior))
     _write_csv(os.path.join(out_dir, f"trajectory_{index:04d}.csv"),
                ["step", "time", "node", "y", "x"], rows)
-    diag = [
-        (n, int(traj.newton_iters[n]), float(traj.newton_residuals[n]), int(traj.substeps[n]))
-        for n in range(traj.n_steps)
-    ]
+    diag = zip(range(traj.n_steps), traj.newton_iters, traj.newton_residuals, traj.substeps)
     _write_csv(os.path.join(out_dir, f"diagnostics_{index:04d}.csv"),
                ["step", "newton_iters", "newton_residual", "substeps"], diag)
 
 
-def _simulate_one(job) -> tuple[int, list]:
-    cfg, index, dump, out_dir = job
-    grid = cfg.grid_spec()
-    eigen = cfg.eigen(grid)
-    spec = cfg.noise_spec(seed=cfg.noise.seed + index)
-    path = synthesize(spec, grid, eigen, override_decay_check=cfg.noise.override_decay_check)
-    x0 = cfg.initial_datum(grid, eigen)
-    traj = solve_path(x0, path, cfg.solver_config())
-    if dump:
-        _dump_trajectory(traj, out_dir, index)
-    iters = traj.newton_iters
-    row = [
-        index,
-        spec.seed,
-        norm_l2(traj.x_field(traj.n_steps)),
-        norm_hminus1(traj.x_field(traj.n_steps)),
-        int(np.sum(iters)),
-        int(np.max(iters)) if iters.size else 0,
-        float(np.max(traj.newton_residuals)) if iters.size else 0.0,
-        int(np.sum(traj.substeps)),
-    ]
-    return index, row
+def _summary_row(index: int, traj) -> list:
+    x_final = traj.x_field(traj.n_steps)
+    return [index, traj.noise.spec.seed, norm_l2(x_final), norm_hminus1(x_final),
+            int(np.sum(traj.newton_iters)), int(np.max(traj.newton_iters)),
+            float(np.max(traj.newton_residuals)), int(np.sum(traj.substeps))]
 
 
 def cmd_simulate(cfg: ExperimentConfig, out_dir: str, n_paths: int, dump: bool) -> int:
-    jobs = [(cfg, i, dump, out_dir) for i in range(n_paths)]
-    if cfg.output.workers > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=cfg.output.workers) as pool:
-            results = dict(pool.map(_simulate_one, jobs))
-    else:
-        results = dict(map(_simulate_one, jobs))
-    rows = [results[i] for i in range(n_paths)]
+    grid = cfg.grid_spec()
+    eigen = cfg.eigen(grid)
+    rows: list = []
+    for traj in run_ensemble(cfg.initial_datum(grid, eigen), eigen, cfg.noise_spec(),
+                             cfg.solver_config(), n_paths, workers=cfg.output.workers,
+                             override_decay_check=cfg.noise.override_decay_check):
+        if dump:
+            _dump_trajectory(traj, out_dir, len(rows))
+        rows.append(_summary_row(len(rows), traj))
+        del traj  # drop it before the next path is solved: one trajectory alive at a time
     _write_csv(os.path.join(out_dir, "summary.csv"), _SUMMARY_HEADER, rows)
     print(f"simulate: {n_paths} path(s) -> {os.path.join(out_dir, 'summary.csv')}")
     return EXIT_OK
@@ -204,13 +183,10 @@ def cmd_verify(cfg: ExperimentConfig, out_dir: str, n_paths: int) -> int:
     reports: list[Report] = []
 
     if "mean_square" in cfg.verify.checks:
-        trajs = []
-        for i in range(n_paths):
-            spec = cfg.noise_spec(seed=cfg.noise.seed + i)
-            p = synthesize(spec, grid, eigen,
-                           override_decay_check=cfg.noise.override_decay_check)
-            trajs.append(solve_path(x0, p, cfg.solver_config()))
-        reports.append(mean_square_bound(trajs, cfg.noise_spec(), eigen))
+        ensemble = run_ensemble(x0, eigen, cfg.noise_spec(), cfg.solver_config(), n_paths,
+                                workers=cfg.output.workers,
+                                override_decay_check=cfg.noise.override_decay_check)
+        reports.append(mean_square_bound(ensemble, cfg.noise_spec(), eigen))
 
     diag_checks = [c for c in ("flux_l1", "total_variation", "hminus1_sup")
                    if c in cfg.verify.checks]

@@ -28,7 +28,7 @@ a resynthesis reproduces the field values exactly.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Optional, Union
 
 import numpy as np
@@ -151,6 +151,9 @@ class NoisePath:
                 raise ValueError("brownian matrix shape mismatch")
             b.flags.writeable = False
             object.__setattr__(self, "brownian", b)
+
+    def __reduce__(self):  # unpickle through __init__, so the arrays are read-only again
+        return NoisePath, tuple(getattr(self, f.name) for f in fields(self))
 
     @property
     def dt(self) -> float:

@@ -32,8 +32,10 @@ carrying the step index.  X_n = Y_n + W_n exactly, by construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Sequence
+from collections import deque
+from dataclasses import dataclass, fields, replace
+from functools import partial
+from typing import Iterator, Sequence
 
 import numpy as np
 from scipy.linalg import solve_banded
@@ -120,6 +122,9 @@ class Trajectory:
             arr = np.asarray(getattr(self, name))
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
+
+    def __reduce__(self):  # unpickle through __init__, so the arrays are read-only again
+        return Trajectory, tuple(getattr(self, f.name) for f in fields(self))
 
     @property
     def n_steps(self) -> int:
@@ -302,16 +307,37 @@ def run_ensemble(
     n_paths: int,
     *,
     override_decay_check: bool = False,
-) -> list[Trajectory]:
-    """Solve n_paths independent paths with seeds base_spec.seed + i."""
-    if n_paths < 1:
-        raise ValueError("n_paths must be >= 1")
-    out = []
-    for i in range(n_paths):
-        spec = replace(base_spec, seed=base_spec.seed + i)
-        path = synthesize(spec, x0.grid, eigen, override_decay_check=override_decay_check)
-        out.append(solve_path(x0, path, cfg))
-    return out
+    workers: int = 1,
+) -> Iterator[Trajectory]:
+    """Lazily solve n_paths paths with seeds base_spec.seed + i, yielded in seed order.
+
+    workers > 1 solves them in that many processes, at most 2 * workers
+    ahead of the consumer, with the same results.
+    """
+    if n_paths < 0:
+        raise ValueError("n_paths must be >= 0")
+    solve = partial(_solve_seed, x0, eigen, base_spec, cfg, override_decay_check)
+    seeds = range(base_spec.seed, base_spec.seed + n_paths)
+    if workers > 1 and n_paths > 1:
+        return _solve_in_pool(solve, seeds, workers)
+    return map(solve, seeds)
+
+
+def _solve_seed(x0, eigen, base_spec, cfg, override_decay_check, seed) -> Trajectory:
+    spec = replace(base_spec, seed=seed)
+    path = synthesize(spec, x0.grid, eigen, override_decay_check=override_decay_check)
+    return solve_path(x0, path, cfg)
+
+
+def _solve_in_pool(solve, seeds: range, workers: int) -> Iterator[Trajectory]:
+    from concurrent.futures import ProcessPoolExecutor  # serial runs never load multiprocessing
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        ahead = deque(pool.submit(solve, seed) for seed in seeds[: 2 * workers])
+        for seed in seeds[2 * workers:]:
+            yield ahead.popleft().result()
+            ahead.append(pool.submit(solve, seed))
+        while ahead:
+            yield ahead.popleft().result()
 
 
 @dataclass(frozen=True)

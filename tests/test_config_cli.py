@@ -176,12 +176,17 @@ class TestCliSimulate:
         assert (out / "summary.csv").read_bytes() == first
 
     def test_workers_do_not_change_bytes(self, tmp_path):
-        cfg1 = write(tmp_path / "c1.cfg", BASE + "\n[output]\nworkers = 1\n")
-        cfg2 = write(tmp_path / "c2.cfg", BASE + "\n[output]\nworkers = 2\n")
-        out1, out2 = tmp_path / "o1", tmp_path / "o2"
-        main(["simulate", "--config", cfg1, "--out", str(out1), "--paths", "4"])
-        main(["simulate", "--config", cfg2, "--out", str(out2), "--paths", "4"])
-        assert (out1 / "summary.csv").read_bytes() == (out2 / "summary.csv").read_bytes()
+        for args in (["simulate", "--paths", "4", "--dump-trajectories"],
+                     ["verify", "--paths", "30"]):
+            outputs = []
+            for workers in (1, 2):
+                cfg = write(tmp_path / f"c{workers}.cfg",
+                            BASE + f"\n[output]\nworkers = {workers}\n")
+                out = tmp_path / f"{args[0]}{workers}"
+                assert main([args[0], "--config", cfg, "--out", str(out)] + args[1:]) == 0
+                outputs.append({p.name: p.read_bytes() for p in out.iterdir()})
+            assert len(outputs[0]) > 1
+            assert outputs[0] == outputs[1]
 
     def test_dump_trajectories(self, tmp_path):
         cfg = write(tmp_path / "c.cfg", BASE)
@@ -245,6 +250,7 @@ class TestCliOther:
             raise AssertionError("solve_path ran")
 
         monkeypatch.setattr("logdiff.cli.solve_path", no_solve)
+        monkeypatch.setattr("logdiff.solver.solve_path", no_solve)
         cfg = write(tmp_path / "c.cfg", BASE)
         out = tmp_path / "out"
         assert main(["verify", "--config", cfg, "--out", str(out), "--paths", "5"]) == 2

@@ -206,7 +206,7 @@ class TestMeanSquareBound:
         )
         cfg = SolverConfig(epsilon=1e-2, dt=0.1 / 50, t_final=0.1)
         x0 = Field(G, np.zeros(63))
-        return run_ensemble(x0, E, spec, cfg, n_paths), spec
+        return list(run_ensemble(x0, E, spec, cfg, n_paths)), spec
 
     def test_too_few_paths_rejected(self):
         trajs, spec = self.build(5)

@@ -1,8 +1,10 @@
 """Experiment configuration files: flat, sectioned, key = value text.
 
-Sections and keys are fixed; unknown sections or keys are hard errors,
-as are malformed values and missing referenced files.  Every key has a
-default, so the empty file is the default desk-scale experiment.
+The sections are the fields of ExperimentConfig and the keys are the
+fields of its blocks; each key is parsed by its annotated type.  Unknown
+sections or keys are hard errors, as are malformed values and missing or
+unreadable files.  Every key has a default, so the empty file is the
+default desk-scale experiment.
 """
 
 from __future__ import annotations
@@ -10,8 +12,8 @@ from __future__ import annotations
 import configparser
 import csv
 import os
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import dataclass, fields, replace
+from typing import Literal, Optional, get_args, get_type_hints
 
 import numpy as np
 
@@ -21,7 +23,8 @@ from .noise import NoiseSpec, PowerLawGammas
 SCHEMA_VERSION = "1"
 
 CHECK_NAMES = ("mean_square", "flux_l1", "variational", "total_variation", "hminus1_sup")
-PROFILES = ("zero", "bump", "mode", "file")
+Profile = Literal["zero", "bump", "mode", "file"]
+PROFILES = get_args(Profile)
 
 
 class ConfigError(Exception):
@@ -58,7 +61,7 @@ class SolverBlock:
 
 @dataclass(frozen=True)
 class InitialBlock:
-    profile: str = "zero"
+    profile: Profile = "zero"
     amplitude: float = 1.0
     mode_k: int = 1
     path: str = ""
@@ -136,22 +139,25 @@ def _load_datum_csv(path: str, grid: GridSpec) -> Field:
         raise ConfigError("initial profile 'file' requires initial.path")
     if not os.path.exists(path):
         raise ConfigError(f"initial datum file not found: {path}")
+    try:
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise ConfigError(f"cannot read initial datum file {path}: {exc}") from exc
+    header = rows[0] if rows else None
+    if header != ["node", "value"]:
+        raise ConfigError(f"initial datum file must have header node,value, got {header}")
     values = np.full(grid.n_interior, np.nan)
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["node", "value"]:
-            raise ConfigError(f"initial datum file must have header node,value, got {header}")
-        for row in reader:
-            if not row:
-                continue
-            try:
-                node, value = int(row[0]), float(row[1])
-            except ValueError as exc:
-                raise ConfigError(f"bad initial datum row {row}: {exc}") from exc
-            if not (1 <= node <= grid.n_interior):
-                raise ConfigError(f"initial datum node {node} outside 1..{grid.n_interior}")
-            values[node - 1] = value
+    for row in filter(None, rows[1:]):
+        try:
+            node, value = int(row[0]), float(row[1])
+        except (ValueError, IndexError) as exc:
+            raise ConfigError(f"bad initial datum row {row}: {exc}") from exc
+        if not np.isfinite(value):
+            raise ConfigError(f"bad initial datum row {row}: value must be finite")
+        if not (1 <= node <= grid.n_interior):
+            raise ConfigError(f"initial datum node {node} outside 1..{grid.n_interior}")
+        values[node - 1] = value
     if np.any(np.isnan(values)):
         raise ConfigError("initial datum file does not cover every node")
     return Field(grid, values)
@@ -193,10 +199,10 @@ def _parse_float_list(text: str, key: str) -> tuple[float, ...]:
     return tuple(_parse_float(p, key) for p in parts)
 
 
-def _parse_choice(text: str, key: str, choices: tuple[str, ...]) -> str:
+def _parse_profile(text: str, key: str) -> str:
     value = text.strip()
-    if value not in choices:
-        raise ConfigError(f"{key}: expected one of {choices}, got {text!r}")
+    if value not in PROFILES:
+        raise ConfigError(f"{key}: expected one of {PROFILES}, got {text!r}")
     return value
 
 
@@ -210,30 +216,25 @@ def _parse_checks(text: str, key: str) -> tuple[str, ...]:
     return parts
 
 
-_SECTION_KEYS = {
-    "grid": {"length", "n_interior"},
-    "noise": {
-        "k_max",
-        "gamma0",
-        "gamma_decay",
-        "seed",
-        "n_paths",
-        "continuity_alpha",
-        "override_decay_check",
-    },
-    "solver": {
-        "epsilon",
-        "dt",
-        "t_final",
-        "scheme",
-        "newton_tol",
-        "newton_max_iter",
-        "epsilon_list",
-    },
-    "initial": {"profile", "amplitude", "mode_k", "path"},
-    "verify": {"checks", "mu", "tol_vi", "diag_epsilons", "ratio_max"},
-    "output": {"directory", "dump_trajectories", "workers"},
+_PARSERS = {
+    float: _parse_float,
+    Optional[float]: _parse_float,
+    int: _parse_int,
+    bool: _parse_bool,
+    str: lambda text, key: text.strip(),
+    tuple[float, ...]: _parse_float_list,
+    tuple[str, ...]: _parse_checks,
+    Profile: _parse_profile,
 }
+
+
+def _key_parsers(block) -> dict:
+    hints = get_type_hints(type(block))
+    return {f.name: _PARSERS[hints[f.name]] for f in fields(block)}
+
+
+# section -> key -> parser: the block dataclasses are the schema
+_SCHEMA = {f.name: _key_parsers(f.default) for f in fields(ExperimentConfig)}
 
 
 def parse_config(path: str) -> ExperimentConfig:
@@ -244,85 +245,24 @@ def parse_config(path: str) -> ExperimentConfig:
     try:
         with open(path) as fh:
             parser.read_file(fh)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read {path}: {exc}") from exc
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse {path}: {exc}") from exc
 
     for section in parser.sections():
-        if section not in _SECTION_KEYS:
+        if section not in _SCHEMA:
             raise ConfigError(f"unknown section [{section}]")
         for key in parser[section]:
-            if key not in _SECTION_KEYS[section]:
+            if key not in _SCHEMA[section]:
                 raise ConfigError(f"unknown key {key!r} in section [{section}]")
 
-    def get(section: str, key: str) -> Optional[str]:
-        if parser.has_section(section) and key in parser[section]:
-            return parser[section][key]
-        return None
+    def block(section: str, default):
+        raw = parser[section] if parser.has_section(section) else {}
+        return replace(default, **{key: parse(raw[key], f"[{section}] {key}")
+                                   for key, parse in _SCHEMA[section].items() if key in raw})
 
-    def value(section, key, default, parse):
-        raw = get(section, key)
-        return default if raw is None else parse(raw, f"[{section}] {key}")
-
-    grid = GridBlock(
-        length=value("grid", "length", GridBlock.length, _parse_float),
-        n_interior=value("grid", "n_interior", GridBlock.n_interior, _parse_int),
-    )
-    noise = NoiseBlock(
-        k_max=value("noise", "k_max", NoiseBlock.k_max, _parse_int),
-        gamma0=value("noise", "gamma0", NoiseBlock.gamma0, _parse_float),
-        gamma_decay=value("noise", "gamma_decay", NoiseBlock.gamma_decay, _parse_float),
-        seed=value("noise", "seed", NoiseBlock.seed, _parse_int),
-        n_paths=value("noise", "n_paths", NoiseBlock.n_paths, _parse_int),
-        continuity_alpha=value(
-            "noise", "continuity_alpha", NoiseBlock.continuity_alpha, _parse_float
-        ),
-        override_decay_check=value(
-            "noise", "override_decay_check", NoiseBlock.override_decay_check, _parse_bool
-        ),
-    )
-    solver = SolverBlock(
-        epsilon=value("solver", "epsilon", SolverBlock.epsilon, _parse_float),
-        dt=value("solver", "dt", SolverBlock.dt, _parse_float),
-        t_final=value("solver", "t_final", SolverBlock.t_final, _parse_float),
-        scheme=value(
-            "solver", "scheme", SolverBlock.scheme,
-            lambda t, k: _parse_choice(t, k, ("implicit", "explicit")),
-        ),
-        newton_tol=value("solver", "newton_tol", SolverBlock.newton_tol, _parse_float),
-        newton_max_iter=value(
-            "solver", "newton_max_iter", SolverBlock.newton_max_iter, _parse_int
-        ),
-        epsilon_list=value(
-            "solver", "epsilon_list", SolverBlock.epsilon_list, _parse_float_list
-        ),
-    )
-    initial = InitialBlock(
-        profile=value(
-            "initial", "profile", InitialBlock.profile,
-            lambda t, k: _parse_choice(t, k, PROFILES),
-        ),
-        amplitude=value("initial", "amplitude", InitialBlock.amplitude, _parse_float),
-        mode_k=value("initial", "mode_k", InitialBlock.mode_k, _parse_int),
-        path=value("initial", "path", InitialBlock.path, lambda t, k: t.strip()),
-    )
-    verify = VerifyBlock(
-        checks=value("verify", "checks", VerifyBlock.checks, _parse_checks),
-        mu=value("verify", "mu", VerifyBlock.mu, _parse_float),
-        tol_vi=value("verify", "tol_vi", VerifyBlock.tol_vi, _parse_float),
-        diag_epsilons=value(
-            "verify", "diag_epsilons", VerifyBlock.diag_epsilons, _parse_float_list
-        ),
-        ratio_max=value("verify", "ratio_max", VerifyBlock.ratio_max, _parse_float),
-    )
-    output = OutputBlock(
-        directory=value("output", "directory", OutputBlock.directory, lambda t, k: t.strip()),
-        dump_trajectories=value(
-            "output", "dump_trajectories", OutputBlock.dump_trajectories, _parse_bool
-        ),
-        workers=value("output", "workers", OutputBlock.workers, _parse_int),
-    )
-
-    cfg = ExperimentConfig(grid, noise, solver, initial, verify, output)
+    cfg = ExperimentConfig(**{f.name: block(f.name, f.default) for f in fields(ExperimentConfig)})
     _validate(cfg)
     return cfg
 

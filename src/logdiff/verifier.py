@@ -22,7 +22,7 @@ the tolerance used.  The checks:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Iterable, Optional
 
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
@@ -184,31 +184,23 @@ def build_test_process(traj: Trajectory, mu: float) -> TestProcess:
     if not (np.isfinite(mu) and mu > 0):
         raise ValueError(f"mu must be positive and finite, got {mu}")
     z = _solve_resolvent(traj.grid, mu, traj.y_fields.T).T
-    dt = traj.config.dt
-    zp = _time_derivative(z, dt)
-    record = _admissibility(traj.grid, traj.times, z, zp, traj.noise.values)
-    return TestProcess(
-        grid=traj.grid,
-        times=traj.times.copy(),
-        z_fields=z,
-        z_prime=zp,
-        provenance=f"resolvent(mu={mu}) of the trajectory state",
-        admissibility=record,
-    )
+    return _test_process(traj, z, f"resolvent(mu={mu}) of the trajectory state")
 
 
 def self_test_process(traj: Trajectory) -> TestProcess:
     """Z = Y itself; the variational residual must vanish to rounding."""
-    z = traj.y_fields.copy()
+    return _test_process(traj, traj.y_fields.copy(), "trajectory state (self test)")
+
+
+def _test_process(traj: Trajectory, z: np.ndarray, provenance: str) -> TestProcess:
     zp = _time_derivative(z, traj.config.dt)
-    record = _admissibility(traj.grid, traj.times, z, zp, traj.noise.values)
     return TestProcess(
         grid=traj.grid,
         times=traj.times.copy(),
         z_fields=z,
         z_prime=zp,
-        provenance="trajectory state (self test)",
-        admissibility=record,
+        provenance=provenance,
+        admissibility=_admissibility(traj.grid, traj.times, z, zp, traj.noise.values),
     )
 
 
@@ -298,7 +290,7 @@ def variational_residual(
 
 
 def mean_square_bound(
-    trajectories: Sequence[Trajectory],
+    trajectories: Iterable[Trajectory],
     spec: NoiseSpec,
     eigen: EigenSystem,
 ) -> Report:
@@ -308,29 +300,34 @@ def mean_square_bound(
     datum, and pairwise distinct seeds.  The empirical mean must stay
     below the bound plus three standard errors (plus a relative
     rounding slack) at every grid time; the flag reports the worst t > 0.
+    The trajectories are consumed one at a time: only each path's
+    |X(t)|^2 curve and L^4 sup are kept.
     """
-    trajs = list(trajectories)
-    if len(trajs) < MEAN_SQUARE_MIN_PATHS:
-        raise ValueError(f"need at least {MEAN_SQUARE_MIN_PATHS} trajectories, got {len(trajs)}")
-    cfg = trajs[0].config
-    x0 = trajs[0].y_fields[0]
-    seeds = [t.noise.spec.seed for t in trajs]
-    if len(set(seeds)) != len(seeds):
-        raise ValueError("trajectory seeds are not pairwise distinct")
-    for t in trajs[1:]:
-        if t.config != cfg:
-            raise ValueError("trajectories use different solver configs")
-        if not np.array_equal(t.y_fields[0], x0):
-            raise ValueError("trajectories start from different initial data")
     if eigen.k_max < spec.k_max:
         raise ValueError("eigensystem does not cover the noise modes")
+    seeds: set[int] = set()
+    sq_rows: list[np.ndarray] = []
+    l4_sup: list[float] = []
+    for traj in trajectories:
+        if not sq_rows:
+            cfg, times, h = traj.config, traj.times, traj.grid.h
+            x0 = traj.y_fields[0].copy()  # a copy, so no view keeps the first path alive
+        elif traj.config != cfg:
+            raise ValueError("trajectories use different solver configs")
+        elif not np.array_equal(traj.y_fields[0], x0):
+            raise ValueError("trajectories start from different initial data")
+        if traj.noise.spec.seed in seeds:
+            raise ValueError("trajectory seeds are not pairwise distinct")
+        seeds.add(traj.noise.spec.seed)
+        sq_rows.append(h * np.sum(traj.x_fields**2, axis=1))
+        l4_sup.append(np.max((h * np.sum(traj.x_fields**4, axis=1)) ** 0.25))
+        del traj  # drop it before the next path is solved: one trajectory alive at a time
+    if len(sq_rows) < MEAN_SQUARE_MIN_PATHS:
+        raise ValueError(f"need at least {MEAN_SQUARE_MIN_PATHS} trajectories, got {len(sq_rows)}")
 
-    grid = trajs[0].grid
-    h = grid.h
-    times = trajs[0].times
-    sq = np.stack([h * np.sum(t.x_fields**2, axis=1) for t in trajs])
+    sq = np.stack(sq_rows)
     mean = np.mean(sq, axis=0)
-    se = np.std(sq, axis=0, ddof=1) / np.sqrt(len(trajs))
+    se = np.std(sq, axis=0, ddof=1) / np.sqrt(len(sq_rows))
 
     gam = spec.gammas.values(spec.k_max)
     lam = eigen.eigenvalues[: spec.k_max]
@@ -350,15 +347,12 @@ def mean_square_bound(
         passed=bool(np.all(mean <= rhs)),
     )
 
-    l4_sup = np.array(
-        [np.max((h * np.sum(t.x_fields**4, axis=1)) ** 0.25) for t in trajs]
-    )
     rel_margin = float(np.min(gap / np.maximum(rhs[1:], 1e-300)))
     return Report(
         name="mean_square_bound",
         flags=[flag],
         scalars={
-            "n_paths": float(len(trajs)),
+            "n_paths": float(len(sq_rows)),
             "growth_rate": growth,
             "x0_l2_sq": x0_sq,
             "min_margin": float(np.min(gap)),

@@ -2,13 +2,14 @@
 
 import csv
 import os
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from logdiff.cli import main
-from logdiff.config import ConfigError, parse_config
+from logdiff.config import ConfigError, ExperimentConfig, parse_config
 from logdiff.grid import GridSpec, eigensystem
 
 
@@ -31,8 +32,55 @@ dt = 2e-3
 t_final = 0.1
 """
 
+# one non-default valid value per config key: (section, key, text, parsed value)
+KEY_VALUES = [
+    ("grid", "length", "2.0", 2.0),
+    ("grid", "n_interior", "63", 63),
+    ("noise", "k_max", "4", 4),
+    ("noise", "gamma0", "0.5", 0.5),
+    ("noise", "gamma_decay", "9.5", 9.5),
+    ("noise", "seed", "7", 7),
+    ("noise", "n_paths", "30", 30),
+    ("noise", "continuity_alpha", "0.25", 0.25),
+    ("noise", "override_decay_check", "true", True),
+    ("solver", "epsilon", "1e-3", 1e-3),
+    ("solver", "dt", "2e-3", 2e-3),
+    ("solver", "t_final", "0.25", 0.25),
+    ("solver", "scheme", "explicit", "explicit"),
+    ("solver", "newton_tol", "1e-12", 1e-12),
+    ("solver", "newton_max_iter", "20", 20),
+    ("solver", "epsilon_list", "1e-1, 1e-2", (1e-1, 1e-2)),
+    ("initial", "profile", "bump", "bump"),
+    ("initial", "amplitude", "2.5", 2.5),
+    ("initial", "mode_k", "3", 3),
+    ("initial", "path", "datum.csv", "datum.csv"),
+    ("verify", "checks", "mean_square, variational", ("mean_square", "variational")),
+    ("verify", "mu", "0.05", 0.05),
+    ("verify", "tol_vi", "1e-3", 1e-3),
+    ("verify", "diag_epsilons", "1e-1, 1e-3", (1e-1, 1e-3)),
+    ("verify", "ratio_max", "5.0", 5.0),
+    ("output", "directory", "results", "results"),
+    ("output", "dump_trajectories", "yes", True),
+    ("output", "workers", "2", 2),
+]
+
 
 class TestParseConfig:
+    def test_key_table_covers_every_block_field(self):
+        blocks = {f.name: f.default for f in fields(ExperimentConfig)}
+        keys = {(section, f.name) for section, block in blocks.items() for f in fields(block)}
+        table = [(section, key) for section, key, _, _ in KEY_VALUES]
+        assert len(table) == len(set(table))
+        assert set(table) == keys
+
+    @pytest.mark.parametrize("section,key,text,value", KEY_VALUES)
+    def test_each_key_parses_into_its_block(self, tmp_path, section, key, text, value):
+        cfg = parse_config(write(tmp_path / "c.cfg", f"[{section}]\n{key} = {text}\n"))
+        default_block = getattr(ExperimentConfig(), section)
+        assert getattr(default_block, key) != value
+        expected = replace(ExperimentConfig(), **{section: replace(default_block, **{key: value})})
+        assert cfg == expected
+
     def test_empty_file_gives_defaults(self, tmp_path):
         cfg = parse_config(write(tmp_path / "c.cfg", ""))
         assert cfg.grid.n_interior == 127
@@ -206,6 +254,16 @@ class TestCliSimulate:
         bad = write(tmp_path / "bad.cfg", "[grid]\nwhat = 1\n")
         assert main(["simulate", "--config", bad]) == 2
         assert main(["simulate", "--config", str(tmp_path / "missing.cfg")]) == 2
+        # unreadable inputs: a directory, a file that is not UTF-8, bad datum rows
+        assert main(["simulate", "--config", str(tmp_path)]) == 2
+        latin1 = tmp_path / "latin1.cfg"
+        latin1.write_bytes(b"# caf\xe9\n[grid]\nn_interior = 31\n")
+        assert main(["simulate", "--config", str(latin1)]) == 2
+        short = write(tmp_path / "short.csv", "node,value\n1\n")
+        infinite = write(tmp_path / "inf.csv", "node,value\n1,inf\n")
+        for datum in (short, infinite, str(tmp_path)):
+            cfg = write(tmp_path / "c.cfg", f"[initial]\nprofile = file\npath = {datum}\n")
+            assert main(["simulate", "--config", cfg]) == 2
 
     def test_solver_failure_exit_3(self, tmp_path):
         text = "[solver]\nscheme = explicit\ndt = 1e-3\nt_final = 0.01\n"

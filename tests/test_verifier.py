@@ -1,5 +1,7 @@
 """Checks over finished trajectories: bounds, the solution inequality, diagnostics."""
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -199,14 +201,18 @@ class TestVariationalResidual:
 
 
 class TestMeanSquareBound:
-    def build(self, n_paths, gamma0=1.0, seed=500):
+    def ensemble(self, n_paths, gamma0=1.0, seed=500):
         spec = NoiseSpec(
             k_max=8, gammas=PowerLawGammas(gamma0=gamma0, decay=8.0),
             seed=seed, t_final=0.1, n_steps=50,
         )
         cfg = SolverConfig(epsilon=1e-2, dt=0.1 / 50, t_final=0.1)
         x0 = Field(G, np.zeros(63))
-        return list(run_ensemble(x0, E, spec, cfg, n_paths)), spec
+        return run_ensemble(x0, E, spec, cfg, n_paths), spec
+
+    def build(self, n_paths, gamma0=1.0, seed=500):
+        ensemble, spec = self.ensemble(n_paths, gamma0, seed)
+        return list(ensemble), spec
 
     def test_too_few_paths_rejected(self):
         trajs, spec = self.build(5)
@@ -245,6 +251,25 @@ class TestMeanSquareBound:
         trajs, spec = self.build(30)
         rep = mean_square_bound(trajs, spec, E)
         assert 0.0 < rep.scalars["l4_sup_mean"] <= rep.scalars["l4_sup_max"]
+
+    def test_streams_one_trajectory_at_a_time(self):
+        ensemble, spec = self.ensemble(30)
+        refs, alive = [], []
+
+        def stream():
+            for traj in ensemble:
+                refs.append(weakref.ref(traj))
+                yield traj
+                del traj
+                # the consumer asks for the next path: the ones before it must be freed
+                alive.append(sum(r() is not None for r in refs))
+
+        rep = mean_square_bound(stream(), spec, E)
+        assert alive == [0] * 30
+        trajs, _ = self.build(30)
+        held = mean_square_bound(trajs, spec, E)
+        assert rep.rows() == held.rows()
+        assert rep.scalars == held.scalars
 
 
 class TestFluxIntegral:

@@ -241,7 +241,8 @@ def parse_config(path: str) -> ExperimentConfig:
     """Read and validate a config file; every key is optional."""
     if not os.path.exists(path):
         raise ConfigError(f"config file not found: {path}")
-    parser = configparser.ConfigParser(interpolation=None)
+    # no header can name the empty section, so [DEFAULT] is an ordinary (unknown) section
+    parser = configparser.ConfigParser(interpolation=None, default_section="")
     try:
         with open(path) as fh:
             parser.read_file(fh)

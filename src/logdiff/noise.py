@@ -27,7 +27,6 @@ a resynthesis reproduces the field values exactly.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, fields, replace
 from typing import Optional, Union
 
@@ -117,15 +116,14 @@ class NoisePath:
     """One realized path of the spectral noise on a space-time grid.
 
     values[n, j] is the field at time index n and node j+1; row 0 is
-    identically zero.  brownian[n, k] holds beta_{k+1}(t_n) and is None
-    for paths loaded from CSV.
+    identically zero.  brownian[n, k] holds beta_{k+1}(t_n).
     """
 
     spec: NoiseSpec
     grid: GridSpec
     times: np.ndarray
     values: np.ndarray
-    brownian: Optional[np.ndarray]
+    brownian: np.ndarray
 
     def __post_init__(self) -> None:
         t = np.array(self.times, dtype=float, copy=True)
@@ -141,16 +139,12 @@ class NoisePath:
             raise ValueError("noise values must be finite")
         if np.any(v[0] != 0.0):
             raise ValueError("noise must vanish at t = 0")
-        t.flags.writeable = False
-        v.flags.writeable = False
-        object.__setattr__(self, "times", t)
-        object.__setattr__(self, "values", v)
-        if self.brownian is not None:
-            b = np.array(self.brownian, dtype=float, copy=True)
-            if b.shape != (n_rows, self.spec.k_max):
-                raise ValueError("brownian matrix shape mismatch")
-            b.flags.writeable = False
-            object.__setattr__(self, "brownian", b)
+        b = np.array(self.brownian, dtype=float, copy=True)
+        if b.shape != (n_rows, self.spec.k_max):
+            raise ValueError("brownian matrix shape mismatch")
+        for name, arr in (("times", t), ("values", v), ("brownian", b)):
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
 
     def __reduce__(self):  # unpickle through __init__, so the arrays are read-only again
         return NoisePath, tuple(getattr(self, f.name) for f in fields(self))
@@ -315,59 +309,6 @@ def restrict(path: NoisePath, stride: int) -> NoisePath:
     if path.spec.n_steps % stride != 0:
         raise ValueError(f"stride {stride} does not divide n_steps = {path.spec.n_steps}")
     new_spec = replace(path.spec, n_steps=path.spec.n_steps // stride)
-    brownian = None if path.brownian is None else path.brownian[::stride]
-    return NoisePath(new_spec, path.grid, path.times[::stride], path.values[::stride], brownian)
-
-
-# ---------------------------------------------------------------------------
-# CSV interchange (cross-implementation comparison format)
-
-_CSV_HEADER = ["step", "time", "node", "value"]
-
-
-def dump_csv(path: NoisePath, file) -> None:
-    """Write rows (step, time, node, value); node indices are 1-based."""
-    close = False
-    if isinstance(file, (str, bytes)) or hasattr(file, "__fspath__"):
-        file = open(file, "w", newline="")
-        close = True
-    try:
-        writer = csv.writer(file)
-        writer.writerow(_CSV_HEADER)
-        for n in range(path.spec.n_steps + 1):
-            t = repr(float(path.times[n]))
-            for j in range(path.grid.n_interior):
-                writer.writerow([n, t, j + 1, repr(float(path.values[n, j]))])
-    finally:
-        if close:
-            file.close()
-
-
-def load_csv(file, grid: GridSpec, spec: NoiseSpec) -> NoisePath:
-    """Read a path dumped by :func:`dump_csv`; brownian data is not stored."""
-    close = False
-    if isinstance(file, (str, bytes)) or hasattr(file, "__fspath__"):
-        file = open(file, "r", newline="")
-        close = True
-    try:
-        reader = csv.reader(file)
-        header = next(reader, None)
-        if header != _CSV_HEADER:
-            raise ValueError(f"unexpected CSV header {header}")
-        n_rows = spec.n_steps + 1
-        values = np.full((n_rows, grid.n_interior), np.nan)
-        times = np.full(n_rows, np.nan)
-        for row in reader:
-            if not row:
-                continue
-            n, t, j, v = int(row[0]), float(row[1]), int(row[2]), float(row[3])
-            if not (0 <= n < n_rows and 1 <= j <= grid.n_interior):
-                raise ValueError(f"row ({n}, {j}) outside the declared grid")
-            values[n, j - 1] = v
-            times[n] = t
-        if np.any(np.isnan(values)) or np.any(np.isnan(times)):
-            raise ValueError("CSV does not cover the full space-time grid")
-    finally:
-        if close:
-            file.close()
-    return NoisePath(spec, grid, times, values, None)
+    return NoisePath(
+        new_spec, path.grid, path.times[::stride], path.values[::stride], path.brownian[::stride]
+    )

@@ -16,22 +16,24 @@ variants yosida_shifted = yosida + eps*x and the matching potential
 potential_shifted = moreau_envelope + eps*x^2/2, whose derivative is
 exactly yosida_shifted.
 
-The scalar root solve is a Newton iteration safeguarded by bisection on
-the bracket [0, |x|]; it is driven below its rounding floor (far below
-the 1e-12*max(1,|x|) residual contract) so that the two Yosida formulas
-agree to 1e-10 even after division by eps.  It serves the public maps
-here and the verifier; the solver's implicit step needs no root solve,
-because it takes u = J_eps(x) as its unknown and evaluates the flux as
+The resolvent has a closed form in the Wright omega function w, the
+solution of w + ln(w) = z: with 1 + |J| = eps*w,
+
+    J_eps(x) = sign(x) * (eps * w((1 + |x|)/eps - ln(eps)) - 1),
+
+and J_eps(x) = x/(1 + eps) to first order, used for |x| < 1e-8, where
+eps*w - 1 loses J to cancellation.  It serves the public maps here and
+the verifier; the solver's implicit step needs no resolvent, because it
+takes u = J_eps(x) as its unknown and evaluates the flux as
 signed_log(u) + eps*x with x = u + eps*signed_log(u).
 """
 
 from __future__ import annotations
 
 import numpy as np
+from scipy.special import wrightomega
 
-_MAX_NEWTON_ITER = 100
-_RESIDUAL_CONTRACT = 1e-12
-_RESIDUAL_TARGET = 1e-15
+_LINEAR_BELOW = 1e-8
 
 
 def _check_eps(eps) -> None:
@@ -65,47 +67,18 @@ def potential(x):
 
 
 def _resolvent(eps, arr: np.ndarray) -> np.ndarray:
-    """Safeguarded Newton for y + eps*ln(1+y) = |x|, sign restored after."""
-    eps_arr = np.broadcast_to(np.asarray(eps, dtype=float), arr.shape)
+    """Closed-form J_eps through Wright omega, linear near 0."""
     a = np.abs(arr)
-    s = np.sign(arr)
-    scale = np.maximum(1.0, a)
-    y = a.copy()
-    lo = np.zeros_like(a)
-    hi = a.copy()
-
-    prev_max = np.inf
-    stall = 0
-    for _ in range(_MAX_NEWTON_ITER):
-        f = y + eps_arr * np.log1p(y) - a
-        absf = np.abs(f)
-        if np.all(absf <= _RESIDUAL_TARGET * scale):
-            break
-        worst = float(np.max(absf / scale)) if absf.size else 0.0
-        if worst >= 0.5 * prev_max:
-            stall += 1
-            if stall >= 3 and np.all(absf <= _RESIDUAL_CONTRACT * scale):
-                break
-        else:
-            stall = 0
-        prev_max = min(prev_max, worst)
-        lo = np.where(f < 0.0, y, lo)
-        hi = np.where(f > 0.0, y, hi)
-        y_new = y - f / (1.0 + eps_arr / (1.0 + y))
-        outside = (y_new < lo) | (y_new > hi)
-        y = np.where(outside, 0.5 * (lo + hi), y_new)
-
-    residual = np.abs(y + eps_arr * np.log1p(y) - a)
-    if not np.all(residual <= _RESIDUAL_CONTRACT * scale):
-        raise RuntimeError("resolvent root solve failed to meet the residual contract")
-    return s * y
+    j = np.sign(arr) * (eps * wrightomega((1.0 + a) / eps - np.log(eps)) - 1.0)
+    return np.where(a < _LINEAR_BELOW, arr / (1.0 + eps), j)
 
 
 def _via_resolvent(eps, x, formula):
     """Validate eps and x, then return formula(eps, x, J_eps(x)) shaped like x."""
     _check_eps(eps)
+    e = np.asarray(eps, dtype=float)
     arr, scalar = _prepare(x)
-    return _output(formula(np.asarray(eps, dtype=float), arr, _resolvent(eps, arr)), scalar)
+    return _output(formula(e, arr, _resolvent(e, arr)), scalar)
 
 
 def _envelope(e, x, j):
@@ -115,11 +88,8 @@ def _envelope(e, x, j):
 def resolvent(eps, x):
     """Solve y + eps*signed_log(y) = x for y (elementwise).
 
-    The root has the sign of x and |y| <= |x|, so by oddness the solve
-    runs on |x| with the bracket [0, |x|].  Newton steps that leave the
-    bracket fall back to its midpoint.  Raises RuntimeError if the
-    residual contract 1e-12*max(1,|x|) cannot be met (must not happen
-    for finite input).
+    The root has the sign of x and |y| <= |x|; it is evaluated in
+    closed form through the Wright omega function (module docstring).
     """
     return _via_resolvent(eps, x, lambda e, x, j: j)
 

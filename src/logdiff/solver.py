@@ -18,16 +18,21 @@ W_{n+1}).  Since F_eps = signed_log(J_eps) + eps*id, with s = signed_log(u)
 so no scalar root solve runs inside a step.  Newton starts at
 u = Y_n + W_{n+1} and stops once the residual in Y is below newton_tol;
 its Jacobian diag(a) - dt * Lap_h diag(b), with a = 1 + eps/(1+|u|) and
-b = 1/(1+|u|) + eps*a, is tridiagonal.  An explicit Euler step
-(noise evaluated at the left endpoint) serves as an independent
-cross-check; it refuses to run outside its stability bound
+b = 1/(1+|u|) + eps*a, is tridiagonal.  The residual cannot fall below
+its rounding floor
+
+    16 * macheps * | |Y_{n+1}| + |Y_n| + 4*(dt/h^2)*|F_eps| |_2,
+
+so when a Newton step fails to halve the residual, or damping finds no
+decrease, Newton also stops if the residual is below that floor.  An
+explicit Euler step (noise evaluated at the left endpoint) serves as an
+independent cross-check; it refuses to run outside its stability bound
 
     dt * (4/h^2) * max_j F_eps'(Y_n + W_n) <= 1.
 
-A Newton failure at some step aborts it, halves the local dt and
-substeps with linearly interpolated noise, at most RETRY_BUDGET
-halvings deep; if that also fails, solve_path raises StepFailureError
-carrying the step index.  X_n = Y_n + W_n exactly, by construction.
+Every step is taken on the noise's own time grid: a Newton failure
+raises StepFailureError carrying the step index.  X_n = Y_n + W_n
+exactly, by construction.
 """
 
 from __future__ import annotations
@@ -44,7 +49,6 @@ from .grid import EigenSystem, Field, GridSpec, _hminus1_norms, _laplacian, _nor
 from .noise import NoisePath, NoiseSpec, synthesize
 from .nonlinearity import _check_eps, signed_log, yosida_derivative, yosida_shifted
 
-RETRY_BUDGET = 3
 _MAX_DAMPING_HALVINGS = 30
 
 _SCHEMES = ("implicit", "explicit")
@@ -103,8 +107,9 @@ class Trajectory:
 
     y_fields and x_fields stack the per-step fields as rows; row n is
     the state at times[n] and x_fields = y_fields + noise.values holds
-    exactly.  Diagnostics are per step: Newton iterations (summed over
-    substeps), the final Newton residual, and the substep count.
+    exactly.  Diagnostics are per step: Newton iterations and the final
+    Newton residual, which is at most newton_tol unless Newton stalled
+    at the residual's rounding floor (see the module docstring).
     """
 
     grid: GridSpec
@@ -115,10 +120,9 @@ class Trajectory:
     x_fields: np.ndarray
     newton_iters: np.ndarray
     newton_residuals: np.ndarray
-    substeps: np.ndarray
 
     def __post_init__(self) -> None:
-        for name in ("times", "y_fields", "x_fields", "newton_iters", "newton_residuals", "substeps"):
+        for name in ("times", "y_fields", "x_fields", "newton_iters", "newton_residuals"):
             arr = np.asarray(getattr(self, name))
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
@@ -129,6 +133,13 @@ class Trajectory:
     @property
     def n_steps(self) -> int:
         return self.times.shape[0] - 1
+
+    @property
+    def substeps(self) -> np.ndarray:
+        """Ones: every step is one step of the noise's time grid."""
+        ones = np.ones(self.n_steps, dtype=int)
+        ones.flags.writeable = False
+        return ones
 
     def y_field(self, n: int) -> Field:
         return Field(self.grid, self.y_fields[n])
@@ -153,10 +164,17 @@ def _step_implicit_core(
     """One damped-Newton implicit Euler step in u = J_eps(Y + W); returns (y, iters, residual)."""
     scale = dt / grid.h**2
 
-    def state_and_residual(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def state_and_flux(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         s = signed_log(u)
-        y = u + eps * s - w_next
-        return y, y - dt * _laplacian(s + eps * (u + eps * s), grid.h) - y_prev
+        return u + eps * s - w_next, s + eps * (u + eps * s)
+
+    def state_and_residual(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        y, flux = state_and_flux(u)
+        return y, y - dt * _laplacian(flux, grid.h) - y_prev
+
+    def floor(u: np.ndarray) -> float:
+        y, flux = state_and_flux(u)
+        return _rounding_floor(grid, y, y_prev, flux, dt)
 
     u = y_prev + w_next
     y, r = state_and_residual(u)
@@ -184,15 +202,28 @@ def _step_implicit_core(
             y_try, r_try = state_and_residual(u_try)
             r_try_norm = _norm_l2(grid, r_try)
             if r_try_norm < rnorm:
-                u, y, r, rnorm = u_try, y_try, r_try, r_try_norm
                 break
             alpha *= 0.5
-        else:
+        else:  # no decrease: stop (leave the while loop) if at the floor
+            if rnorm <= floor(u):
+                break
             raise StepFailureError(
                 f"Newton damping stalled at residual {rnorm:.3g}", residual=rnorm
             )
+        stalled = r_try_norm > 0.5 * rnorm
+        u, y, r, rnorm = u_try, y_try, r_try, r_try_norm
         iters += 1
+        if stalled and newton_tol < rnorm <= floor(u):
+            break
     return y, iters, rnorm
+
+
+def _rounding_floor(
+    grid: GridSpec, y: np.ndarray, y_prev: np.ndarray, flux: np.ndarray, dt: float
+) -> float:
+    """16 macheps | |y| + |y_prev| + 4 (dt/h^2) |flux| |_2, below which rounding hides the residual."""
+    bound = np.abs(y) + np.abs(y_prev) + (4.0 * dt / grid.h**2) * np.abs(flux)
+    return 16.0 * np.finfo(float).eps * _norm_l2(grid, bound)
 
 
 def _step_explicit_core(
@@ -224,30 +255,6 @@ def step_explicit(y_prev: Field, w_prev: Field, cfg: SolverConfig) -> Field:
     return Field(y_prev.grid, y)
 
 
-def _advance_implicit(
-    y: np.ndarray,
-    w_left: np.ndarray,
-    w_right: np.ndarray,
-    grid: GridSpec,
-    cfg: SolverConfig,
-    dt: float,
-    depth: int,
-) -> tuple[np.ndarray, int, float, int]:
-    """Advance by dt, substepping with interpolated noise on Newton failure."""
-    try:
-        y_next, iters, resid = _step_implicit_core(
-            y, w_right, grid, cfg.epsilon, dt, cfg.newton_tol, cfg.newton_max_iter
-        )
-        return y_next, iters, resid, 1
-    except StepFailureError:
-        if depth >= RETRY_BUDGET:
-            raise
-        w_mid = 0.5 * (w_left + w_right)
-        y_mid, it1, r1, s1 = _advance_implicit(y, w_left, w_mid, grid, cfg, 0.5 * dt, depth + 1)
-        y_next, it2, r2, s2 = _advance_implicit(y_mid, w_mid, w_right, grid, cfg, 0.5 * dt, depth + 1)
-        return y_next, it1 + it2, max(r1, r2), s1 + s2
-
-
 def solve_path(x0: Field, noise: NoisePath, cfg: SolverConfig) -> Trajectory:
     """March the configured scheme across the noise path's time grid.
 
@@ -271,17 +278,15 @@ def solve_path(x0: Field, noise: NoisePath, cfg: SolverConfig) -> Trajectory:
     y_all[0] = x0.values
     iters = np.zeros(n_steps, dtype=int)
     resids = np.zeros(n_steps)
-    subs = np.zeros(n_steps, dtype=int)
 
     for n in range(n_steps):
         try:
             if cfg.scheme == "implicit":
-                y_all[n + 1], iters[n], resids[n], subs[n] = _advance_implicit(
-                    y_all[n], w[n], w[n + 1], grid, cfg, cfg.dt, 0
+                y_all[n + 1], iters[n], resids[n] = _step_implicit_core(
+                    y_all[n], w[n + 1], grid, cfg.epsilon, cfg.dt, cfg.newton_tol, cfg.newton_max_iter
                 )
             else:
                 y_all[n + 1] = _step_explicit_core(y_all[n], w[n], grid, cfg.epsilon, cfg.dt)
-                subs[n] = 1
         except (StepFailureError, StabilityError) as exc:
             residual = getattr(exc, "residual", None)
             raise StepFailureError(f"step {n} failed: {exc}", step=n, residual=residual) from exc
@@ -295,7 +300,6 @@ def solve_path(x0: Field, noise: NoisePath, cfg: SolverConfig) -> Trajectory:
         x_fields=y_all + w,
         newton_iters=iters,
         newton_residuals=resids,
-        substeps=subs,
     )
 
 

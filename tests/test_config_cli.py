@@ -250,9 +250,14 @@ class TestCliSimulate:
         assert rows[0] == ["step", "time", "node", "y", "x"]
         assert len(rows) == 1 + 51 * 31
 
-    def test_config_error_exit_2(self, tmp_path):
+    def test_config_error_exit_2(self, tmp_path, capsys):
         bad = write(tmp_path / "bad.cfg", "[grid]\nwhat = 1\n")
         assert main(["simulate", "--config", bad]) == 2
+        # [DEFAULT] keys would otherwise be ignored or copied into every section
+        for text in ("[DEFAULT]\nseed = 3\n", "[DEFAULT]\nlength = 2\n[grid]\nn_interior = 31\n"):
+            capsys.readouterr()
+            assert main(["simulate", "--config", write(tmp_path / "d.cfg", text)]) == 2
+            assert "unknown section [DEFAULT]" in capsys.readouterr().err
         assert main(["simulate", "--config", str(tmp_path / "missing.cfg")]) == 2
         # unreadable inputs: a directory, a file that is not UTF-8, bad datum rows
         assert main(["simulate", "--config", str(tmp_path)]) == 2

@@ -9,8 +9,6 @@ from logdiff.noise import (
     NoiseSpec,
     OscillationError,
     PowerLawGammas,
-    dump_csv,
-    load_csv,
     modulus_of_continuity,
     restrict,
     sup_norm_estimate,
@@ -271,24 +269,3 @@ class TestRestrict:
             restrict(path, 7)
         with pytest.raises(ValueError):
             restrict(path, 0)
-
-
-class TestCsvRoundtrip:
-    def test_roundtrip_bit_identical(self, tmp_path):
-        spec = power_spec(n_steps=20)
-        path = synthesize(spec, GRID, EIGEN)
-        f = tmp_path / "noise.csv"
-        dump_csv(path, f)
-        loaded = load_csv(f, GRID, spec)
-        assert np.array_equal(loaded.values, path.values)
-        assert loaded.brownian is None
-
-    def test_load_rejects_incomplete_file(self, tmp_path):
-        spec = power_spec(n_steps=20)
-        path = synthesize(spec, GRID, EIGEN)
-        f = tmp_path / "noise.csv"
-        dump_csv(path, f)
-        lines = f.read_text().splitlines()
-        f.write_text("\n".join(lines[:-10]) + "\n")
-        with pytest.raises(ValueError):
-            load_csv(f, GRID, spec)

@@ -14,6 +14,7 @@ from logdiff.solver import (
     SolverConfig,
     StabilityError,
     StepFailureError,
+    _rounding_floor,
     epsilon_sweep,
     run_ensemble,
     solve_path,
@@ -287,13 +288,18 @@ STRESS_DATA = {
 }
 
 
+def stress_setup(n, dt, datum, n_steps=20):
+    """One datum and one noise path (seed 3) over n_steps steps of size dt."""
+    grid = GridSpec(length=1.0, n_interior=n)
+    noise = default_noise(grid, eigensystem(grid, 8), seed=3, t_final=n_steps * dt, n_steps=n_steps)
+    return noise, Field(grid, STRESS_DATA[datum](grid.nodes))
+
+
 def stress_cell(n, dt, datum, epsilons, tol):
     """20 steps from one datum on one noise path (seed 3) for each eps."""
     n_steps = 20
-    grid = GridSpec(length=1.0, n_interior=n)
     t_final = n_steps * dt
-    noise = default_noise(grid, eigensystem(grid, 8), seed=3, t_final=t_final, n_steps=n_steps)
-    x0 = Field(grid, STRESS_DATA[datum](grid.nodes))
+    noise, x0 = stress_setup(n, dt, datum, n_steps)
     for eps in epsilons:
         cfg = SolverConfig(epsilon=eps, dt=dt, t_final=t_final, newton_tol=tol)
         traj = solve_path(x0, noise, cfg)
@@ -311,15 +317,27 @@ class TestStressMatrix:
         stress_cell(n, dt, datum, (1e-1, 1e-2, 1e-3, 1e-4), SolverConfig.newton_tol)
 
     # newton_tol is an absolute bound on the residual in Y; at 1023 nodes and
-    # dt 1e-2 its rounding floor, about machine eps * (dt/h^2) * |flux|, sits
-    # near 1e-12, so Newton stalls and the retry path fires (CHANGES.md, FOUND)
-    @pytest.mark.xfail(strict=True, reason="tol 1e-12 is below the residual's rounding floor")
+    # dt 1e-2 Newton stalls above tol 1e-12, at the residual's rounding floor
     @pytest.mark.parametrize("eps", [1e-1, 1e-2, 1e-3, 1e-4])
-    def test_tight_tolerance_at_the_rounding_floor(self, eps):
-        stress_cell(1023, 1e-2, "amplitude5", (eps,), 1e-12)
+    def test_tight_tolerance_stops_at_the_rounding_floor(self, eps):
+        dt, tol = 1e-2, 1e-12
+        noise, x0 = stress_setup(1023, dt, "amplitude5")
+        cfg = SolverConfig(epsilon=eps, dt=dt, t_final=noise.spec.t_final, newton_tol=tol)
+        traj = solve_path(x0, noise, cfg)
+        y, x = traj.y_fields, traj.x_fields
+        floors = [
+            _rounding_floor(x0.grid, y[n + 1], y[n], yosida_shifted(eps, x[n + 1]), dt)
+            for n in range(traj.n_steps)
+        ]
+        assert np.all(traj.newton_residuals <= np.maximum(tol, floors))
+        assert np.all(traj.newton_residuals <= 1e-11)
+        assert np.all(traj.newton_iters <= 5)
+        assert np.array_equal(x, y + noise.values)
 
 
 class TestRetryMachinery:
+    """Violent single-mode noise (gamma 30) against Newton's iteration budget."""
+
     def violent_noise(self):
         spec = NoiseSpec(
             k_max=1,
@@ -330,12 +348,19 @@ class TestRetryMachinery:
         )
         return synthesize(spec, G15, eigensystem(G15, 1), override_decay_check=True)
 
-    def test_halving_rescues_tight_newton_budget(self):
+    def test_tight_newton_budget_fails_at_its_step(self):
         noise = self.violent_noise()
         cfg = SolverConfig(epsilon=1e-3, dt=0.025, t_final=0.1, newton_max_iter=3)
+        with pytest.raises(StepFailureError) as err:
+            solve_path(Field(G15, np.zeros(15)), noise, cfg)
+        assert err.value.step == 1
+
+    def test_default_budget_converges_on_the_time_grid(self):
+        noise = self.violent_noise()
+        cfg = SolverConfig(epsilon=1e-3, dt=0.025, t_final=0.1)
         traj = solve_path(Field(G15, np.zeros(15)), noise, cfg)
-        assert int(np.max(traj.substeps)) > 1
         assert traj.y_fields.shape == (5, 15)
+        assert np.all(traj.newton_residuals <= cfg.newton_tol)
 
     def test_budget_exhaustion_fails_loudly(self):
         noise = self.violent_noise()

@@ -317,6 +317,9 @@ def main(argv=None) -> int:
         n_paths = cfg.noise.n_paths if args.paths is None else args.paths
         if n_paths < 0:
             raise ConfigError("--paths must be >= 0")
+        # path i uses seed + i; parse_config range-checked the seed itself
+        if args.command != "sweep-eps" and cfg.noise.seed + n_paths > 2**64:
+            raise ConfigError(f"seeds {cfg.noise.seed} + i for {n_paths} paths pass 2^64 - 1")
         out_dir = args.out if args.out is not None else cfg.output.directory
         os.makedirs(out_dir, exist_ok=True)
         dump = args.dump_trajectories or cfg.output.dump_trajectories

@@ -150,30 +150,23 @@ def _laplacian(v: np.ndarray, h: float) -> np.ndarray:
 
 
 @lru_cache(maxsize=64)
-def _neg_lap_factor(length: float, n_interior: int) -> np.ndarray:
-    h = length / (n_interior + 1)
-    ab = np.zeros((2, n_interior))
-    ab[0, 1:] = -1.0 / h**2
-    ab[1, :] = 2.0 / h**2
-    return cholesky_banded(ab, lower=False)
-
-@lru_cache(maxsize=64)
-def _resolvent_factor(length: float, n_interior: int, mu: float) -> np.ndarray:
+def _factor(length: float, n_interior: int, shift: float, mu: float) -> np.ndarray:
+    """Banded Cholesky factor of shift*I - mu*Lap_h."""
     h = length / (n_interior + 1)
     ab = np.zeros((2, n_interior))
     ab[0, 1:] = -mu / h**2
-    ab[1, :] = 1.0 + 2.0 * mu / h**2
+    ab[1] = shift + 2.0 * mu / h**2
     return cholesky_banded(ab, lower=False)
 
 
 def _solve_neg_laplacian(grid: GridSpec, rhs: np.ndarray) -> np.ndarray:
     """Solve (-Lap_h) u = rhs; rhs may be (n,) or (n, m) for m systems."""
-    cb = _neg_lap_factor(grid.length, grid.n_interior)
+    cb = _factor(grid.length, grid.n_interior, 0.0, 1.0)
     return cho_solve_banded((cb, False), rhs)
 
 
 def _solve_resolvent(grid: GridSpec, mu: float, rhs: np.ndarray) -> np.ndarray:
-    cb = _resolvent_factor(grid.length, grid.n_interior, mu)
+    cb = _factor(grid.length, grid.n_interior, 1.0, mu)
     return cho_solve_banded((cb, False), rhs)
 
 
@@ -235,7 +228,7 @@ def norm_lp(f: Field, p: float) -> float:
 
 
 def norm_linf(f: Field) -> float:
-    return float(np.max(np.abs(f.values))) if f.values.size else 0.0
+    return float(np.max(np.abs(f.values)))
 
 
 def inner_hminus1(f: Field, g: Field) -> float:

@@ -244,7 +244,7 @@ def synthesize(
 
 def sup_norm_estimate(path: NoisePath) -> float:
     """max over the time grid of the sup norm |W_Q(t_n)|_inf."""
-    return float(np.max(np.abs(path.values))) if path.values.size else 0.0
+    return float(np.max(np.abs(path.values)))
 
 
 class OscillationError(ValueError):
@@ -283,7 +283,7 @@ def modulus_of_continuity(path: NoisePath, alpha: float) -> np.ndarray:
         while end < n_steps:
             cand_min = np.minimum(run_min, values[end + 1])
             cand_max = np.maximum(run_max, values[end + 1])
-            osc = float(np.max(cand_max - cand_min)) if cand_min.size else 0.0
+            osc = float(np.max(cand_max - cand_min))
             if osc < alpha:
                 run_min, run_max = cand_min, cand_max
                 end += 1

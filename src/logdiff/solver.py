@@ -390,5 +390,5 @@ def epsilon_sweep(
             norms = _hminus1_norms(x0.grid, y_stacks[i] - y_stacks[j])
             pairwise[i, j] = pairwise[j, i] = float(np.max(norms))
     consecutive = np.array([pairwise[i, i + 1] for i in range(m - 1)])
-    monotone = bool(np.all(np.diff(consecutive) < 0)) if consecutive.size > 1 else True
+    monotone = bool(np.all(np.diff(consecutive) < 0))
     return EpsilonSweepReport(eps, consecutive, pairwise, monotone)

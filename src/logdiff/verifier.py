@@ -25,7 +25,6 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
 from .grid import (
     EigenSystem,
@@ -128,7 +127,6 @@ class TestProcess:
     times: np.ndarray
     z_fields: np.ndarray
     z_prime: np.ndarray
-    provenance: str
     admissibility: dict[str, float]
 
     def __post_init__(self) -> None:
@@ -138,8 +136,9 @@ class TestProcess:
             object.__setattr__(self, name, arr)
 
 
-def _trapezoid(values: np.ndarray, dx: float) -> float:
-    return float(dx * (np.sum(values) - 0.5 * (values[0] + values[-1])))
+def _cumulative_trapezoid(values: np.ndarray, dx: float) -> np.ndarray:
+    """Running trapezoid integrals of equally spaced samples, starting at 0."""
+    return np.concatenate(([0.0], np.cumsum(dx * (values[1:] + values[:-1]) / 2.0)))
 
 
 def _time_derivative(z: np.ndarray, dt: float) -> np.ndarray:
@@ -157,11 +156,11 @@ def _admissibility(
     h = grid.h
     sup_l2 = float(np.max(np.sqrt(h * np.sum(z**2, axis=1))))
     zp_hm1_sq = _hminus1_norms(grid, zp) ** 2
-    deriv_integral = _trapezoid(zp_hm1_sq, dt)
+    deriv_integral = float(_cumulative_trapezoid(zp_hm1_sq, dt)[-1])
     g_rows = h * np.sum(potential(z + w), axis=1)
-    g_integral = _trapezoid(g_rows, dt)
+    g_integral = float(_cumulative_trapezoid(g_rows, dt)[-1])
     sq_rows = h * np.sum((z + w) ** 2, axis=1)
-    sq_integral = _trapezoid(sq_rows, dt)
+    sq_integral = float(_cumulative_trapezoid(sq_rows, dt)[-1])
     record = {
         "sup_l2": sup_l2,
         "deriv_hminus1_sq_integral": deriv_integral,
@@ -184,22 +183,21 @@ def build_test_process(traj: Trajectory, mu: float) -> TestProcess:
     if not (np.isfinite(mu) and mu > 0):
         raise ValueError(f"mu must be positive and finite, got {mu}")
     z = _solve_resolvent(traj.grid, mu, traj.y_fields.T).T
-    return _test_process(traj, z, f"resolvent(mu={mu}) of the trajectory state")
+    return _test_process(traj, z)
 
 
 def self_test_process(traj: Trajectory) -> TestProcess:
     """Z = Y itself; the variational residual must vanish to rounding."""
-    return _test_process(traj, traj.y_fields.copy(), "trajectory state (self test)")
+    return _test_process(traj, traj.y_fields.copy())
 
 
-def _test_process(traj: Trajectory, z: np.ndarray, provenance: str) -> TestProcess:
+def _test_process(traj: Trajectory, z: np.ndarray) -> TestProcess:
     zp = _time_derivative(z, traj.config.dt)
     return TestProcess(
         grid=traj.grid,
         times=traj.times.copy(),
         z_fields=z,
         z_prime=zp,
-        provenance=provenance,
         admissibility=_admissibility(traj.grid, traj.times, z, zp, traj.noise.values),
     )
 
@@ -244,10 +242,10 @@ def variational_residual(
     half_dual_sq = 0.5 * _hminus1_norms(grid, diff) ** 2
 
     g_x_rows = h * np.sum(potential(x), axis=1)
-    g_x_cum = cumulative_trapezoid(g_x_rows, dx=dt, initial=0.0)
+    g_x_cum = _cumulative_trapezoid(g_x_rows, dt)
 
     g_z_rows = h * np.sum(potential(zf + w), axis=1)
-    g_z_cum = cumulative_trapezoid(g_z_rows, dx=dt, initial=0.0)
+    g_z_cum = _cumulative_trapezoid(g_z_rows, dt)
 
     sol = _solve_neg_laplacian(grid, z.z_prime.T)
     pair = h * np.sum(sol * diff.T, axis=0)

@@ -2,6 +2,8 @@
 
 import csv
 import os
+import subprocess
+import sys
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -269,6 +271,20 @@ class TestCliSimulate:
         for datum in (short, infinite, str(tmp_path)):
             cfg = write(tmp_path / "c.cfg", f"[initial]\nprofile = file\npath = {datum}\n")
             assert main(["simulate", "--config", cfg]) == 2
+        # path seeds seed + i past 2^64 - 1 are rejected before any path is solved
+        top = f"[grid]\nn_interior = 15\n[noise]\nseed = {2**64 - 1}\nn_paths = 2\n"
+        top_cfg = write(tmp_path / "top.cfg", top)
+        one_cfg = write(tmp_path / "one.cfg", top.replace("n_paths = 2", "n_paths = 1"))
+        out = tmp_path / "top_out"
+        for argv in (["simulate", "--config", top_cfg], ["verify", "--config", top_cfg],
+                     ["noise-check", "--config", top_cfg],
+                     ["simulate", "--config", one_cfg, "--paths", "2"]):
+            capsys.readouterr()
+            assert main(argv + ["--out", str(out)]) == 2
+            assert "config error" in capsys.readouterr().err
+            assert not out.exists()
+        # the last seed itself is fine: noise-check's one path at --paths 0 runs
+        assert main(["noise-check", "--config", top_cfg, "--out", str(out), "--paths", "0"]) == 0
 
     def test_solver_failure_exit_3(self, tmp_path):
         text = "[solver]\nscheme = explicit\ndt = 1e-3\nt_final = 0.01\n"
@@ -339,3 +355,13 @@ class TestCliOther:
             main(["--version"])
         assert exc.value.code == 0
         assert capsys.readouterr().out.strip() == "logdiff 0.1.0 (config schema 1)"
+
+    def test_cli_import_leaves_out_scipy_integrate_and_optimize(self):
+        # every command pays for what logdiff.cli imports; these two cost about 20 MB
+        src = str(Path(__file__).parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        code = ("import sys, logdiff.cli; "
+                "print(sorted(m for m in ('scipy.integrate', 'scipy.optimize') if m in sys.modules))")
+        run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True)
+        assert run.stdout.strip() == "[]"

@@ -4,6 +4,7 @@ import weakref
 
 import numpy as np
 import pytest
+from scipy.integrate import cumulative_trapezoid
 
 from logdiff.grid import (
     Field,
@@ -19,6 +20,7 @@ from logdiff.solver import SolverConfig, run_ensemble, solve_path
 from logdiff.verifier import (
     Flag,
     Report,
+    _cumulative_trapezoid,
     build_test_process,
     flux_l1_integral,
     hminus1_sup,
@@ -144,6 +146,14 @@ class TestTestProcess:
 
 
 class TestVariationalResidual:
+    def test_cumulative_trapezoid_is_scipys_bitwise(self):
+        rng = np.random.default_rng(11)
+        for n in (2, 3, 10, 251, 4001):
+            values = rng.standard_normal(n) * 10.0 ** rng.integers(-6, 6)
+            dt = float(rng.uniform(1e-5, 1e-1))
+            want = cumulative_trapezoid(values, dx=dt, initial=0.0)
+            assert np.array_equal(_cumulative_trapezoid(values, dt), want)
+
     def test_self_test_below_1e9(self):
         for eps in (1e-1, 1e-2, 1e-3):
             traj, x0 = make_traj(eps=eps, n_steps=100)

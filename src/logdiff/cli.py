@@ -29,13 +29,12 @@ from .noise import (
 from .solver import StepFailureError, epsilon_sweep, run_ensemble, solve_path
 from .verifier import (
     MEAN_SQUARE_MIN_PATHS,
-    Flag,
-    Report,
     build_test_process,
     flux_l1_integral,
     hminus1_sup,
     mean_square_bound,
     self_test_process,
+    spread_report,
     total_variation,
     variational_residual,
 )
@@ -75,10 +74,6 @@ def _write_csv(path: str, header: list[str], rows) -> None:
             writer.writerow([_fmt(v) for v in row])
 
 
-def _write_report_csv(path: str, report: Report) -> None:
-    _write_csv(path, ["check_name", "t", "lhs", "rhs", "margin", "pass"], report.rows())
-
-
 def _dump_trajectory(traj, out_dir: str, index: int) -> None:
     rows = ((n, traj.times[n], j + 1, traj.y_fields[n, j], traj.x_fields[n, j])
             for n in range(traj.n_steps + 1) for j in range(traj.grid.n_interior))
@@ -113,15 +108,12 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir: str, n_paths: int, dump: bool) 
 
 
 def cmd_sweep_eps(cfg: ExperimentConfig, out_dir: str) -> int:
-    eps_list = cfg.solver.epsilon_list
-    if len(eps_list) < 2:
-        raise ConfigError("sweep-eps needs at least two entries in solver.epsilon_list")
     grid = cfg.grid_spec()
     eigen = cfg.eigen(grid)
     path = synthesize(cfg.noise_spec(), grid, eigen,
                       override_decay_check=cfg.noise.override_decay_check)
     x0 = cfg.initial_datum(grid, eigen)
-    report = epsilon_sweep(x0, path, cfg.solver_config(), eps_list)
+    report = epsilon_sweep(x0, path, cfg.solver_config(), cfg.solver.epsilon_list)
 
     consec = [
         (i, report.epsilons[i], report.epsilons[i + 1], report.consecutive[i])
@@ -143,81 +135,51 @@ def cmd_sweep_eps(cfg: ExperimentConfig, out_dir: str) -> int:
     return EXIT_OK
 
 
-def _ratio_report(name: str, eps_list, values, ratio_max: float) -> Report:
-    arr = np.asarray(values, dtype=float)
-    top = float(np.max(arr))
-    bottom = float(np.min(arr))
-    if top == 0.0:
-        ratio = 1.0
-    elif bottom == 0.0:
-        ratio = np.inf
-    else:
-        ratio = top / bottom
-    flag = Flag(
-        name="spread_bounded",
-        lhs=ratio,
-        rhs=float(ratio_max),
-        tolerance=float(ratio_max),
-        passed=bool(ratio <= ratio_max),
-    )
-    return Report(
-        name=name,
-        flags=[flag],
-        scalars={f"value_at_eps_{e:g}": float(v) for e, v in zip(eps_list, arr)},
-        curves={
-            "t": np.asarray(eps_list, dtype=float),
-            "lhs": arr,
-            "rhs": np.full_like(arr, float(np.max(arr))),
-        },
-    )
+def _variational_report(traj, x0, verify):
+    report = variational_residual(traj, build_test_process(traj, verify.mu), x0,
+                                  tol_vi=verify.tol_vi)
+    self_rep = variational_residual(traj, self_test_process(traj), x0, tol_vi=1e-9)
+    report.flags.append(replace(self_rep.flags[0], name="self_test_residual"))
+    return report
 
 
 def cmd_verify(cfg: ExperimentConfig, out_dir: str, n_paths: int) -> int:
-    if "mean_square" in cfg.verify.checks and n_paths < MEAN_SQUARE_MIN_PATHS:
-        raise ConfigError(f"mean_square needs >= {MEAN_SQUARE_MIN_PATHS} paths, got {n_paths}")
     grid = cfg.grid_spec()
     eigen = cfg.eigen(grid)
     x0 = cfg.initial_datum(grid, eigen)
     base_path = synthesize(cfg.noise_spec(), grid, eigen,
                            override_decay_check=cfg.noise.override_decay_check)
-    reports: list[Report] = []
+    checks = cfg.verify.checks
+    reports = []
 
-    if "mean_square" in cfg.verify.checks:
+    if "mean_square" in checks:
         ensemble = run_ensemble(x0, eigen, cfg.noise_spec(), cfg.solver_config(), n_paths,
                                 workers=cfg.output.workers,
                                 override_decay_check=cfg.noise.override_decay_check)
         reports.append(mean_square_bound(ensemble, cfg.noise_spec(), eigen))
 
-    diag_checks = [c for c in ("flux_l1", "total_variation", "hminus1_sup")
-                   if c in cfg.verify.checks]
-    if diag_checks:
-        flux_vals, tv_vals, sup_vals = [], [], []
-        for e in cfg.verify.diag_epsilons:
-            traj = solve_path(x0, base_path, cfg.solver_config(epsilon=e))
-            flux_vals.append(flux_l1_integral(traj))
-            tv_vals.append(total_variation(traj))
-            sup_vals.append(hminus1_sup(traj))
-        by_name = {
-            "flux_l1": flux_vals,
-            "total_variation": tv_vals,
-            "hminus1_sup": sup_vals,
-        }
-        for name in diag_checks:
-            reports.append(
-                _ratio_report(name, cfg.verify.diag_epsilons, by_name[name],
-                              cfg.verify.ratio_max)
-            )
-
-    if "variational" in cfg.verify.checks:
-        traj = solve_path(x0, base_path, cfg.solver_config())
-        z = build_test_process(traj, cfg.verify.mu)
-        report = variational_residual(traj, z, x0, tol_vi=cfg.verify.tol_vi)
-        self_rep = variational_residual(traj, self_test_process(traj), x0, tol_vi=1e-9)
-        report.flags.append(replace(self_rep.flags[0], name="self_test_residual"))
-        reports.append(report)
+    # one solve per diag eps; the one at the configured eps also serves the variational check
+    solver_cfg = cfg.solver_config()
+    diagnostics = ("flux_l1", "total_variation", "hminus1_sup")
+    diag_eps = cfg.verify.diag_epsilons if any(c in checks for c in diagnostics) else ()
+    values, variational = [], None
+    for e in diag_eps:
+        traj = solve_path(x0, base_path, replace(solver_cfg, epsilon=e))
+        values.append((flux_l1_integral(traj), total_variation(traj), hminus1_sup(traj)))
+        if "variational" in checks and variational is None and e == solver_cfg.epsilon:
+            variational = _variational_report(traj, x0, cfg.verify)
+        del traj  # drop it before the next eps is solved: one trajectory alive at a time
+    reports += [spread_report(name, diag_eps, column, cfg.verify.ratio_max)
+                for name, column in zip(diagnostics, zip(*values)) if name in checks]
+    if "variational" in checks:
+        if variational is None:
+            variational = _variational_report(solve_path(x0, base_path, solver_cfg), x0,
+                                              cfg.verify)
+        reports.append(variational)
 
     for report in reports:
-        _write_report_csv(os.path.join(out_dir, f"report_{report.name}.csv"), report)
+        _write_csv(os.path.join(out_dir, f"report_{report.name}.csv"),
+                   ["check_name", "t", "lhs", "rhs", "margin", "pass"], report.rows())
     summary = "\n\n".join(r.summary() for r in reports)
     overall = all(r.passed for r in reports)
     summary += f"\n\noverall: {'PASS' if overall else 'FAIL'}\n"
@@ -256,7 +218,7 @@ def cmd_noise_check(cfg: ExperimentConfig, out_dir: str, n_paths: int) -> int:
     sup_rows = []
     first_path = None
     for i in range(max(n_paths, 1)):
-        spec_i = cfg.noise_spec(seed=cfg.noise.seed + i)
+        spec_i = replace(spec, seed=spec.seed + i)
         path = synthesize(spec_i, grid, eigen)
         if first_path is None:
             first_path = path
@@ -294,19 +256,20 @@ def _build_parser() -> argparse.ArgumentParser:
         version=f"logdiff {__version__} (config schema {SCHEMA_VERSION})",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
+    commands = {name: sub.add_parser(name, help=help_text) for name, help_text in (
         ("simulate", "run trajectories and write a per-path summary"),
         ("sweep-eps", "re-solve one noise path across the configured epsilon list"),
         ("verify", "run the configured checks and write reports"),
         ("noise-check", "amplitude decay report, sup norms, continuity partition"),
-    ):
-        p = sub.add_parser(name, help=help_text)
+    )}
+    for p in commands.values():
         p.add_argument("--config", required=True, help="path to the experiment config file")
         p.add_argument("--out", default=None, help="output directory (default: from config)")
-        p.add_argument("--paths", type=int, default=None,
-                       help="override the configured number of paths")
-        p.add_argument("--dump-trajectories", action="store_true",
-                       help="write per-path trajectory and diagnostics CSVs")
+    for name in ("simulate", "verify", "noise-check"):
+        commands[name].add_argument("--paths", type=int, default=None,
+                                    help="override the configured number of paths")
+    commands["simulate"].add_argument("--dump-trajectories", action="store_true",
+                                      help="write per-path trajectory and diagnostics CSVs")
     return parser
 
 
@@ -314,17 +277,23 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = parse_config(args.config)
-        n_paths = cfg.noise.n_paths if args.paths is None else args.paths
+        paths = getattr(args, "paths", None)
+        n_paths = cfg.noise.n_paths if paths is None else paths
         if n_paths < 0:
             raise ConfigError("--paths must be >= 0")
         # path i uses seed + i; parse_config range-checked the seed itself
         if args.command != "sweep-eps" and cfg.noise.seed + n_paths > 2**64:
             raise ConfigError(f"seeds {cfg.noise.seed} + i for {n_paths} paths pass 2^64 - 1")
+        if args.command == "sweep-eps" and len(cfg.solver.epsilon_list) < 2:
+            raise ConfigError("sweep-eps needs at least two entries in solver.epsilon_list")
+        if (args.command == "verify" and "mean_square" in cfg.verify.checks
+                and n_paths < MEAN_SQUARE_MIN_PATHS):
+            raise ConfigError(f"mean_square needs >= {MEAN_SQUARE_MIN_PATHS} paths, got {n_paths}")
         out_dir = args.out if args.out is not None else cfg.output.directory
         os.makedirs(out_dir, exist_ok=True)
-        dump = args.dump_trajectories or cfg.output.dump_trajectories
 
         if args.command == "simulate":
+            dump = args.dump_trajectories or cfg.output.dump_trajectories
             return cmd_simulate(cfg, out_dir, n_paths, dump)
         if args.command == "sweep-eps":
             return cmd_sweep_eps(cfg, out_dir)

@@ -98,26 +98,25 @@ class ExperimentConfig:
     def eigen(self, grid: GridSpec) -> EigenSystem:
         return eigensystem(grid, self.noise.k_max)
 
-    def noise_spec(self, seed: Optional[int] = None) -> NoiseSpec:
-        n_steps = round(self.solver.t_final / self.solver.dt)
+    def noise_spec(self) -> NoiseSpec:
         return NoiseSpec(
             k_max=self.noise.k_max,
             gammas=PowerLawGammas(self.noise.gamma0, self.noise.gamma_decay),
-            seed=self.noise.seed if seed is None else seed,
+            seed=self.noise.seed,
             t_final=self.solver.t_final,
-            n_steps=n_steps,
+            n_steps=round(self.solver.t_final / self.solver.dt),
         )
 
-    def solver_config(self, epsilon: Optional[float] = None, scheme: Optional[str] = None):
+    def solver_config(self):
         from .solver import SolverConfig
 
         return SolverConfig(
-            epsilon=self.solver.epsilon if epsilon is None else epsilon,
+            epsilon=self.solver.epsilon,
             dt=self.solver.dt,
             t_final=self.solver.t_final,
             newton_tol=self.solver.newton_tol,
             newton_max_iter=self.solver.newton_max_iter,
-            scheme=self.solver.scheme if scheme is None else scheme,
+            scheme=self.solver.scheme,
         )
 
     def initial_datum(self, grid: GridSpec, eigen: Optional[EigenSystem] = None) -> Field:

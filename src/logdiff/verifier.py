@@ -17,12 +17,14 @@ the tolerance used.  The checks:
 * uniqueness_distance: sup-t H^-1 distance of two runs driven by one
   noise path.
 * total_variation / hminus1_sup: pathwise compactness diagnostics.
+* spread_report: one diagnostic across eps, whose max/min ratio must
+  stay bounded (the eps-uniform estimates).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -417,3 +419,24 @@ def total_variation(traj: Trajectory) -> float:
 def hminus1_sup(traj: Trajectory) -> float:
     """max over the time grid of |Y(t_n)|_-1^2."""
     return float(np.max(_hminus1_norms(traj.grid, traj.y_fields) ** 2))
+
+
+def spread_report(name: str, eps_list: Sequence[float], values: Sequence[float],
+                  ratio_max: float) -> Report:
+    """A diagnostic per eps passes when its max/min ratio is at most ratio_max."""
+    arr = np.asarray(values, dtype=float)
+    top, bottom = float(np.max(arr)), float(np.min(arr))
+    ratio = 1.0 if top == 0.0 else np.inf if bottom == 0.0 else top / bottom
+    flag = Flag(
+        name="spread_bounded",
+        lhs=ratio,
+        rhs=float(ratio_max),
+        tolerance=float(ratio_max),
+        passed=bool(ratio <= ratio_max),
+    )
+    return Report(
+        name=name,
+        flags=[flag],
+        scalars={f"value_at_eps_{e:g}": float(v) for e, v in zip(eps_list, arr)},
+        curves={"t": np.asarray(eps_list, dtype=float), "lhs": arr, "rhs": np.full_like(arr, top)},
+    )

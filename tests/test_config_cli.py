@@ -2,6 +2,7 @@
 
 import csv
 import os
+import runpy
 import subprocess
 import sys
 from dataclasses import fields, replace
@@ -10,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import logdiff.cli
 from logdiff.cli import main
 from logdiff.config import ConfigError, ExperimentConfig, parse_config
 from logdiff.grid import GridSpec, eigensystem
@@ -138,9 +140,14 @@ class TestParseConfig:
         solver = cfg.solver_config()
         assert solver.epsilon == 1e-2
         assert solver.n_steps == 50
-        override = cfg.solver_config(epsilon=1e-3, scheme="explicit")
-        assert override.epsilon == 1e-3
-        assert override.scheme == "explicit"
+        # per-eps configs and per-path specs are derived with replace, which re-validates
+        per_eps = replace(solver, epsilon=1e-3)
+        assert (per_eps.epsilon, per_eps.n_steps, per_eps.scheme) == (1e-3, 50, "implicit")
+        assert replace(spec, seed=43).seed == 43
+        with pytest.raises(ValueError):
+            replace(solver, epsilon=-1e-3)
+        with pytest.raises(ValueError):
+            replace(spec, seed=2**64)
 
 
 class TestInitialProfiles:
@@ -331,8 +338,77 @@ class TestCliOther:
         monkeypatch.setattr("logdiff.cli.solve_path", no_solve)
         monkeypatch.setattr("logdiff.solver.solve_path", no_solve)
         cfg = write(tmp_path / "c.cfg", BASE)
+        one_eps = write(tmp_path / "one_eps.cfg",
+                        BASE.replace("t_final = 0.1", "t_final = 0.1\nepsilon_list = 1e-2"))
         out = tmp_path / "out"
+        # both are config errors found before the output directory is made
         assert main(["verify", "--config", cfg, "--out", str(out), "--paths", "5"]) == 2
+        assert not out.exists()
+        assert main(["sweep-eps", "--config", one_eps, "--out", str(out)]) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep-eps", "--paths", "3"],
+        ["sweep-eps", "--dump-trajectories"],
+        ["verify", "--dump-trajectories"],
+        ["noise-check", "--dump-trajectories"],
+    ])
+    def test_each_subcommand_takes_only_its_flags(self, tmp_path, capsys, argv):
+        cfg = write(tmp_path / "c.cfg", BASE)
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--config", cfg, "--out", str(out)])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_verify_solves_each_base_path_eps_once(self, tmp_path, monkeypatch):
+        solve_path = logdiff.cli.solve_path
+        solved = []
+
+        def spy(x0, noise, config):
+            solved.append(config.epsilon)
+            return solve_path(x0, noise, config)
+
+        monkeypatch.setattr("logdiff.cli.solve_path", spy)
+
+        def verify(name, text):
+            cfg = write(tmp_path / f"{name}.cfg", text)
+            out = tmp_path / name
+            solved.clear()
+            assert main(["verify", "--config", cfg, "--out", str(out), "--paths", "30"]) == 0
+            return {p.name: p.read_bytes() for p in out.iterdir()}, list(solved)
+
+        # eps 1e-2 is one of the diag eps: its solve also serves the variational check
+        everything, solves = verify("all", BASE)
+        assert solves == [1e-1, 1e-2, 1e-3, 1e-4]
+        # each check run alone solves for itself, as every check did before sharing
+        alone = {}
+        for check in ("mean_square", "flux_l1", "total_variation", "hminus1_sup", "variational"):
+            files, solves = verify(check, BASE + f"\n[verify]\nchecks = {check}\n")
+            assert solves == {"mean_square": [], "variational": [1e-2]}.get(
+                check, [1e-1, 1e-2, 1e-3, 1e-4])
+            summary = files.pop("verify_summary.txt").decode()
+            alone[check] = (files, summary.removesuffix("\n\noverall: PASS\n"))
+        assert everything.pop("verify_summary.txt").decode() == "\n\n".join(
+            summary for _, summary in alone.values()) + "\n\noverall: PASS\n"
+        assert everything == {k: v for files, _ in alone.values() for k, v in files.items()}
+        # a configured eps outside the diag list gets a solve of its own
+        off_list = BASE.replace("epsilon = 1e-2", "epsilon = 5e-3")
+        for i, (checks, expected) in enumerate((
+                ("variational", [5e-3]),
+                ("flux_l1, variational", [1e-1, 1e-2, 1e-3, 1e-4, 5e-3]))):
+            _, solves = verify(f"off{i}", off_list + f"\n[verify]\nchecks = {checks}\n")
+            assert solves == expected
+
+    def test_cli_keeps_every_name_the_benchmark_traces(self):
+        # the traced benchmark wraps these names where logdiff.cli looks them up
+        child = runpy.run_path(str(Path(__file__).parents[1] / "bench" / "child.py"),
+                               run_name="bench_child")
+        names = [attr for sites in child["WRAPS"].values()
+                 for module, attr, _ in sites if module == "logdiff.cli"]
+        assert "solve_path" in names
+        assert [name for name in names if not hasattr(logdiff.cli, name)] == []
 
     def test_noise_check_passes(self, tmp_path):
         cfg = write(tmp_path / "c.cfg", BASE)

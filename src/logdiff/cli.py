@@ -13,6 +13,8 @@ import csv
 import os
 import sys
 from dataclasses import replace
+from functools import cache
+from itertools import chain
 
 import numpy as np
 
@@ -115,17 +117,12 @@ def cmd_sweep_eps(cfg: ExperimentConfig, out_dir: str) -> int:
     x0 = cfg.initial_datum(grid, eigen)
     report = epsilon_sweep(x0, path, cfg.solver_config(), cfg.solver.epsilon_list)
 
-    consec = [
-        (i, report.epsilons[i], report.epsilons[i + 1], report.consecutive[i])
-        for i in range(len(report.consecutive))
-    ]
+    eps = report.epsilons
+    consec = [(i, eps[i], eps[i + 1], d) for i, d in enumerate(report.consecutive)]
     _write_csv(os.path.join(out_dir, "sweep_consecutive.csv"),
                ["pair", "eps_high", "eps_low", "distance"], consec)
-    pair_rows = [
-        (i, j, report.epsilons[i], report.epsilons[j], report.pairwise[i, j])
-        for i in range(len(report.epsilons))
-        for j in range(len(report.epsilons))
-    ]
+    pair_rows = [(i, j, eps[i], eps[j], report.pairwise[i, j])
+                 for i in range(len(eps)) for j in range(len(eps))]
     _write_csv(os.path.join(out_dir, "sweep_pairwise.csv"),
                ["i", "j", "eps_i", "eps_j", "distance"], pair_rows)
     text = f"monotone_decreasing = {str(report.monotone_decreasing).lower()}\n"
@@ -135,47 +132,39 @@ def cmd_sweep_eps(cfg: ExperimentConfig, out_dir: str) -> int:
     return EXIT_OK
 
 
-def _variational_report(traj, x0, verify):
-    report = variational_residual(traj, build_test_process(traj, verify.mu), x0,
-                                  tol_vi=verify.tol_vi)
-    self_rep = variational_residual(traj, self_test_process(traj), x0, tol_vi=1e-9)
-    report.flags.append(replace(self_rep.flags[0], name="self_test_residual"))
-    return report
-
-
 def cmd_verify(cfg: ExperimentConfig, out_dir: str, n_paths: int) -> int:
     grid = cfg.grid_spec()
     eigen = cfg.eigen(grid)
     x0 = cfg.initial_datum(grid, eigen)
-    base_path = synthesize(cfg.noise_spec(), grid, eigen,
-                           override_decay_check=cfg.noise.override_decay_check)
+    spec, solver_cfg = cfg.noise_spec(), cfg.solver_config()
+    base_path = synthesize(spec, grid, eigen, override_decay_check=cfg.noise.override_decay_check)
+    # the base path at [solver] epsilon, solved on first need: it is ensemble path 0,
+    # the diagnostic solve at that eps and the variational check's trajectory
+    base = cache(lambda: solve_path(x0, base_path, solver_cfg))
     checks = cfg.verify.checks
     reports = []
 
     if "mean_square" in checks:
-        ensemble = run_ensemble(x0, eigen, cfg.noise_spec(), cfg.solver_config(), n_paths,
-                                workers=cfg.output.workers,
-                                override_decay_check=cfg.noise.override_decay_check)
-        reports.append(mean_square_bound(ensemble, cfg.noise_spec(), eigen))
+        rest = run_ensemble(x0, eigen, replace(spec, seed=spec.seed + 1), solver_cfg,
+                            n_paths - 1, workers=cfg.output.workers,
+                            override_decay_check=cfg.noise.override_decay_check)
+        reports.append(mean_square_bound(chain([base()], rest)))
 
-    # one solve per diag eps; the one at the configured eps also serves the variational check
-    solver_cfg = cfg.solver_config()
     diagnostics = ("flux_l1", "total_variation", "hminus1_sup")
     diag_eps = cfg.verify.diag_epsilons if any(c in checks for c in diagnostics) else ()
-    values, variational = [], None
+    values = []
     for e in diag_eps:
-        traj = solve_path(x0, base_path, replace(solver_cfg, epsilon=e))
+        traj = (base() if e == solver_cfg.epsilon
+                else solve_path(x0, base_path, replace(solver_cfg, epsilon=e)))
         values.append((flux_l1_integral(traj), total_variation(traj), hminus1_sup(traj)))
-        if "variational" in checks and variational is None and e == solver_cfg.epsilon:
-            variational = _variational_report(traj, x0, cfg.verify)
-        del traj  # drop it before the next eps is solved: one trajectory alive at a time
+        del traj  # drop it before the next eps is solved: one trajectory alive besides the base
     reports += [spread_report(name, diag_eps, column, cfg.verify.ratio_max)
                 for name, column in zip(diagnostics, zip(*values)) if name in checks]
     if "variational" in checks:
-        if variational is None:
-            variational = _variational_report(solve_path(x0, base_path, solver_cfg), x0,
-                                              cfg.verify)
-        reports.append(variational)
+        z = build_test_process(base(), cfg.verify.mu)
+        reports.append(variational_residual(z, tol_vi=cfg.verify.tol_vi))
+        self_rep = variational_residual(self_test_process(base()), tol_vi=1e-9)
+        reports[-1].flags.append(replace(self_rep.flags[0], name="self_test_residual"))
 
     for report in reports:
         _write_csv(os.path.join(out_dir, f"report_{report.name}.csv"),
@@ -289,6 +278,13 @@ def main(argv=None) -> int:
         if (args.command == "verify" and "mean_square" in cfg.verify.checks
                 and n_paths < MEAN_SQUARE_MIN_PATHS):
             raise ConfigError(f"mean_square needs >= {MEAN_SQUARE_MIN_PATHS} paths, got {n_paths}")
+        decay = validate_decay(cfg.noise_spec(), cfg.eigen(cfg.grid_spec()))
+        # noise-check reports a failed decay check in its own output files
+        if args.command != "noise-check" and not (decay.ok or cfg.noise.override_decay_check):
+            print(f"check failure: noise amplitudes fail the decay check (margins "
+                  f"{decay.margin_square_sum}, {decay.margin_linear_sum}); set "
+                  "[noise] override_decay_check = true to run anyway", file=sys.stderr)
+            return EXIT_CHECK_FAILED
         out_dir = args.out if args.out is not None else cfg.output.directory
         os.makedirs(out_dir, exist_ok=True)
 
@@ -306,9 +302,6 @@ def main(argv=None) -> int:
     except StepFailureError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER_FAILURE
-    except ValueError as exc:
-        print(f"check failure: {exc}", file=sys.stderr)
-        return EXIT_CHECK_FAILED
 
 
 if __name__ == "__main__":

@@ -103,7 +103,7 @@ class SolverConfig:
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """Solver output on the noise's time grid.
+    """Solver output on the noise path's grid and time grid (grid, times).
 
     y_fields and x_fields stack the per-step fields as rows; row n is
     the state at times[n] and x_fields = y_fields + noise.values holds
@@ -112,23 +112,29 @@ class Trajectory:
     at the residual's rounding floor (see the module docstring).
     """
 
-    grid: GridSpec
     config: SolverConfig
     noise: NoisePath
-    times: np.ndarray
     y_fields: np.ndarray
     x_fields: np.ndarray
     newton_iters: np.ndarray
     newton_residuals: np.ndarray
 
     def __post_init__(self) -> None:
-        for name in ("times", "y_fields", "x_fields", "newton_iters", "newton_residuals"):
+        for name in ("y_fields", "x_fields", "newton_iters", "newton_residuals"):
             arr = np.asarray(getattr(self, name))
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
 
     def __reduce__(self):  # unpickle through __init__, so the arrays are read-only again
         return Trajectory, tuple(getattr(self, f.name) for f in fields(self))
+
+    @property
+    def grid(self) -> GridSpec:
+        return self.noise.grid
+
+    @property
+    def times(self) -> np.ndarray:
+        return self.noise.times
 
     @property
     def n_steps(self) -> int:
@@ -146,10 +152,6 @@ class Trajectory:
 
     def x_field(self, n: int) -> Field:
         return Field(self.grid, self.x_fields[n])
-
-    @property
-    def initial_datum(self) -> Field:
-        return self.y_field(0)
 
 
 def _step_implicit_core(
@@ -292,10 +294,8 @@ def solve_path(x0: Field, noise: NoisePath, cfg: SolverConfig) -> Trajectory:
             raise StepFailureError(f"step {n} failed: {exc}", step=n, residual=residual) from exc
 
     return Trajectory(
-        grid=grid,
         config=cfg,
         noise=noise,
-        times=noise.times.copy(),
         y_fields=y_all,
         x_fields=y_all + w,
         newton_iters=iters,
@@ -349,15 +349,22 @@ class EpsilonSweepReport:
     """Sup-t H^-1 distances between runs that share one noise path."""
 
     epsilons: np.ndarray
-    consecutive: np.ndarray
     pairwise: np.ndarray
-    monotone_decreasing: bool
 
     def __post_init__(self) -> None:
-        for name in ("epsilons", "consecutive", "pairwise"):
+        for name in ("epsilons", "pairwise"):
             arr = np.asarray(getattr(self, name))
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
+
+    @property
+    def consecutive(self) -> np.ndarray:
+        """Distances between neighbouring eps, pairwise[i, i + 1]."""
+        return np.diag(self.pairwise, 1)
+
+    @property
+    def monotone_decreasing(self) -> bool:
+        return bool(np.all(np.diff(self.consecutive) < 0))
 
 
 def epsilon_sweep(
@@ -389,6 +396,4 @@ def epsilon_sweep(
         for j in range(i + 1, m):
             norms = _hminus1_norms(x0.grid, y_stacks[i] - y_stacks[j])
             pairwise[i, j] = pairwise[j, i] = float(np.max(norms))
-    consecutive = np.array([pairwise[i, i + 1] for i in range(m - 1)])
-    monotone = bool(np.all(np.diff(consecutive) < 0))
-    return EpsilonSweepReport(eps, consecutive, pairwise, monotone)
+    return EpsilonSweepReport(eps, pairwise)

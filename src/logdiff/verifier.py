@@ -23,21 +23,13 @@ the tolerance used.  The checks:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .grid import (
-    EigenSystem,
-    Field,
-    GridSpec,
-    _hminus1_norms,
-    _solve_neg_laplacian,
-    _solve_resolvent,
-)
+from .grid import GridSpec, _hminus1_norms, _solve_neg_laplacian, _solve_resolvent, eigensystem
 from .nonlinearity import potential, yosida
-from .noise import NoiseSpec
 from .solver import Trajectory
 
 # tol_vi = C_VI * (dt + eps) unless the caller overrides.  Calibrated by a
@@ -58,7 +50,10 @@ class Flag:
     lhs: float
     rhs: float
     tolerance: float
-    passed: bool
+
+    @property
+    def passed(self) -> bool:
+        return self.lhs <= self.rhs
 
     @property
     def margin(self) -> float:
@@ -115,7 +110,7 @@ class Report:
 
 @dataclass(frozen=True, eq=False)
 class TestProcess:
-    """Admissible test process for the variational inequality.
+    """Admissible test process for the variational inequality along a trajectory.
 
     z_fields[n] approximates Z(t_n); z_prime is its discrete time
     derivative (centered inside, one-sided at the ends).  The
@@ -125,14 +120,13 @@ class TestProcess:
     is dominated by the square).
     """
 
-    grid: GridSpec
-    times: np.ndarray
+    trajectory: Trajectory
     z_fields: np.ndarray
     z_prime: np.ndarray
     admissibility: dict[str, float]
 
     def __post_init__(self) -> None:
-        for name in ("times", "z_fields", "z_prime"):
+        for name in ("z_fields", "z_prime"):
             arr = np.asarray(getattr(self, name))
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
@@ -196,21 +190,15 @@ def self_test_process(traj: Trajectory) -> TestProcess:
 def _test_process(traj: Trajectory, z: np.ndarray) -> TestProcess:
     zp = _time_derivative(z, traj.config.dt)
     return TestProcess(
-        grid=traj.grid,
-        times=traj.times.copy(),
+        trajectory=traj,
         z_fields=z,
         z_prime=zp,
         admissibility=_admissibility(traj.grid, traj.times, z, zp, traj.noise.values),
     )
 
 
-def variational_residual(
-    traj: Trajectory,
-    z: TestProcess,
-    x0: Field,
-    tol_vi: Optional[float] = None,
-) -> Report:
-    """Pathwise residual of the defining variational inequality.
+def variational_residual(z: TestProcess, tol_vi: Optional[float] = None) -> Report:
+    """Pathwise residual of the defining variational inequality along z's trajectory.
 
     For every grid time t the inequality
 
@@ -220,16 +208,12 @@ def variational_residual(
 
     is evaluated with rectangle-in-space / trapezoid-in-time quadrature
     for the potential terms and a left-rectangle sum for the mixed
-    term.  The report's per-time curve is residual(t) = LHS - RHS; the
-    check passes when max_t residual <= tol_vi (default C_VI*(dt+eps)).
+    term; x is the trajectory's datum Y(0).  The report's per-time curve
+    is residual(t) = LHS - RHS; the check passes when max_t residual <=
+    tol_vi (default C_VI*(dt+eps)).
     """
+    traj = z.trajectory
     grid = traj.grid
-    if z.grid != grid or x0.grid != grid:
-        raise ValueError("trajectory, test process and datum must share one grid")
-    if z.z_fields.shape != traj.y_fields.shape:
-        raise ValueError("test process and trajectory have different space-time shapes")
-    if not np.array_equal(x0.values, traj.y_fields[0]):
-        raise ValueError("x0 does not match the trajectory's initial datum")
     if tol_vi is None:
         tol_vi = C_VI * (traj.config.dt + traj.config.epsilon)
 
@@ -254,7 +238,7 @@ def variational_residual(
     mixed_cum = np.zeros_like(pair)
     mixed_cum[1:] = dt * np.cumsum(pair[:-1])
 
-    start = 0.5 * _hminus1_norms(grid, (x0.values - zf[0])[None, :])[0] ** 2
+    start = 0.5 * _hminus1_norms(grid, (y[0] - zf[0])[None, :])[0] ** 2
     residual = half_dual_sq + g_x_cum + mixed_cum - start - g_z_cum
 
     max_residual = float(np.max(residual))
@@ -263,7 +247,6 @@ def variational_residual(
         lhs=max_residual,
         rhs=float(tol_vi),
         tolerance=float(tol_vi),
-        passed=max_residual <= tol_vi,
     )
     return Report(
         name="variational_inequality",
@@ -289,36 +272,37 @@ def variational_residual(
     )
 
 
-def mean_square_bound(
-    trajectories: Iterable[Trajectory],
-    spec: NoiseSpec,
-    eigen: EigenSystem,
-) -> Report:
+def mean_square_bound(trajectories: Iterable[Trajectory]) -> Report:
     """Ensemble check of E|X(t)|_2^2 <= |x|_2^2 + t * sum lambda_k^2 gamma_k^2.
 
-    Requires at least 30 trajectories with one config, one initial
-    datum, and pairwise distinct seeds.  The empirical mean must stay
-    below the bound plus three standard errors (plus a relative
-    rounding slack) at every grid time; the flag reports the worst t > 0.
-    The trajectories are consumed one at a time: only each path's
-    |X(t)|^2 curve and L^4 sup are kept.
+    The noise law is the first trajectory's noise spec up to its seed,
+    and lambda_k are the eigenvalues of its grid.  Requires at least 30
+    trajectories with that grid and law, one config, one initial datum,
+    and pairwise distinct seeds.  The empirical mean must stay below the
+    bound plus three standard errors (plus a relative rounding slack) at
+    every grid time; the flag reports the worst t > 0.  The trajectories
+    are consumed one at a time: only each path's |X(t)|^2 curve and L^4
+    sup are kept.
     """
-    if eigen.k_max < spec.k_max:
-        raise ValueError("eigensystem does not cover the noise modes")
     seeds: set[int] = set()
     sq_rows: list[np.ndarray] = []
     l4_sup: list[float] = []
     for traj in trajectories:
+        spec = traj.noise.spec
         if not sq_rows:
-            cfg, times, h = traj.config, traj.times, traj.grid.h
+            cfg, grid, law, times, h = traj.config, traj.grid, spec, traj.times, traj.grid.h
             x0 = traj.y_fields[0].copy()  # a copy, so no view keeps the first path alive
         elif traj.config != cfg:
             raise ValueError("trajectories use different solver configs")
+        elif traj.grid != grid:
+            raise ValueError("trajectories live on different grids")
+        elif replace(spec, seed=law.seed) != law:
+            raise ValueError("trajectories are driven by different noise laws")
         elif not np.array_equal(traj.y_fields[0], x0):
             raise ValueError("trajectories start from different initial data")
-        if traj.noise.spec.seed in seeds:
+        if spec.seed in seeds:
             raise ValueError("trajectory seeds are not pairwise distinct")
-        seeds.add(traj.noise.spec.seed)
+        seeds.add(spec.seed)
         sq_rows.append(h * np.sum(traj.x_fields**2, axis=1))
         l4_sup.append(np.max((h * np.sum(traj.x_fields**4, axis=1)) ** 0.25))
         del traj  # drop it before the next path is solved: one trajectory alive at a time
@@ -329,8 +313,8 @@ def mean_square_bound(
     mean = np.mean(sq, axis=0)
     se = np.std(sq, axis=0, ddof=1) / np.sqrt(len(sq_rows))
 
-    gam = spec.gammas.values(spec.k_max)
-    lam = eigen.eigenvalues[: spec.k_max]
+    gam = law.gammas.values(law.k_max)
+    lam = eigensystem(grid, law.k_max).eigenvalues
     growth = float(np.sum(lam**2 * gam**2))
     x0_sq = float(h * np.sum(x0**2))
     bound = x0_sq + times * growth
@@ -344,7 +328,6 @@ def mean_square_bound(
         lhs=float(mean[worst]),
         rhs=float(rhs[worst]),
         tolerance=_ROUNDING_SLACK,
-        passed=bool(np.all(mean <= rhs)),
     )
 
     rel_margin = float(np.min(gap / np.maximum(rhs[1:], 1e-300)))
@@ -432,7 +415,6 @@ def spread_report(name: str, eps_list: Sequence[float], values: Sequence[float],
         lhs=ratio,
         rhs=float(ratio_max),
         tolerance=float(ratio_max),
-        passed=bool(ratio <= ratio_max),
     )
     return Report(
         name=name,

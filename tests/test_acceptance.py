@@ -173,7 +173,7 @@ def test_criterion_3_mean_square_energy_bound():
     ):
         spec = NoiseSpec(k_max=8, gammas=GAMMAS, seed=seed, t_final=0.5, n_steps=500)
         trajs = run_ensemble(datum, eigen, spec, cfg, 200)
-        rep = mean_square_bound(trajs, spec, eigen)
+        rep = mean_square_bound(trajs)
         outcomes[name] = rep
     elapsed = time.time() - t0
     ok = outcomes["zero"].passed and outcomes["bump"].passed and elapsed <= 300.0
@@ -237,13 +237,13 @@ def test_criterion_6_solution_inequality_refinement():
         path = restrict(fine, n_fine // n_steps)
         cfg = SolverConfig(epsilon=1e-2 / 2**lvl, dt=T / n_steps, t_final=T)
         traj = solve_path(x0, path, cfg)
-        rep = variational_residual(traj, build_test_process(traj, 1e-2), x0)
+        rep = variational_residual(build_test_process(traj, 1e-2))
         # at t = 0 both sides agree identically, so track the max over
         # positive times, whose magnitude must fall under refinement
         mags.append(abs(rep.scalars["max_residual_positive_times"]))
         if not rep.passed:
             self_ok = False
-        srep = variational_residual(traj, self_test_process(traj), x0, tol_vi=1e-9)
+        srep = variational_residual(self_test_process(traj), tol_vi=1e-9)
         if srep.scalars["max_residual"] > 1e-9:
             self_ok = False
     shrinking = bool(np.all(np.diff(mags) < 0))
@@ -356,7 +356,7 @@ def test_criterion_9_degenerate_cases():
 
     z = self_test_process(traj)  # Z = 0 for the zero trajectory
     process_zero = bool(np.all(z.z_fields == 0.0))
-    rep = variational_residual(traj, z, x0)
+    rep = variational_residual(z)
     vi_zero = bool(np.all(rep.curves["lhs"] == 0.0))
     tv_zero = total_variation(traj) == 0.0
     sup_zero = hminus1_sup(traj) == 0.0

@@ -299,11 +299,28 @@ class TestCliSimulate:
         out = tmp_path / "out"
         assert main(["simulate", "--config", cfg, "--out", str(out), "--paths", "1"]) == 3
 
-    def test_failed_decay_check_exit_1(self, tmp_path):
-        text = "[noise]\ngamma_decay = 4.0\n"
+    def test_failed_decay_check_exit_1(self, tmp_path, capsys):
+        text = "[grid]\nn_interior = 31\n[noise]\ngamma_decay = 4.0\n"
         cfg = write(tmp_path / "c.cfg", text)
         out = tmp_path / "out"
-        assert main(["simulate", "--config", cfg, "--out", str(out), "--paths", "1"]) == 1
+        # decided before the output directory is made, naming the config key that overrides it
+        for command in ("simulate", "sweep-eps", "verify"):
+            capsys.readouterr()
+            assert main([command, "--config", cfg, "--out", str(out)]) == 1
+            assert "[noise] override_decay_check" in capsys.readouterr().err
+            assert not out.exists()
+        override = write(tmp_path / "o.cfg", text + "override_decay_check = true\n")
+        assert main(["simulate", "--config", override, "--out", str(out), "--paths", "1"]) == 0
+
+    def test_value_error_inside_a_command_propagates(self, tmp_path, monkeypatch):
+        # a ValueError there is a bug, not a failed check; LinAlgError is a ValueError
+        def singular(*args, **kwargs):
+            raise np.linalg.LinAlgError("singular matrix")
+
+        monkeypatch.setattr("logdiff.solver.solve_banded", singular)
+        cfg = write(tmp_path / "c.cfg", BASE)
+        with pytest.raises(np.linalg.LinAlgError):
+            main(["simulate", "--config", cfg, "--out", str(tmp_path / "out"), "--paths", "1"])
 
 
 class TestCliOther:
@@ -370,7 +387,9 @@ class TestCliOther:
             solved.append(config.epsilon)
             return solve_path(x0, noise, config)
 
+        # the base path is solved through the CLI, ensemble paths 1.. through the solver
         monkeypatch.setattr("logdiff.cli.solve_path", spy)
+        monkeypatch.setattr("logdiff.solver.solve_path", spy)
 
         def verify(name, text):
             cfg = write(tmp_path / f"{name}.cfg", text)
@@ -379,14 +398,15 @@ class TestCliOther:
             assert main(["verify", "--config", cfg, "--out", str(out), "--paths", "30"]) == 0
             return {p.name: p.read_bytes() for p in out.iterdir()}, list(solved)
 
-        # eps 1e-2 is one of the diag eps: its solve also serves the variational check
+        # the base path at eps 1e-2 is ensemble path 0, one of the diag eps and the
+        # variational check's trajectory, and it is solved once
         everything, solves = verify("all", BASE)
-        assert solves == [1e-1, 1e-2, 1e-3, 1e-4]
+        assert solves == [1e-2] * 30 + [1e-1, 1e-3, 1e-4]
         # each check run alone solves for itself, as every check did before sharing
         alone = {}
         for check in ("mean_square", "flux_l1", "total_variation", "hminus1_sup", "variational"):
             files, solves = verify(check, BASE + f"\n[verify]\nchecks = {check}\n")
-            assert solves == {"mean_square": [], "variational": [1e-2]}.get(
+            assert solves == {"mean_square": [1e-2] * 30, "variational": [1e-2]}.get(
                 check, [1e-1, 1e-2, 1e-3, 1e-4])
             summary = files.pop("verify_summary.txt").decode()
             alone[check] = (files, summary.removesuffix("\n\noverall: PASS\n"))

@@ -1,6 +1,7 @@
 """Checks over finished trajectories: bounds, the solution inequality, diagnostics."""
 
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -70,9 +71,9 @@ def zero_traj(n_steps=50, t_final=0.1):
 
 class TestReportShape:
     def test_rows_and_summary(self):
-        traj, x0 = make_traj(n_steps=50)
+        traj, _ = make_traj(n_steps=50)
         z = build_test_process(traj, 1e-2)
-        rep = variational_residual(traj, z, x0)
+        rep = variational_residual(z)
         rows = rep.rows()
         # one row per grid time plus one per flag
         assert len(rows) == traj.n_steps + 1 + len(rep.flags)
@@ -83,7 +84,7 @@ class TestReportShape:
         assert ("PASS" in text) or ("FAIL" in text)
 
     def test_flag_margin(self):
-        f = Flag(name="x", lhs=1.0, rhs=3.0, tolerance=0.1, passed=True)
+        f = Flag(name="x", lhs=1.0, rhs=3.0, tolerance=0.1)
         assert f.margin == 2.0
 
 
@@ -156,22 +157,22 @@ class TestVariationalResidual:
 
     def test_self_test_below_1e9(self):
         for eps in (1e-1, 1e-2, 1e-3):
-            traj, x0 = make_traj(eps=eps, n_steps=100)
-            rep = variational_residual(traj, self_test_process(traj), x0, tol_vi=1e-9)
+            traj, _ = make_traj(eps=eps, n_steps=100)
+            rep = variational_residual(self_test_process(traj), tol_vi=1e-9)
             assert rep.passed
             assert rep.scalars["max_residual"] <= 1e-9
 
     def test_zero_case_exact(self):
-        traj, x0 = zero_traj()
+        traj, _ = zero_traj()
         z = self_test_process(traj)  # Z = 0 here since Y = 0
-        rep = variational_residual(traj, z, x0)
+        rep = variational_residual(z)
         assert rep.scalars["max_residual"] == 0.0
         assert np.all(rep.curves["lhs"] == 0.0)
 
     def test_resolvent_process_passes_default_tolerance(self):
-        traj, x0 = make_traj(n_steps=250)
+        traj, _ = make_traj(n_steps=250)
         z = build_test_process(traj, 1e-2)
-        rep = variational_residual(traj, z, x0)
+        rep = variational_residual(z)
         assert rep.passed
         assert rep.scalars["tol_vi"] == 0.05 * (traj.config.dt + traj.config.epsilon)
 
@@ -191,79 +192,70 @@ class TestVariationalResidual:
             path = restrict(fine, n_fine // n_steps)
             cfg = SolverConfig(epsilon=1e-2 / 2**lvl, dt=T / n_steps, t_final=T)
             traj = solve_path(x0, path, cfg)
-            rep = variational_residual(traj, build_test_process(traj, 1e-2), x0)
+            rep = variational_residual(build_test_process(traj, 1e-2))
             mags.append(abs(rep.scalars["max_residual_positive_times"]))
         assert mags[0] > mags[1] > mags[2]
 
-    def test_x0_mismatch_rejected(self):
-        traj, _ = make_traj(n_steps=50)
-        z = build_test_process(traj, 1e-2)
-        wrong = Field(G, np.ones(63))
-        with pytest.raises(ValueError):
-            variational_residual(traj, z, wrong)
-
-    def test_time_grid_mismatch_rejected(self):
-        traj, x0 = make_traj(n_steps=50)
-        other, _ = make_traj(n_steps=100)
-        z = build_test_process(other, 1e-2)
-        with pytest.raises(ValueError):
-            variational_residual(traj, z, x0)
-
 
 class TestMeanSquareBound:
-    def ensemble(self, n_paths, gamma0=1.0, seed=500):
+    def ensemble(self, n_paths, gamma0=1.0, seed=500, grid=G):
         spec = NoiseSpec(
             k_max=8, gammas=PowerLawGammas(gamma0=gamma0, decay=8.0),
             seed=seed, t_final=0.1, n_steps=50,
         )
         cfg = SolverConfig(epsilon=1e-2, dt=0.1 / 50, t_final=0.1)
-        x0 = Field(G, np.zeros(63))
-        return run_ensemble(x0, E, spec, cfg, n_paths), spec
+        x0 = Field(grid, np.zeros(63))
+        return run_ensemble(x0, eigensystem(grid, 8), spec, cfg, n_paths)
 
-    def build(self, n_paths, gamma0=1.0, seed=500):
-        ensemble, spec = self.ensemble(n_paths, gamma0, seed)
-        return list(ensemble), spec
+    def build(self, n_paths, gamma0=1.0, seed=500, grid=G):
+        return list(self.ensemble(n_paths, gamma0, seed, grid))
 
     def test_too_few_paths_rejected(self):
-        trajs, spec = self.build(5)
+        trajs = self.build(5)
         with pytest.raises(ValueError):
-            mean_square_bound(trajs, spec, E)
+            mean_square_bound(trajs)
 
     def test_duplicate_seeds_rejected(self):
-        trajs, spec = self.build(30)
+        trajs = self.build(30)
         with pytest.raises(ValueError):
-            mean_square_bound(list(trajs) + [trajs[0]], spec, E)
+            mean_square_bound(list(trajs) + [trajs[0]])
+
+    def test_mixed_noise_laws_or_grids_rejected(self):
+        # 15 + 15 paths with distinct seeds, one config and one (zero) datum
+        first = self.build(15)
+        with pytest.raises(ValueError, match="noise laws"):
+            mean_square_bound(first + self.build(15, gamma0=0.5, seed=600))
+        with pytest.raises(ValueError, match="grids"):
+            mean_square_bound(first + self.build(15, seed=600, grid=GridSpec(2.0, 63)))
 
     def test_bound_holds_at_desk_scale(self):
-        trajs, spec = self.build(40)
-        rep = mean_square_bound(trajs, spec, E)
+        trajs = self.build(40)
+        rep = mean_square_bound(trajs)
         assert rep.passed
         assert rep.scalars["min_relative_margin"] > 0.9
 
     def test_margin_widens_when_noise_shrinks(self):
         # sublinear flux: smaller amplitude is damped relatively harder,
         # so halving every gamma widens the relative margin (same seeds)
-        full, spec_full = self.build(40, gamma0=1.0)
-        half, spec_half = self.build(40, gamma0=0.5)
-        m_full = mean_square_bound(full, spec_full, E).scalars["min_relative_margin"]
-        m_half = mean_square_bound(half, spec_half, E).scalars["min_relative_margin"]
-        assert m_half > m_full
+        full = mean_square_bound(self.build(40, gamma0=1.0)).scalars
+        half = mean_square_bound(self.build(40, gamma0=0.5)).scalars
+        assert half["min_relative_margin"] > full["min_relative_margin"]
+        # the bound uses the amplitudes that drove the paths
+        assert half["growth_rate"] == full["growth_rate"] / 4
 
     def test_flag_reports_a_time_after_the_start(self):
         # zero datum: at t = 0 both sides are zero up to the rounding slack
-        trajs, spec = self.build(30)
-        rep = mean_square_bound(trajs, spec, E)
+        rep = mean_square_bound(self.build(30))
         flag = rep.flags[0]
         assert flag.lhs > 0.0
         assert flag.margin == rep.scalars["min_margin"]
 
     def test_l4_statistics_recorded(self):
-        trajs, spec = self.build(30)
-        rep = mean_square_bound(trajs, spec, E)
+        rep = mean_square_bound(self.build(30))
         assert 0.0 < rep.scalars["l4_sup_mean"] <= rep.scalars["l4_sup_max"]
 
     def test_streams_one_trajectory_at_a_time(self):
-        ensemble, spec = self.ensemble(30)
+        ensemble = self.ensemble(30)
         refs, alive = [], []
 
         def stream():
@@ -274,12 +266,18 @@ class TestMeanSquareBound:
                 # the consumer asks for the next path: the ones before it must be freed
                 alive.append(sum(r() is not None for r in refs))
 
-        rep = mean_square_bound(stream(), spec, E)
+        rep = mean_square_bound(stream())
         assert alive == [0] * 30
-        trajs, _ = self.build(30)
-        held = mean_square_bound(trajs, spec, E)
+        held = mean_square_bound(self.build(30))
         assert rep.rows() == held.rows()
         assert rep.scalars == held.scalars
+
+    def test_readme_library_snippet_runs(self, capsys):
+        # the README's Library example runs as written, so it follows the API
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        snippet = readme.split("\n## Library\n", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+        exec(compile(snippet, "README.md", "exec"), {})
+        assert capsys.readouterr().out.startswith("True ")
 
 
 class TestFluxIntegral:

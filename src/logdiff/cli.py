@@ -77,7 +77,8 @@ def _write_csv(path: str, header: list[str], rows) -> None:
 
 
 def _dump_trajectory(traj, out_dir: str, index: int) -> None:
-    rows = ((n, traj.times[n], j + 1, traj.y_fields[n, j], traj.x_fields[n, j])
+    x = traj.x_fields  # bound once: the property recomputes the whole array on each access
+    rows = ((n, traj.times[n], j + 1, traj.y_fields[n, j], x[n, j])
             for n in range(traj.n_steps + 1) for j in range(traj.grid.n_interior))
     _write_csv(os.path.join(out_dir, f"trajectory_{index:04d}.csv"),
                ["step", "time", "node", "y", "x"], rows)
@@ -112,8 +113,7 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir: str, n_paths: int, dump: bool) 
 def cmd_sweep_eps(cfg: ExperimentConfig, out_dir: str) -> int:
     grid = cfg.grid_spec()
     eigen = cfg.eigen(grid)
-    path = synthesize(cfg.noise_spec(), grid, eigen,
-                      override_decay_check=cfg.noise.override_decay_check)
+    path = synthesize(cfg.noise_spec(), eigen, override_decay_check=cfg.noise.override_decay_check)
     x0 = cfg.initial_datum(grid, eigen)
     report = epsilon_sweep(x0, path, cfg.solver_config(), cfg.solver.epsilon_list)
 
@@ -137,7 +137,7 @@ def cmd_verify(cfg: ExperimentConfig, out_dir: str, n_paths: int) -> int:
     eigen = cfg.eigen(grid)
     x0 = cfg.initial_datum(grid, eigen)
     spec, solver_cfg = cfg.noise_spec(), cfg.solver_config()
-    base_path = synthesize(spec, grid, eigen, override_decay_check=cfg.noise.override_decay_check)
+    base_path = synthesize(spec, eigen, override_decay_check=cfg.noise.override_decay_check)
     # the base path at [solver] epsilon, solved on first need: it is ensemble path 0,
     # the diagnostic solve at that eps and the variational check's trajectory
     base = cache(lambda: solve_path(x0, base_path, solver_cfg))
@@ -179,8 +179,7 @@ def cmd_verify(cfg: ExperimentConfig, out_dir: str, n_paths: int) -> int:
 
 
 def cmd_noise_check(cfg: ExperimentConfig, out_dir: str, n_paths: int) -> int:
-    grid = cfg.grid_spec()
-    eigen = cfg.eigen(grid)
+    eigen = cfg.eigen(cfg.grid_spec())
     spec = cfg.noise_spec()
     report = validate_decay(spec, eigen)
     _write_csv(
@@ -208,7 +207,7 @@ def cmd_noise_check(cfg: ExperimentConfig, out_dir: str, n_paths: int) -> int:
     first_path = None
     for i in range(max(n_paths, 1)):
         spec_i = replace(spec, seed=spec.seed + i)
-        path = synthesize(spec_i, grid, eigen)
+        path = synthesize(spec_i, eigen)
         if first_path is None:
             first_path = path
         sup_rows.append((i, spec_i.seed, sup_norm_estimate(path)))

@@ -112,8 +112,6 @@ class ExperimentConfig:
 
         return SolverConfig(
             epsilon=self.solver.epsilon,
-            dt=self.solver.dt,
-            t_final=self.solver.t_final,
             newton_tol=self.solver.newton_tol,
             newton_max_iter=self.solver.newton_max_iter,
             scheme=self.solver.scheme,
@@ -268,6 +266,15 @@ def parse_config(path: str) -> ExperimentConfig:
 
 
 def _validate(cfg: ExperimentConfig) -> None:
+    # the time grid is t_final / dt steps of the noise path; check it before building one
+    dt, t_final = cfg.solver.dt, cfg.solver.t_final
+    if not (dt > 0 and t_final > 0):
+        raise ConfigError(f"[solver] dt and t_final must be positive, got {dt} and {t_final}")
+    steps = t_final / dt
+    if not (np.isfinite(steps) and round(steps) >= 1
+            and abs(round(steps) * dt - t_final) <= 1e-9 * max(t_final, 1.0)):
+        raise ConfigError(f"[solver] dt = {dt} does not divide [solver] t_final = {t_final} "
+                          "into a finite number of steps")
     try:
         grid = cfg.grid_spec()
         cfg.noise_spec()

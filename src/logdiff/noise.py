@@ -102,9 +102,6 @@ class NoiseSpec:
     def dt(self) -> float:
         return self.t_final / self.n_steps
 
-    def times(self) -> np.ndarray:
-        return time_grid(self.t_final, self.n_steps)
-
 
 def time_grid(t_final: float, n_steps: int) -> np.ndarray:
     """Uniform grid 0 = t_0 < ... < t_N = t_final, N = n_steps."""
@@ -197,24 +194,17 @@ def validate_decay(spec: NoiseSpec, eigen: EigenSystem) -> DecayReport:
 
 def synthesize(
     spec: NoiseSpec,
-    grid: GridSpec,
     eigen: EigenSystem,
     *,
     override_decay_check: bool = False,
 ) -> NoisePath:
-    """Draw one noise path; bit-identical for identical (spec, grid).
+    """Draw one noise path on eigen.grid; bit-identical for identical (spec, eigen).
 
     Each mode k spawns child stream k of SeedSequence(seed) and takes
     n_steps increments sqrt(dt)*N(0,1), so the Brownian matrix for the
     first K modes does not depend on k_max >= K.  Requires a passing
     decay report unless ``override_decay_check`` is set.
     """
-    if spec.k_max > grid.n_interior:
-        raise ValueError(
-            f"k_max = {spec.k_max} exceeds the {grid.n_interior} representable modes"
-        )
-    if eigen.grid != grid:
-        raise ValueError("eigensystem was built for a different grid")
     report = validate_decay(spec, eigen)
     if not report.ok and not override_decay_check:
         raise ValueError(
@@ -224,8 +214,7 @@ def synthesize(
         )
 
     n_rows = spec.n_steps + 1
-    dt = spec.dt
-    sqrt_dt = np.sqrt(dt)
+    sqrt_dt = np.sqrt(spec.dt)
     children = np.random.SeedSequence(spec.seed).spawn(spec.k_max)
     brownian = np.zeros((n_rows, spec.k_max))
     for k in range(spec.k_max):
@@ -234,12 +223,12 @@ def synthesize(
         brownian[1:, k] = np.cumsum(increments)
 
     gam = spec.gammas.values(spec.k_max)
-    values = np.zeros((n_rows, grid.n_interior))
+    values = np.zeros((n_rows, eigen.grid.n_interior))
     # fixed accumulation order keeps resynthesis bit-identical
     for k in range(spec.k_max):
         if gam[k] != 0.0:
             values += np.outer(gam[k] * brownian[:, k], eigen.eigenvectors[k])
-    return NoisePath(spec, grid, time_grid(spec.t_final, spec.n_steps), values, brownian)
+    return NoisePath(spec, eigen.grid, time_grid(spec.t_final, spec.n_steps), values, brownian)
 
 
 def sup_norm_estimate(path: NoisePath) -> float:

@@ -30,9 +30,10 @@ independent cross-check; it refuses to run outside its stability bound
 
     dt * (4/h^2) * max_j F_eps'(Y_n + W_n) <= 1.
 
-Every step is taken on the noise's own time grid: a Newton failure
-raises StepFailureError carrying the step index.  X_n = Y_n + W_n
-exactly, by construction.
+The noise path owns the space-time grid: solve_path takes its steps of
+size dt = noise.dt on the noise's own time grid, and a Newton failure
+raises StepFailureError carrying the step index.  X_n = Y_n + W_n is
+not stored; Trajectory.x_fields computes it on each access.
 """
 
 from __future__ import annotations
@@ -75,52 +76,43 @@ class StabilityError(RuntimeError):
 
 @dataclass(frozen=True)
 class SolverConfig:
+    """Scheme and Newton settings; the time grid belongs to the noise path."""
+
     epsilon: float
-    dt: float
-    t_final: float
     newton_tol: float = 1e-10
     newton_max_iter: int = 50
     scheme: str = "implicit"
 
     def __post_init__(self) -> None:
         _check_eps(self.epsilon)
-        for name in ("dt", "t_final", "newton_tol"):
-            v = getattr(self, name)
-            if not (np.isfinite(v) and v > 0):
-                raise ValueError(f"{name} must be positive and finite, got {v}")
+        if not (np.isfinite(self.newton_tol) and self.newton_tol > 0):
+            raise ValueError(f"newton_tol must be positive and finite, got {self.newton_tol}")
         if self.newton_max_iter < 1:
             raise ValueError("newton_max_iter must be >= 1")
         if self.scheme not in _SCHEMES:
             raise ValueError(f"scheme must be one of {_SCHEMES}, got {self.scheme!r}")
-        n = round(self.t_final / self.dt)
-        if n < 1 or abs(n * self.dt - self.t_final) > 1e-9 * max(self.t_final, 1.0):
-            raise ValueError(f"dt = {self.dt} does not divide t_final = {self.t_final}")
-
-    @property
-    def n_steps(self) -> int:
-        return round(self.t_final / self.dt)
 
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
     """Solver output on the noise path's grid and time grid (grid, times).
 
-    y_fields and x_fields stack the per-step fields as rows; row n is
-    the state at times[n] and x_fields = y_fields + noise.values holds
-    exactly.  Diagnostics are per step: Newton iterations and the final
-    Newton residual, which is at most newton_tol unless Newton stalled
-    at the residual's rounding floor (see the module docstring).
+    y_fields stacks the per-step fields as rows; row n is Y at times[n].
+    X = Y + W_Q is not stored: x_fields and x_field(n) add the noise
+    values on each access.  Diagnostics are per step: Newton iterations
+    and the final Newton residual, which is at most newton_tol unless
+    Newton stalled at the residual's rounding floor (see the module
+    docstring).
     """
 
     config: SolverConfig
     noise: NoisePath
     y_fields: np.ndarray
-    x_fields: np.ndarray
     newton_iters: np.ndarray
     newton_residuals: np.ndarray
 
     def __post_init__(self) -> None:
-        for name in ("y_fields", "x_fields", "newton_iters", "newton_residuals"):
+        for name in ("y_fields", "newton_iters", "newton_residuals"):
             arr = np.asarray(getattr(self, name))
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
@@ -138,7 +130,14 @@ class Trajectory:
 
     @property
     def n_steps(self) -> int:
-        return self.times.shape[0] - 1
+        return self.noise.spec.n_steps
+
+    @property
+    def x_fields(self) -> np.ndarray:
+        """y_fields + noise.values, read-only and computed anew on each access."""
+        x = self.y_fields + self.noise.values
+        x.flags.writeable = False
+        return x
 
     @property
     def substeps(self) -> np.ndarray:
@@ -151,7 +150,7 @@ class Trajectory:
         return Field(self.grid, self.y_fields[n])
 
     def x_field(self, n: int) -> Field:
-        return Field(self.grid, self.x_fields[n])
+        return Field(self.grid, self.y_fields[n] + self.noise.values[n])
 
 
 def _step_implicit_core(
@@ -238,44 +237,39 @@ def _step_explicit_core(
     return y_prev + dt * _laplacian(yosida_shifted(eps, z), grid.h)
 
 
-def step_implicit(y_prev: Field, w_next: Field, cfg: SolverConfig) -> Field:
-    """One implicit Euler step of size cfg.dt with the end-point noise value."""
+def step_implicit(y_prev: Field, w_next: Field, dt: float, cfg: SolverConfig) -> Field:
+    """One implicit Euler step of size dt with the end-point noise value."""
     if y_prev.grid != w_next.grid:
         raise ValueError("state and noise fields live on different grids")
+    if not (np.isfinite(dt) and dt > 0):
+        raise ValueError(f"dt must be positive and finite, got {dt}")
     y, _, _ = _step_implicit_core(
         y_prev.values.copy(), w_next.values, y_prev.grid,
-        cfg.epsilon, cfg.dt, cfg.newton_tol, cfg.newton_max_iter,
+        cfg.epsilon, dt, cfg.newton_tol, cfg.newton_max_iter,
     )
     return Field(y_prev.grid, y)
 
 
-def step_explicit(y_prev: Field, w_prev: Field, cfg: SolverConfig) -> Field:
-    """One explicit Euler step; raises StabilityError outside its guard."""
+def step_explicit(y_prev: Field, w_prev: Field, dt: float, cfg: SolverConfig) -> Field:
+    """One explicit Euler step of size dt; raises StabilityError outside its guard."""
     if y_prev.grid != w_prev.grid:
         raise ValueError("state and noise fields live on different grids")
-    y = _step_explicit_core(y_prev.values.copy(), w_prev.values, y_prev.grid, cfg.epsilon, cfg.dt)
+    if not (np.isfinite(dt) and dt > 0):
+        raise ValueError(f"dt must be positive and finite, got {dt}")
+    y = _step_explicit_core(y_prev.values.copy(), w_prev.values, y_prev.grid, cfg.epsilon, dt)
     return Field(y_prev.grid, y)
 
 
 def solve_path(x0: Field, noise: NoisePath, cfg: SolverConfig) -> Trajectory:
-    """March the configured scheme across the noise path's time grid.
+    """March the configured scheme across the noise path's time grid, in steps of noise.dt.
 
-    The noise path must match cfg's time grid exactly (same t_final and
-    step count).  Deterministic: identical inputs give identical output.
+    Deterministic: identical inputs give identical output.
     """
     grid = x0.grid
     if noise.grid != grid:
         raise ValueError("noise path lives on a different grid")
-    if noise.spec.n_steps != cfg.n_steps or not np.isclose(
-        noise.spec.t_final, cfg.t_final, rtol=1e-12, atol=0.0
-    ):
-        raise ValueError(
-            f"noise grid ({noise.spec.n_steps} steps to t = {noise.spec.t_final}) does not "
-            f"match solver config ({cfg.n_steps} steps to t = {cfg.t_final})"
-        )
 
-    n_steps = cfg.n_steps
-    w = noise.values
+    n_steps, dt, w = noise.spec.n_steps, noise.dt, noise.values
     y_all = np.empty((n_steps + 1, grid.n_interior))
     y_all[0] = x0.values
     iters = np.zeros(n_steps, dtype=int)
@@ -285,22 +279,16 @@ def solve_path(x0: Field, noise: NoisePath, cfg: SolverConfig) -> Trajectory:
         try:
             if cfg.scheme == "implicit":
                 y_all[n + 1], iters[n], resids[n] = _step_implicit_core(
-                    y_all[n], w[n + 1], grid, cfg.epsilon, cfg.dt, cfg.newton_tol, cfg.newton_max_iter
+                    y_all[n], w[n + 1], grid, cfg.epsilon, dt, cfg.newton_tol, cfg.newton_max_iter
                 )
             else:
-                y_all[n + 1] = _step_explicit_core(y_all[n], w[n], grid, cfg.epsilon, cfg.dt)
+                y_all[n + 1] = _step_explicit_core(y_all[n], w[n], grid, cfg.epsilon, dt)
         except (StepFailureError, StabilityError) as exc:
             residual = getattr(exc, "residual", None)
             raise StepFailureError(f"step {n} failed: {exc}", step=n, residual=residual) from exc
 
-    return Trajectory(
-        config=cfg,
-        noise=noise,
-        y_fields=y_all,
-        x_fields=y_all + w,
-        newton_iters=iters,
-        newton_residuals=resids,
-    )
+    return Trajectory(config=cfg, noise=noise, y_fields=y_all, newton_iters=iters,
+                      newton_residuals=resids)
 
 
 def run_ensemble(
@@ -315,21 +303,21 @@ def run_ensemble(
 ) -> Iterator[Trajectory]:
     """Lazily solve n_paths paths with seeds base_spec.seed + i, yielded in seed order.
 
-    workers > 1 solves them in that many processes, at most 2 * workers
-    ahead of the consumer, with the same results.
+    workers > 1 solves them in min(workers, n_paths) processes, at most
+    twice that many paths ahead of the consumer, with the same results.
     """
     if n_paths < 0:
         raise ValueError("n_paths must be >= 0")
     solve = partial(_solve_seed, x0, eigen, base_spec, cfg, override_decay_check)
     seeds = range(base_spec.seed, base_spec.seed + n_paths)
     if workers > 1 and n_paths > 1:
-        return _solve_in_pool(solve, seeds, workers)
+        return _solve_in_pool(solve, seeds, min(workers, n_paths))
     return map(solve, seeds)
 
 
 def _solve_seed(x0, eigen, base_spec, cfg, override_decay_check, seed) -> Trajectory:
     spec = replace(base_spec, seed=seed)
-    path = synthesize(spec, x0.grid, eigen, override_decay_check=override_decay_check)
+    path = synthesize(spec, eigen, override_decay_check=override_decay_check)
     return solve_path(x0, path, cfg)
 
 

@@ -188,7 +188,7 @@ def self_test_process(traj: Trajectory) -> TestProcess:
 
 
 def _test_process(traj: Trajectory, z: np.ndarray) -> TestProcess:
-    zp = _time_derivative(z, traj.config.dt)
+    zp = _time_derivative(z, traj.noise.dt)
     return TestProcess(
         trajectory=traj,
         z_fields=z,
@@ -214,10 +214,10 @@ def variational_residual(z: TestProcess, tol_vi: Optional[float] = None) -> Repo
     """
     traj = z.trajectory
     grid = traj.grid
+    dt = traj.noise.dt
     if tol_vi is None:
-        tol_vi = C_VI * (traj.config.dt + traj.config.epsilon)
+        tol_vi = C_VI * (dt + traj.config.epsilon)
 
-    dt = traj.config.dt
     h = grid.h
     y = traj.y_fields
     x = traj.x_fields
@@ -303,9 +303,10 @@ def mean_square_bound(trajectories: Iterable[Trajectory]) -> Report:
         if spec.seed in seeds:
             raise ValueError("trajectory seeds are not pairwise distinct")
         seeds.add(spec.seed)
-        sq_rows.append(h * np.sum(traj.x_fields**2, axis=1))
-        l4_sup.append(np.max((h * np.sum(traj.x_fields**4, axis=1)) ** 0.25))
-        del traj  # drop it before the next path is solved: one trajectory alive at a time
+        x = traj.x_fields
+        sq_rows.append(h * np.sum(x**2, axis=1))
+        l4_sup.append(np.max((h * np.sum(x**4, axis=1)) ** 0.25))
+        del traj, x  # drop them before the next path is solved: one trajectory alive at a time
     if len(sq_rows) < MEAN_SQUARE_MIN_PATHS:
         raise ValueError(f"need at least {MEAN_SQUARE_MIN_PATHS} trajectories, got {len(sq_rows)}")
 
@@ -352,7 +353,7 @@ def flux_l1_integral(traj: Trajectory) -> float:
     eps = traj.config.epsilon
     z = traj.y_fields[:-1] + traj.noise.values[:-1]
     vals = np.abs(yosida(eps, z))
-    return float(traj.config.dt * traj.grid.h * np.sum(vals))
+    return float(traj.noise.dt * traj.grid.h * np.sum(vals))
 
 
 def uniqueness_distance(a: Trajectory, b: Trajectory) -> float:
@@ -360,7 +361,8 @@ def uniqueness_distance(a: Trajectory, b: Trajectory) -> float:
 
     The trajectories must share the seed, the initial datum and the
     noise values on the common (coarser) time grid; configs may differ
-    in scheme, dt and eps.  Comparison happens on the common grid.
+    in scheme and eps, and the noise paths in step count (one a
+    restriction of the other).  Comparison happens on the common grid.
     """
     if a.grid != b.grid:
         raise ValueError("trajectories live on different grids")

@@ -164,7 +164,7 @@ def test_criterion_2_grid_oracle_suite():
 def test_criterion_3_mean_square_energy_bound():
     grid = GridSpec(length=1.0, n_interior=127)
     eigen = eigensystem(grid, 8)
-    cfg = SolverConfig(epsilon=1e-2, dt=1e-3, t_final=0.5)
+    cfg = SolverConfig(epsilon=1e-2)
     t0 = time.time()
     outcomes = {}
     for name, datum, seed in (
@@ -194,10 +194,10 @@ def test_criterion_4_flux_mass_bounded_in_eps():
     ratios = []
     for seed in (11, 12, 13, 14, 15):
         spec = NoiseSpec(k_max=8, gammas=GAMMAS, seed=seed, t_final=0.5, n_steps=500)
-        path = synthesize(spec, grid, eigen)
+        path = synthesize(spec, eigen)
         vals = [
             flux_l1_integral(
-                solve_path(x0, path, SolverConfig(epsilon=e, dt=1e-3, t_final=0.5))
+                solve_path(x0, path, SolverConfig(epsilon=e))
             )
             for e in (1e-1, 1e-2, 1e-3, 1e-4)
         ]
@@ -211,11 +211,11 @@ def test_criterion_5_epsilon_cauchy_in_dual_norm():
     grid = GridSpec(length=1.0, n_interior=127)
     eigen = eigensystem(grid, 8)
     x0 = Field(grid, np.zeros(127))
-    cfg = SolverConfig(epsilon=1e-2, dt=1e-3, t_final=0.5)
+    cfg = SolverConfig(epsilon=1e-2)
     strict = []
     for seed in (21, 22, 23, 24, 25):
         spec = NoiseSpec(k_max=8, gammas=GAMMAS, seed=seed, t_final=0.5, n_steps=500)
-        path = synthesize(spec, grid, eigen)
+        path = synthesize(spec, eigen)
         rep = epsilon_sweep(x0, path, cfg, [1e-1, 3e-2, 1e-2, 3e-3, 1e-3])
         strict.append(bool(np.all(np.diff(rep.consecutive) < 0)))
     ok = all(strict)
@@ -228,14 +228,14 @@ def test_criterion_6_solution_inequality_refinement():
     eigen = eigensystem(grid, 8)
     T, n_fine = 0.25, 2000
     spec = NoiseSpec(k_max=8, gammas=GAMMAS, seed=7, t_final=T, n_steps=n_fine)
-    fine = synthesize(spec, grid, eigen)
+    fine = synthesize(spec, eigen)
     x0 = Field(grid, np.zeros(63))
 
     mags, self_ok = [], True
     for lvl in range(4):
         n_steps = 250 * 2**lvl
         path = restrict(fine, n_fine // n_steps)
-        cfg = SolverConfig(epsilon=1e-2 / 2**lvl, dt=T / n_steps, t_final=T)
+        cfg = SolverConfig(epsilon=1e-2 / 2**lvl)
         traj = solve_path(x0, path, cfg)
         rep = variational_residual(build_test_process(traj, 1e-2))
         # at t = 0 both sides agree identically, so track the max over
@@ -264,15 +264,15 @@ def test_criterion_7_scheme_agreement_uniqueness_proxy():
     eigen = eigensystem(grid, 8)
     T, n_fine = 0.1, 1000
     spec = NoiseSpec(k_max=8, gammas=GAMMAS, seed=42, t_final=T, n_steps=n_fine)
-    fine = synthesize(spec, grid, eigen)
+    fine = synthesize(spec, eigen)
     x0 = Field(grid, np.zeros(15))
     dists = []
     for dt in (4e-4, 2e-4, 1e-4):
         n_steps = round(T / dt)
         path = restrict(fine, n_fine // n_steps)
-        imp = solve_path(x0, path, SolverConfig(epsilon=1e-2, dt=dt, t_final=T))
+        imp = solve_path(x0, path, SolverConfig(epsilon=1e-2))
         exp = solve_path(
-            x0, path, SolverConfig(epsilon=1e-2, dt=dt, t_final=T, scheme="explicit")
+            x0, path, SolverConfig(epsilon=1e-2, scheme="explicit")
         )
         dists.append(uniqueness_distance(imp, exp))
     r1, r2 = dists[0] / dists[1], dists[1] / dists[2]
@@ -299,7 +299,7 @@ def test_criterion_8_noise_correctness():
         spec = NoiseSpec(
             k_max=8, gammas=GAMMAS, seed=5000 + i, t_final=0.5, n_steps=10
         )
-        p = synthesize(spec, grid, eigen)
+        p = synthesize(spec, eigen)
         proj[i] = p.values[(5, 10), :] @ evecs.T * grid.h
     worst = 0.0
     for a, t in enumerate((0.25, 0.5)):
@@ -324,8 +324,8 @@ def test_criterion_8_noise_correctness():
     verdicts_ok = steep.ok and not shallow.ok
 
     spec = NoiseSpec(k_max=8, gammas=GAMMAS, seed=42, t_final=1.0, n_steps=200)
-    a = synthesize(spec, grid, eigen)
-    b = synthesize(spec, grid, eigen)
+    a = synthesize(spec, eigen)
+    b = synthesize(spec, eigen)
     repro_ok = np.array_equal(a.values, b.values) and np.array_equal(
         a.brownian, b.brownian
     )
@@ -348,9 +348,9 @@ def test_criterion_9_degenerate_cases():
     zspec = NoiseSpec(
         k_max=1, gammas=ExplicitGammas(gammas=(0.0,)), seed=0, t_final=0.1, n_steps=50
     )
-    znoise = synthesize(zspec, grid, e1)
+    znoise = synthesize(zspec, e1)
     x0 = Field(grid, np.zeros(63))
-    cfg = SolverConfig(epsilon=1e-2, dt=0.1 / 50, t_final=0.1)
+    cfg = SolverConfig(epsilon=1e-2)
     traj = solve_path(x0, znoise, cfg)
     traj_zero = bool(np.all(traj.x_fields == 0.0) and np.all(traj.y_fields == 0.0))
 
@@ -365,7 +365,7 @@ def test_criterion_9_degenerate_cases():
     sspec = NoiseSpec(
         k_max=1, gammas=ExplicitGammas(gammas=(0.7,)), seed=3, t_final=1.0, n_steps=100
     )
-    spath = synthesize(sspec, grid, e1)
+    spath = synthesize(sspec, e1)
     e1v = e1.vector(1).values
     mode_err = max(
         float(

@@ -14,7 +14,9 @@ import pytest
 import logdiff.cli
 from logdiff.cli import main
 from logdiff.config import ConfigError, ExperimentConfig, parse_config
-from logdiff.grid import GridSpec, eigensystem
+from logdiff.grid import Field, GridSpec, eigensystem
+from logdiff.noise import NoiseSpec, PowerLawGammas, synthesize
+from logdiff.solver import SolverConfig, solve_path
 
 
 def write(path, text):
@@ -139,10 +141,9 @@ class TestParseConfig:
         assert spec.t_final == 0.1
         solver = cfg.solver_config()
         assert solver.epsilon == 1e-2
-        assert solver.n_steps == 50
         # per-eps configs and per-path specs are derived with replace, which re-validates
         per_eps = replace(solver, epsilon=1e-3)
-        assert (per_eps.epsilon, per_eps.n_steps, per_eps.scheme) == (1e-3, 50, "implicit")
+        assert (per_eps.epsilon, per_eps.scheme) == (1e-3, "implicit")
         assert replace(spec, seed=43).seed == 43
         with pytest.raises(ValueError):
             replace(solver, epsilon=-1e-3)
@@ -290,6 +291,14 @@ class TestCliSimulate:
             assert main(argv + ["--out", str(out)]) == 2
             assert "config error" in capsys.readouterr().err
             assert not out.exists()
+        # a time grid of t_final / dt steps needs a positive dt that divides t_final finitely
+        for solver in ("dt = 0", "dt = -1e-3", "dt = 1e-300\nt_final = 1e300",
+                       "dt = 3e-4\nt_final = 0.1", "t_final = 0"):
+            capsys.readouterr()
+            cfg = write(tmp_path / "dt.cfg", f"[solver]\n{solver}\n")
+            assert main(["simulate", "--config", cfg, "--out", str(out)]) == 2
+            assert capsys.readouterr().err.startswith("config error: [solver] dt")
+            assert not out.exists()
         # the last seed itself is fine: noise-check's one path at --paths 0 runs
         assert main(["noise-check", "--config", top_cfg, "--out", str(out), "--paths", "0"]) == 0
 
@@ -429,6 +438,23 @@ class TestCliOther:
                  for module, attr, _ in sites if module == "logdiff.cli"]
         assert "solve_path" in names
         assert [name for name in names if not hasattr(logdiff.cli, name)] == []
+
+    def test_benchmark_counters_read_the_records(self):
+        # the traced benchmark counts what synthesize and solve_path return; a counter
+        # that reads a removed attribute would raise inside a traced round
+        child = runpy.run_path(str(Path(__file__).parents[1] / "bench" / "child.py"),
+                               run_name="bench_child")
+        eigen = eigensystem(GridSpec(1.0, 15), 8)
+        spec = NoiseSpec(k_max=8, gammas=PowerLawGammas(1.0, 8.0), seed=1,
+                         t_final=0.01, n_steps=5)
+        path = synthesize(spec, eigen)
+        traj = solve_path(Field.zeros(eigen.grid), path, SolverConfig(epsilon=1e-2))
+        results = {"synthesize": path, "solve_path": traj}
+        counts = [count(results[attr]) for sites in child["WRAPS"].values()
+                  for _, attr, count in sites if attr in results]
+        iters = int(traj.newton_iters.sum())
+        assert counts == [{"values": 6 * 15}] * 2 + [
+            {"steps": 5, "newton_iters": iters, "substeps": 5, "bytes": 2 * 6 * 15 * 8}] * 2
 
     def test_noise_check_passes(self, tmp_path):
         cfg = write(tmp_path / "c.cfg", BASE)

@@ -58,7 +58,7 @@ class TestSpecs:
     def test_time_grid(self):
         spec = power_spec(t_final=0.5, n_steps=5)
         assert spec.dt == 0.1
-        assert np.allclose(spec.times(), [0.0, 0.1, 0.2, 0.3, 0.4, 0.5])
+        assert np.allclose(synthesize(spec, EIGEN).times, [0.0, 0.1, 0.2, 0.3, 0.4, 0.5])
 
 
 class TestDecayValidation:
@@ -96,11 +96,11 @@ class TestDecayValidation:
 
 class TestSynthesis:
     def test_zero_gammas_give_zero_path(self):
-        path = synthesize(power_spec(gamma0=0.0, n_steps=20), GRID, EIGEN)
+        path = synthesize(power_spec(gamma0=0.0, n_steps=20), EIGEN)
         assert np.all(path.values == 0.0)
 
     def test_initial_value_zero(self):
-        path = synthesize(power_spec(n_steps=50), GRID, EIGEN)
+        path = synthesize(power_spec(n_steps=50), EIGEN)
         assert np.all(path.values[0] == 0.0)
         assert np.all(path.brownian[0] == 0.0)
 
@@ -112,7 +112,7 @@ class TestSynthesis:
             t_final=1.0,
             n_steps=100,
         )
-        path = synthesize(spec, GRID, EIGEN)
+        path = synthesize(spec, EIGEN)
         e1 = EIGEN.vector(1).values
         for n in (10, 50, 100):
             beta = path.brownian[n, 0]
@@ -120,26 +120,26 @@ class TestSynthesis:
             assert abs(norm_l2(path.field_at(n)) - 0.7 * abs(beta)) < 1e-12
 
     def test_bit_identical_reproduction(self):
-        a = synthesize(power_spec(), GRID, EIGEN)
-        b = synthesize(power_spec(), GRID, EIGEN)
+        a = synthesize(power_spec(), EIGEN)
+        b = synthesize(power_spec(), EIGEN)
         assert np.array_equal(a.values, b.values)
         assert np.array_equal(a.brownian, b.brownian)
 
     def test_different_seeds_differ(self):
-        a = synthesize(power_spec(seed=1, n_steps=10), GRID, EIGEN)
-        b = synthesize(power_spec(seed=2, n_steps=10), GRID, EIGEN)
+        a = synthesize(power_spec(seed=1, n_steps=10), EIGEN)
+        b = synthesize(power_spec(seed=2, n_steps=10), EIGEN)
         assert not np.array_equal(a.values, b.values)
 
     def test_mode_count_extension_keeps_early_modes(self):
         # per-mode substreams: going from K = 4 to K = 8 must not
         # reshuffle the first four Brownian motions
-        small = synthesize(power_spec(k_max=4, n_steps=50), GRID, eigensystem(GRID, 4))
-        large = synthesize(power_spec(k_max=8, n_steps=50), GRID, EIGEN)
+        small = synthesize(power_spec(k_max=4, n_steps=50), eigensystem(GRID, 4))
+        large = synthesize(power_spec(k_max=8, n_steps=50), EIGEN)
         assert np.array_equal(small.brownian, large.brownian[:, :4])
 
     def test_amplitude_linearity(self):
-        one = synthesize(power_spec(gamma0=1.0, n_steps=30), GRID, EIGEN)
-        two = synthesize(power_spec(gamma0=2.0, n_steps=30), GRID, EIGEN)
+        one = synthesize(power_spec(gamma0=1.0, n_steps=30), EIGEN)
+        two = synthesize(power_spec(gamma0=2.0, n_steps=30), EIGEN)
         assert np.allclose(two.values, 2.0 * one.values, rtol=0, atol=1e-15)
 
     def test_increment_lag1_correlation_small(self):
@@ -150,8 +150,7 @@ class TestSynthesis:
             t_final=1.0,
             n_steps=10_000,
         )
-        path = synthesize(spec, GridSpec(length=1.0, n_interior=7),
-                          eigensystem(GridSpec(length=1.0, n_interior=7), 1))
+        path = synthesize(spec, eigensystem(GridSpec(length=1.0, n_interior=7), 1))
         inc = np.diff(path.brownian[:, 0])
         rho = np.corrcoef(inc[:-1], inc[1:])[0, 1]
         assert abs(rho) < 0.05
@@ -170,31 +169,31 @@ class TestSynthesis:
                 t_final=1.0,
                 n_steps=4,
             )
-            samples.append(synthesize(spec, g, es).brownian[-1, 0])
+            samples.append(synthesize(spec, es).brownian[-1, 0])
         assert abs(np.var(samples, ddof=1) - 1.0) < 0.1
 
     def test_too_many_modes_rejected(self):
         g = GridSpec(length=1.0, n_interior=4)
         es = eigensystem(g, 4)
         with pytest.raises(ValueError):
-            synthesize(power_spec(k_max=8), g, es)
+            synthesize(power_spec(k_max=8), es)
 
     def test_failing_decay_blocks_synthesis_unless_overridden(self):
         spec = power_spec(decay=4.0, n_steps=10)
         with pytest.raises(ValueError):
-            synthesize(spec, GRID, EIGEN)
-        path = synthesize(spec, GRID, EIGEN, override_decay_check=True)
+            synthesize(spec, EIGEN)
+        path = synthesize(spec, EIGEN, override_decay_check=True)
         assert path.values.shape == (11, 127)
 
     def test_values_are_locked(self):
-        path = synthesize(power_spec(n_steps=10), GRID, EIGEN)
+        path = synthesize(power_spec(n_steps=10), EIGEN)
         with pytest.raises(ValueError):
             path.values[0, 0] = 1.0
 
 
 class TestSupNorm:
     def test_zero_noise(self):
-        path = synthesize(power_spec(gamma0=0.0, n_steps=10), GRID, EIGEN)
+        path = synthesize(power_spec(gamma0=0.0, n_steps=10), EIGEN)
         assert sup_norm_estimate(path) == 0.0
 
     def test_single_mode_formula(self):
@@ -202,31 +201,31 @@ class TestSupNorm:
             k_max=1, gammas=ExplicitGammas(gammas=(1.0,)),
             seed=5, t_final=1.0, n_steps=200,
         )
-        path = synthesize(spec, GRID, EIGEN)
+        path = synthesize(spec, EIGEN)
         e1_inf = np.max(np.abs(EIGEN.vector(1).values))
         expected = np.max(np.abs(path.brownian[:, 0])) * e1_inf
         assert abs(sup_norm_estimate(path) - expected) < 1e-13
 
     def test_regression_value(self):
         # reproducibility regression captured at first run of this config
-        path = synthesize(power_spec(), GRID, EIGEN)
+        path = synthesize(power_spec(), EIGEN)
         assert abs(sup_norm_estimate(path) - 0.9670211867827212) < 1e-13
 
 
 class TestModulusOfContinuity:
     def test_zero_noise_single_cell(self):
-        path = synthesize(power_spec(gamma0=0.0, n_steps=25), GRID, EIGEN)
+        path = synthesize(power_spec(gamma0=0.0, n_steps=25), EIGEN)
         cuts = modulus_of_continuity(path, 0.3)
         assert list(cuts) == [0, 25]
 
     def test_infinite_alpha_single_cell(self):
-        path = synthesize(power_spec(n_steps=50), GRID, EIGEN)
+        path = synthesize(power_spec(n_steps=50), EIGEN)
         cuts = modulus_of_continuity(path, np.inf)
         assert list(cuts) == [0, 50]
 
     def test_partition_verified_by_direct_scan(self):
         # 4000 steps keeps the single-step oscillation below alpha = 0.1
-        path = synthesize(power_spec(n_steps=4000), GRID, EIGEN)
+        path = synthesize(power_spec(n_steps=4000), EIGEN)
         alpha = 0.1
         cuts = modulus_of_continuity(path, alpha)
         assert cuts[0] == 0 and cuts[-1] == path.spec.n_steps
@@ -237,21 +236,21 @@ class TestModulusOfContinuity:
             assert osc < alpha
 
     def test_single_step_oscillation_error(self):
-        path = synthesize(power_spec(n_steps=20), GRID, EIGEN)
+        path = synthesize(power_spec(n_steps=20), EIGEN)
         with pytest.raises(OscillationError) as err:
             modulus_of_continuity(path, 1e-12)
         assert err.value.step >= 0
         assert err.value.oscillation >= 1e-12
 
     def test_alpha_must_be_positive(self):
-        path = synthesize(power_spec(n_steps=10), GRID, EIGEN)
+        path = synthesize(power_spec(n_steps=10), EIGEN)
         with pytest.raises(ValueError):
             modulus_of_continuity(path, 0.0)
 
 
 class TestRestrict:
     def test_exact_slicing(self):
-        path = synthesize(power_spec(n_steps=100), GRID, EIGEN)
+        path = synthesize(power_spec(n_steps=100), EIGEN)
         coarse = restrict(path, 10)
         assert coarse.spec.n_steps == 10
         assert coarse.spec.t_final == path.spec.t_final
@@ -259,12 +258,12 @@ class TestRestrict:
         assert np.array_equal(coarse.brownian, path.brownian[::10])
 
     def test_identity_stride(self):
-        path = synthesize(power_spec(n_steps=30), GRID, EIGEN)
+        path = synthesize(power_spec(n_steps=30), EIGEN)
         same = restrict(path, 1)
         assert np.array_equal(same.values, path.values)
 
     def test_nondivisor_rejected(self):
-        path = synthesize(power_spec(n_steps=100), GRID, EIGEN)
+        path = synthesize(power_spec(n_steps=100), EIGEN)
         with pytest.raises(ValueError):
             restrict(path, 7)
         with pytest.raises(ValueError):

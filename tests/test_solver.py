@@ -1,5 +1,6 @@
 """Implicit/explicit steppers, the path driver, and the epsilon sweep."""
 
+import concurrent.futures
 from dataclasses import replace
 
 import numpy as np
@@ -36,7 +37,7 @@ def zero_noise(grid, t_final=0.1, n_steps=20, seed=0):
         t_final=t_final,
         n_steps=n_steps,
     )
-    return synthesize(spec, grid, eigensystem(grid, 1))
+    return synthesize(spec, eigensystem(grid, 1))
 
 
 def default_noise(grid, eigen, seed=42, t_final=0.5, n_steps=200):
@@ -47,32 +48,32 @@ def default_noise(grid, eigen, seed=42, t_final=0.5, n_steps=200):
         t_final=t_final,
         n_steps=n_steps,
     )
-    return synthesize(spec, grid, eigen)
+    return synthesize(spec, eigen)
 
 
 class TestSolverConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
-            SolverConfig(epsilon=0.0, dt=1e-3, t_final=0.1)
+            SolverConfig(epsilon=0.0)
         with pytest.raises(ValueError):
-            SolverConfig(epsilon=1e-2, dt=0.0, t_final=0.1)
+            SolverConfig(epsilon=1e-2, newton_tol=0.0)
         with pytest.raises(ValueError):
-            SolverConfig(epsilon=1e-2, dt=1e-3, t_final=0.0)
+            SolverConfig(epsilon=1e-2, newton_max_iter=0)
         with pytest.raises(ValueError):
-            SolverConfig(epsilon=1e-2, dt=3e-4, t_final=0.1)  # dt must divide T
-        with pytest.raises(ValueError):
-            SolverConfig(epsilon=1e-2, dt=1e-3, t_final=0.1, scheme="midpoint")
-
-    def test_n_steps(self):
-        cfg = SolverConfig(epsilon=1e-2, dt=1e-3, t_final=0.1)
-        assert cfg.n_steps == 100
+            SolverConfig(epsilon=1e-2, scheme="midpoint")
+        # the step size is the noise path's; a stand-alone step checks it
+        z = Field(G15, np.zeros(15))
+        for step in (step_implicit, step_explicit):
+            for dt in (0.0, -1e-3, np.inf):
+                with pytest.raises(ValueError):
+                    step(z, z, dt, SolverConfig(epsilon=1e-2))
 
 
 class TestImplicitStep:
     def test_zero_fixed_point(self):
-        cfg = SolverConfig(epsilon=1e-2, dt=1e-3, t_final=1e-3)
+        cfg = SolverConfig(epsilon=1e-2)
         z = Field(G15, np.zeros(15))
-        out = step_implicit(z, z, cfg)
+        out = step_implicit(z, z, 1e-3, cfg)
         assert np.all(out.values == 0.0)
 
     def test_symmetric_pair_bisection_oracle(self):
@@ -80,8 +81,8 @@ class TestImplicitStep:
         # collapses to the scalar equation y + (dt/h^2)*F(y + w) = y_prev
         g = GridSpec(length=1.0, n_interior=2)
         eps, dt, w, y_prev = 0.05, 1e-3, 0.7, 1.3
-        cfg = SolverConfig(epsilon=eps, dt=dt, t_final=dt)
-        out = step_implicit(Field(g, np.full(2, y_prev)), Field(g, np.full(2, w)), cfg)
+        cfg = SolverConfig(epsilon=eps)
+        out = step_implicit(Field(g, np.full(2, y_prev)), Field(g, np.full(2, w)), dt, cfg)
         assert abs(out.values[0] - out.values[1]) < 1e-12
         scale = dt / g.h**2
 
@@ -103,8 +104,7 @@ class TestImplicitStep:
         w = Field(G15, rng.normal(0, 0.2, 15))
         norms = {}
         for dt in (1e-3, 1e-4, 1e-5, 1e-6):
-            cfg = SolverConfig(epsilon=1e-2, dt=dt, t_final=dt)
-            out = step_implicit(y_prev, w, cfg)
+            out = step_implicit(y_prev, w, dt, SolverConfig(epsilon=1e-2))
             norms[dt] = norm_l2(Field(G15, out.values - y_prev.values))
             assert norms[dt] <= 200.0 * dt
         # asymptotically linear: tenfold dt drop shrinks the move ~tenfold
@@ -112,26 +112,26 @@ class TestImplicitStep:
 
     def test_newton_residual_contract(self):
         rng = np.random.default_rng(13)
-        cfg = SolverConfig(epsilon=1e-3, dt=1e-3, t_final=1e-3, newton_tol=1e-11)
+        cfg = SolverConfig(epsilon=1e-3, newton_tol=1e-11)
         y_prev = Field(G127, rng.normal(0, 0.5, 127))
         w = Field(G127, rng.normal(0, 0.3, 127))
-        out = step_implicit(y_prev, w, cfg)
+        out = step_implicit(y_prev, w, 1e-3, cfg)
         from logdiff.grid import laplacian_apply
 
         flux = Field(G127, yosida_shifted(cfg.epsilon, out.values + w.values))
-        res = out.values - cfg.dt * laplacian_apply(flux).values - y_prev.values
+        res = out.values - 1e-3 * laplacian_apply(flux).values - y_prev.values
         assert norm_l2(Field(G127, res)) <= 1e-11
 
     def test_hminus1_contraction_of_state_pairs(self):
         # monotone flux: one implicit step brings two states closer in H^-1
         rng = np.random.default_rng(7)
-        cfg = SolverConfig(epsilon=1e-2, dt=5e-3, t_final=5e-3)
+        cfg = SolverConfig(epsilon=1e-2)
         for _ in range(10):
             a = Field(G15, rng.normal(0, 1.0, 15))
             b = Field(G15, rng.normal(0, 1.0, 15))
             w = Field(G15, rng.normal(0, 0.5, 15))
             before = norm_hminus1(Field(G15, a.values - b.values))
-            oa, ob = step_implicit(a, w, cfg), step_implicit(b, w, cfg)
+            oa, ob = step_implicit(a, w, 5e-3, cfg), step_implicit(b, w, 5e-3, cfg)
             after = norm_hminus1(Field(G15, oa.values - ob.values))
             assert after <= before * (1 + 1e-10)
 
@@ -143,9 +143,9 @@ class TestExplicitStep:
         w = Field(G15, rng.normal(0, 0.2, 15))
         diffs = []
         for dt in (5e-4, 2.5e-4, 1.25e-4):
-            cfg = SolverConfig(epsilon=1e-2, dt=dt, t_final=dt)
-            yi = step_implicit(y_prev, w, cfg)
-            ye = step_explicit(y_prev, w, cfg)
+            cfg = SolverConfig(epsilon=1e-2)
+            yi = step_implicit(y_prev, w, dt, cfg)
+            ye = step_explicit(y_prev, w, dt, cfg)
             diffs.append(norm_l2(Field(G15, yi.values - ye.values)))
         assert 3.0 <= diffs[0] / diffs[1] <= 4.5
         assert 3.0 <= diffs[1] / diffs[2] <= 4.5
@@ -155,20 +155,20 @@ class TestExplicitStep:
         # dt*(4/h^2)*max F' ~ 1e-3 * 1024 > 1 at h = 1/16
         y = Field(G15, np.zeros(15))
         w = Field(G15, np.zeros(15))
-        cfg = SolverConfig(epsilon=1e-2, dt=1e-3, t_final=1e-3)
+        cfg = SolverConfig(epsilon=1e-2)
         with pytest.raises(StabilityError):
-            step_explicit(y, w, cfg)
+            step_explicit(y, w, 1e-3, cfg)
 
     def test_zero_fixed_point(self):
-        cfg = SolverConfig(epsilon=1e-2, dt=1e-4, t_final=1e-4)
+        cfg = SolverConfig(epsilon=1e-2)
         z = Field(G15, np.zeros(15))
-        assert np.all(step_explicit(z, z, cfg).values == 0.0)
+        assert np.all(step_explicit(z, z, 1e-4, cfg).values == 0.0)
 
 
 class TestSolvePath:
     def test_zero_noise_zero_datum(self):
         noise = zero_noise(G15)
-        cfg = SolverConfig(epsilon=1e-2, dt=0.1 / 20, t_final=0.1)
+        cfg = SolverConfig(epsilon=1e-2)
         traj = solve_path(Field(G15, np.zeros(15)), noise, cfg)
         assert np.all(traj.x_fields == 0.0)
         assert np.all(traj.y_fields == 0.0)
@@ -176,7 +176,7 @@ class TestSolvePath:
     def test_zero_noise_l2_nonincreasing(self):
         noise = zero_noise(G15, t_final=0.5, n_steps=100)
         x0 = Field(G15, G15.nodes * (1 - G15.nodes) * 4.0)
-        cfg = SolverConfig(epsilon=1e-2, dt=0.5 / 100, t_final=0.5)
+        cfg = SolverConfig(epsilon=1e-2)
         traj = solve_path(x0, noise, cfg)
         norms = [norm_l2(traj.x_field(n)) for n in range(traj.n_steps + 1)]
         assert np.all(np.diff(norms) <= 1e-12)
@@ -185,7 +185,7 @@ class TestSolvePath:
     def test_zero_noise_preserves_symmetry(self):
         noise = zero_noise(G15, t_final=0.2, n_steps=40)
         x0 = Field(G15, np.sin(np.pi * G15.nodes))
-        cfg = SolverConfig(epsilon=1e-2, dt=0.2 / 40, t_final=0.2)
+        cfg = SolverConfig(epsilon=1e-2)
         traj = solve_path(x0, noise, cfg)
         for n in range(0, 41, 10):
             v = traj.y_fields[n]
@@ -194,13 +194,13 @@ class TestSolvePath:
     def test_initial_datum_stored_exactly(self):
         noise = default_noise(G127, E127)
         x0 = Field(G127, np.sin(np.pi * G127.nodes))
-        cfg = SolverConfig(epsilon=1e-2, dt=0.5 / 200, t_final=0.5)
+        cfg = SolverConfig(epsilon=1e-2)
         traj = solve_path(x0, noise, cfg)
         assert np.array_equal(traj.y_fields[0], x0.values)
 
     def test_x_equals_y_plus_noise_bitwise(self):
         noise = default_noise(G127, E127)
-        cfg = SolverConfig(epsilon=1e-2, dt=0.5 / 200, t_final=0.5)
+        cfg = SolverConfig(epsilon=1e-2)
         traj = solve_path(Field(G127, np.zeros(127)), noise, cfg)
         assert np.array_equal(traj.x_fields, traj.y_fields + noise.values)
 
@@ -208,17 +208,17 @@ class TestSolvePath:
         # summing the stencil telescopes: h*sum(Y_next - Y_prev) equals
         # -dt*(v_1 + v_n)/h with v the flux at the wall-adjacent nodes
         noise = default_noise(G15, E15, t_final=0.1, n_steps=50)
-        cfg = SolverConfig(epsilon=1e-2, dt=0.1 / 50, t_final=0.1)
+        cfg = SolverConfig(epsilon=1e-2)
         traj = solve_path(Field(G15, np.zeros(15)), noise, cfg)
         for n in (0, 10, 49):
             v = yosida_shifted(cfg.epsilon, traj.y_fields[n + 1] + noise.values[n + 1])
             lhs = G15.h * np.sum(traj.y_fields[n + 1] - traj.y_fields[n])
-            rhs = -cfg.dt * (v[0] + v[-1]) / G15.h
+            rhs = -noise.dt * (v[0] + v[-1]) / G15.h
             assert abs(lhs - rhs) < 1e-12
 
     def test_deterministic_and_frozen_regression(self):
         noise = default_noise(G127, E127)
-        cfg = SolverConfig(epsilon=1e-2, dt=0.5 / 200, t_final=0.5)
+        cfg = SolverConfig(epsilon=1e-2)
         a = solve_path(Field(G127, np.zeros(127)), noise, cfg)
         b = solve_path(Field(G127, np.zeros(127)), noise, cfg)
         assert np.array_equal(a.y_fields, b.y_fields)
@@ -227,7 +227,7 @@ class TestSolvePath:
 
     def test_newton_diagnostics_recorded(self):
         noise = default_noise(G127, E127)
-        cfg = SolverConfig(epsilon=1e-2, dt=0.5 / 200, t_final=0.5)
+        cfg = SolverConfig(epsilon=1e-2)
         traj = solve_path(Field(G127, np.zeros(127)), noise, cfg)
         assert traj.newton_iters.shape == (200,)
         assert np.all(traj.newton_iters >= 1)
@@ -247,21 +247,15 @@ class TestSolvePath:
 
         monkeypatch.setattr("logdiff.solver.solve_banded", checked)
         noise = default_noise(G127, E127, t_final=0.05, n_steps=20)
-        cfg = SolverConfig(epsilon=1e-2, dt=0.05 / 20, t_final=0.05)
+        cfg = SolverConfig(epsilon=1e-2)
         solve_path(Field(G127, np.sin(np.pi * G127.nodes)), noise, cfg)
         assert seen and all(shape == (3, 127) for shape in seen)
 
     def test_grid_mismatch_rejected(self):
         noise = default_noise(G127, E127)
-        cfg = SolverConfig(epsilon=1e-2, dt=0.5 / 200, t_final=0.5)
+        cfg = SolverConfig(epsilon=1e-2)
         with pytest.raises(ValueError):
             solve_path(Field(G15, np.zeros(15)), noise, cfg)
-
-    def test_time_grid_mismatch_rejected(self):
-        noise = default_noise(G127, E127, n_steps=200, t_final=0.5)
-        cfg = SolverConfig(epsilon=1e-2, dt=1e-3, t_final=0.5)  # 500 steps
-        with pytest.raises(ValueError):
-            solve_path(Field(G127, np.zeros(127)), noise, cfg)
 
 
 class TestTightTolerance:
@@ -274,7 +268,7 @@ class TestTightTolerance:
         noise = default_noise(grid, eigensystem(grid, 8), t_final=n_steps * 1e-3, n_steps=n_steps)
         x0 = Field(grid, amplitude * np.sin(np.pi * grid.nodes))
         for eps in epsilons:
-            cfg = SolverConfig(epsilon=eps, dt=1e-3, t_final=n_steps * 1e-3, newton_tol=1e-12)
+            cfg = SolverConfig(epsilon=eps, newton_tol=1e-12)
             traj = solve_path(x0, noise, cfg)
             assert np.all(traj.substeps == 1)
             assert np.all(traj.newton_residuals <= cfg.newton_tol)
@@ -298,10 +292,9 @@ def stress_setup(n, dt, datum, n_steps=20):
 def stress_cell(n, dt, datum, epsilons, tol):
     """20 steps from one datum on one noise path (seed 3) for each eps."""
     n_steps = 20
-    t_final = n_steps * dt
     noise, x0 = stress_setup(n, dt, datum, n_steps)
     for eps in epsilons:
-        cfg = SolverConfig(epsilon=eps, dt=dt, t_final=t_final, newton_tol=tol)
+        cfg = SolverConfig(epsilon=eps, newton_tol=tol)
         traj = solve_path(x0, noise, cfg)
         retries = int(traj.substeps.sum()) - n_steps
         assert retries == 0, f"eps {eps}: {retries} retry substeps"
@@ -322,7 +315,7 @@ class TestStressMatrix:
     def test_tight_tolerance_stops_at_the_rounding_floor(self, eps):
         dt, tol = 1e-2, 1e-12
         noise, x0 = stress_setup(1023, dt, "amplitude5")
-        cfg = SolverConfig(epsilon=eps, dt=dt, t_final=noise.spec.t_final, newton_tol=tol)
+        cfg = SolverConfig(epsilon=eps, newton_tol=tol)
         traj = solve_path(x0, noise, cfg)
         y, x = traj.y_fields, traj.x_fields
         floors = [
@@ -346,25 +339,25 @@ class TestRetryMachinery:
             t_final=0.1,
             n_steps=4,
         )
-        return synthesize(spec, G15, eigensystem(G15, 1), override_decay_check=True)
+        return synthesize(spec, eigensystem(G15, 1), override_decay_check=True)
 
     def test_tight_newton_budget_fails_at_its_step(self):
         noise = self.violent_noise()
-        cfg = SolverConfig(epsilon=1e-3, dt=0.025, t_final=0.1, newton_max_iter=3)
+        cfg = SolverConfig(epsilon=1e-3, newton_max_iter=3)
         with pytest.raises(StepFailureError) as err:
             solve_path(Field(G15, np.zeros(15)), noise, cfg)
         assert err.value.step == 1
 
     def test_default_budget_converges_on_the_time_grid(self):
         noise = self.violent_noise()
-        cfg = SolverConfig(epsilon=1e-3, dt=0.025, t_final=0.1)
+        cfg = SolverConfig(epsilon=1e-3)
         traj = solve_path(Field(G15, np.zeros(15)), noise, cfg)
         assert traj.y_fields.shape == (5, 15)
         assert np.all(traj.newton_residuals <= cfg.newton_tol)
 
     def test_budget_exhaustion_fails_loudly(self):
         noise = self.violent_noise()
-        cfg = SolverConfig(epsilon=1e-3, dt=0.025, t_final=0.1, newton_max_iter=2)
+        cfg = SolverConfig(epsilon=1e-3, newton_max_iter=2)
         with pytest.raises(StepFailureError) as err:
             solve_path(Field(G15, np.zeros(15)), noise, cfg)
         assert err.value.step is not None
@@ -373,25 +366,25 @@ class TestRetryMachinery:
 class TestEpsilonSweep:
     def test_requires_two_entries(self):
         noise = zero_noise(G15)
-        cfg = SolverConfig(epsilon=1e-2, dt=0.1 / 20, t_final=0.1)
+        cfg = SolverConfig(epsilon=1e-2)
         with pytest.raises(ValueError):
             epsilon_sweep(Field(G15, np.zeros(15)), noise, cfg, [1e-2])
 
     def test_rejects_increasing_list(self):
         noise = zero_noise(G15)
-        cfg = SolverConfig(epsilon=1e-2, dt=0.1 / 20, t_final=0.1)
+        cfg = SolverConfig(epsilon=1e-2)
         with pytest.raises(ValueError):
             epsilon_sweep(Field(G15, np.zeros(15)), noise, cfg, [1e-3, 1e-2])
 
     def test_identical_epsilons_give_zero_distance(self):
         noise = default_noise(G15, E15, t_final=0.1, n_steps=50)
-        cfg = SolverConfig(epsilon=1e-2, dt=0.1 / 50, t_final=0.1)
+        cfg = SolverConfig(epsilon=1e-2)
         rep = epsilon_sweep(Field(G15, np.zeros(15)), noise, cfg, [1e-2, 1e-2])
         assert rep.consecutive[0] == 0.0
 
     def test_zero_noise_zero_datum_all_zero(self):
         noise = zero_noise(G15)
-        cfg = SolverConfig(epsilon=1e-2, dt=0.1 / 20, t_final=0.1)
+        cfg = SolverConfig(epsilon=1e-2)
         rep = epsilon_sweep(
             Field(G15, np.zeros(15)), noise, cfg, [1e-1, 1e-2, 1e-3]
         )
@@ -401,7 +394,7 @@ class TestEpsilonSweep:
 
     def test_distances_decrease_on_noisy_path(self):
         noise = default_noise(G15, E15, t_final=0.1, n_steps=100)
-        cfg = SolverConfig(epsilon=1e-2, dt=1e-3, t_final=0.1)
+        cfg = SolverConfig(epsilon=1e-2)
         rep = epsilon_sweep(
             Field(G15, np.zeros(15)), noise, cfg,
             [1e-1, 3e-2, 1e-2, 3e-3, 1e-3],
@@ -422,7 +415,7 @@ class TestEnsemble:
             t_final=0.1,
             n_steps=20,
         )
-        cfg = SolverConfig(epsilon=1e-2, dt=0.1 / 20, t_final=0.1)
+        cfg = SolverConfig(epsilon=1e-2)
         trajs = list(run_ensemble(Field(G15, np.zeros(15)), E15, spec, cfg, 3))
         assert len(trajs) == 3
         seeds = [t.noise.spec.seed for t in trajs]
@@ -434,7 +427,7 @@ class TestEnsemble:
             k_max=8, gammas=PowerLawGammas(gamma0=1.0, decay=8.0),
             seed=100, t_final=0.1, n_steps=20,
         )
-        cfg = SolverConfig(epsilon=1e-2, dt=0.1 / 20, t_final=0.1)
+        cfg = SolverConfig(epsilon=1e-2)
         return Field(G15, np.zeros(15)), spec, cfg
 
     def test_lazy_contract(self, monkeypatch):
@@ -472,3 +465,30 @@ class TestEnsemble:
             assert b.config == cfg and b.grid == G15
             for arr in (b.y_fields, b.x_fields, b.newton_iters, b.noise.values, b.noise.brownian):
                 assert not arr.flags.writeable
+
+    def test_pool_never_exceeds_the_path_count(self, monkeypatch):
+        # a fake executor records the pool size and solves in this process
+        sizes = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                future = concurrent.futures.Future()
+                future.set_result(fn(*args))
+                return future
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+        x0, spec, cfg = self.ensemble_inputs()
+        serial = list(run_ensemble(x0, E15, spec, cfg, 5))
+        pooled = list(run_ensemble(x0, E15, spec, cfg, 2, workers=64))
+        pooled += run_ensemble(x0, E15, replace(spec, seed=102), cfg, 3, workers=2)
+        assert sizes == [2, 2]
+        assert all(np.array_equal(a.y_fields, b.y_fields) for a, b in zip(serial, pooled))

@@ -44,14 +44,14 @@ def make_noise(seed=42, t_final=0.25, n_steps=250, gamma0=1.0):
         t_final=t_final,
         n_steps=n_steps,
     )
-    return synthesize(spec, G, E)
+    return synthesize(spec, E)
 
 
 def make_traj(seed=42, eps=1e-2, t_final=0.25, n_steps=250, x0=None):
     noise = make_noise(seed=seed, t_final=t_final, n_steps=n_steps)
     if x0 is None:
         x0 = Field(G, np.zeros(63))
-    cfg = SolverConfig(epsilon=eps, dt=t_final / n_steps, t_final=t_final)
+    cfg = SolverConfig(epsilon=eps)
     return solve_path(x0, noise, cfg), x0
 
 
@@ -63,9 +63,9 @@ def zero_traj(n_steps=50, t_final=0.1):
         t_final=t_final,
         n_steps=n_steps,
     )
-    noise = synthesize(spec, G, eigensystem(G, 1))
+    noise = synthesize(spec, eigensystem(G, 1))
     x0 = Field(G, np.zeros(63))
-    cfg = SolverConfig(epsilon=1e-2, dt=t_final / n_steps, t_final=t_final)
+    cfg = SolverConfig(epsilon=1e-2)
     return solve_path(x0, noise, cfg), x0
 
 
@@ -113,7 +113,7 @@ class TestTestProcess:
     def test_commutation_of_resolvent_and_differencing(self):
         traj, _ = make_traj(n_steps=50)
         z = build_test_process(traj, 1e-2)
-        dt = traj.config.dt
+        dt = traj.noise.dt
         dy = np.empty_like(traj.y_fields)
         dy[1:-1] = (traj.y_fields[2:] - traj.y_fields[:-2]) / (2 * dt)
         dy[0] = (traj.y_fields[1] - traj.y_fields[0]) / dt
@@ -174,7 +174,7 @@ class TestVariationalResidual:
         z = build_test_process(traj, 1e-2)
         rep = variational_residual(z)
         assert rep.passed
-        assert rep.scalars["tol_vi"] == 0.05 * (traj.config.dt + traj.config.epsilon)
+        assert rep.scalars["tol_vi"] == 0.05 * (traj.noise.dt + traj.config.epsilon)
 
     def test_residual_shrinks_under_joint_refinement(self):
         # same driving path, (dt, eps) halved together: the residual
@@ -184,13 +184,13 @@ class TestVariationalResidual:
             k_max=8, gammas=PowerLawGammas(gamma0=1.0, decay=8.0),
             seed=7, t_final=T, n_steps=n_fine,
         )
-        fine = synthesize(spec, G, E)
+        fine = synthesize(spec, E)
         x0 = Field(G, np.zeros(63))
         mags = []
         for lvl in range(3):
             n_steps = 250 * 2**lvl
             path = restrict(fine, n_fine // n_steps)
-            cfg = SolverConfig(epsilon=1e-2 / 2**lvl, dt=T / n_steps, t_final=T)
+            cfg = SolverConfig(epsilon=1e-2 / 2**lvl)
             traj = solve_path(x0, path, cfg)
             rep = variational_residual(build_test_process(traj, 1e-2))
             mags.append(abs(rep.scalars["max_residual_positive_times"]))
@@ -203,7 +203,7 @@ class TestMeanSquareBound:
             k_max=8, gammas=PowerLawGammas(gamma0=gamma0, decay=8.0),
             seed=seed, t_final=0.1, n_steps=50,
         )
-        cfg = SolverConfig(epsilon=1e-2, dt=0.1 / 50, t_final=0.1)
+        cfg = SolverConfig(epsilon=1e-2)
         x0 = Field(grid, np.zeros(63))
         return run_ensemble(x0, eigensystem(grid, 8), spec, cfg, n_paths)
 
@@ -290,7 +290,7 @@ class TestFluxIntegral:
         x0 = Field(G, np.zeros(63))
         vals = []
         for eps in (1e-1, 1e-2, 1e-3, 1e-4):
-            cfg = SolverConfig(epsilon=eps, dt=0.25 / 125, t_final=0.25)
+            cfg = SolverConfig(epsilon=eps)
             vals.append(flux_l1_integral(solve_path(x0, noise, cfg)))
         assert max(vals) / min(vals) <= 10.0
 
@@ -322,10 +322,10 @@ class TestUniquenessDistance:
         coarse_noise = restrict(fine_noise, 4)
         x0 = Field(G, np.zeros(63))
         fine = solve_path(
-            x0, fine_noise, SolverConfig(epsilon=1e-2, dt=0.25 / 200, t_final=0.25)
+            x0, fine_noise, SolverConfig(epsilon=1e-2)
         )
         coarse = solve_path(
-            x0, coarse_noise, SolverConfig(epsilon=1e-2, dt=0.25 / 50, t_final=0.25)
+            x0, coarse_noise, SolverConfig(epsilon=1e-2)
         )
         d = uniqueness_distance(fine, coarse)
         assert 0.0 < d < 0.1
@@ -341,9 +341,9 @@ class TestUniquenessDistance:
     def test_eps_pair_below_sweep_envelope(self):
         noise = make_noise(n_steps=125)
         x0 = Field(G, np.zeros(63))
-        t1 = solve_path(x0, noise, SolverConfig(epsilon=1e-3, dt=0.002, t_final=0.25))
-        t2 = solve_path(x0, noise, SolverConfig(epsilon=5e-4, dt=0.002, t_final=0.25))
-        t3 = solve_path(x0, noise, SolverConfig(epsilon=1e-2, dt=0.002, t_final=0.25))
+        t1 = solve_path(x0, noise, SolverConfig(epsilon=1e-3))
+        t2 = solve_path(x0, noise, SolverConfig(epsilon=5e-4))
+        t3 = solve_path(x0, noise, SolverConfig(epsilon=1e-2))
         near = uniqueness_distance(t1, t2)
         far = uniqueness_distance(t3, t1)
         assert near < far
@@ -386,7 +386,7 @@ class TestTrajectoryDiagnostics:
         x0 = Field(G, np.zeros(63))
         tvs, sups = [], []
         for eps in (1e-1, 1e-2, 1e-3, 1e-4):
-            cfg = SolverConfig(epsilon=eps, dt=0.25 / 125, t_final=0.25)
+            cfg = SolverConfig(epsilon=eps)
             traj = solve_path(x0, noise, cfg)
             tvs.append(total_variation(traj))
             sups.append(hminus1_sup(traj))

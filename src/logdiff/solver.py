@@ -16,24 +16,26 @@ W_{n+1}).  Since F_eps = signed_log(J_eps) + eps*id, with s = signed_log(u)
     Y_{n+1} = u + eps*s - W_{n+1},   F_eps(Y_{n+1} + W_{n+1}) = s + eps*(u + eps*s),
 
 so no scalar root solve runs inside a step.  Newton starts at
-u = Y_n + W_{n+1} and stops once the residual in Y is below newton_tol;
-its Jacobian diag(a) - dt * Lap_h diag(b), with a = 1 + eps/(1+|u|) and
-b = 1/(1+|u|) + eps*a, is tridiagonal.  The residual cannot fall below
-its rounding floor
+u = Y_n + W_{n+1} and stops once the residual in Y is at most newton_tol
+(a NaN residual never is); its Jacobian diag(a) - dt * Lap_h diag(b),
+with a = 1 + eps/(1+|u|) and b = 1/(1+|u|) + eps*a, is tridiagonal and
+strictly diagonally dominant; each iteration solves it by one direct
+LAPACK dgtsv call, which checks nothing for finiteness.  The residual
+cannot fall below its rounding floor
 
     16 * macheps * | |Y_{n+1}| + |Y_n| + 4*(dt/h^2)*|F_eps| |_2,
 
 so when a Newton step fails to halve the residual, or damping finds no
-decrease, Newton also stops if the residual is below that floor.  An
-explicit Euler step (noise evaluated at the left endpoint) serves as an
+decrease, Newton also stops if the residual is finite and below that
+floor.  An explicit Euler step (noise at the left endpoint) is an
 independent cross-check; it refuses to run outside its stability bound
 
     dt * (4/h^2) * max_j F_eps'(Y_n + W_n) <= 1.
 
 The noise path owns the space-time grid: solve_path takes its steps of
-size dt = noise.dt on the noise's own time grid, and a Newton failure
-raises StepFailureError carrying the step index.  X_n = Y_n + W_n is
-not stored; Trajectory.x_fields computes it on each access.
+size dt = noise.dt on the noise's own time grid.  A Newton failure
+(a failed dgtsv, a non-finite residual) raises StepFailureError with
+the step index.  Trajectory.x_fields computes X_n = Y_n + W_n anew.
 """
 
 from __future__ import annotations
@@ -44,11 +46,11 @@ from functools import partial
 from typing import Iterator, Sequence
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgtsv
 
 from .grid import EigenSystem, Field, GridSpec, _hminus1_norms, _laplacian, _norm_l2
 from .noise import NoisePath, NoiseSpec, synthesize
-from .nonlinearity import _check_eps, signed_log, yosida_derivative, yosida_shifted
+from .nonlinearity import _check_eps, yosida_derivative, yosida_shifted
 
 _MAX_DAMPING_HALVINGS = 30
 
@@ -166,22 +168,22 @@ def _step_implicit_core(
     scale = dt / grid.h**2
 
     def state_and_flux(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        s = signed_log(u)
+        s = np.sign(u) * np.log1p(np.abs(u))  # signed_log(u), without its finiteness check
         return u + eps * s - w_next, s + eps * (u + eps * s)
 
     def state_and_residual(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         y, flux = state_and_flux(u)
         return y, y - dt * _laplacian(flux, grid.h) - y_prev
 
-    def floor(u: np.ndarray) -> float:
+    def at_floor(u: np.ndarray, rnorm: float) -> bool:
         y, flux = state_and_flux(u)
-        return _rounding_floor(grid, y, y_prev, flux, dt)
+        return rnorm < np.inf and rnorm <= _rounding_floor(grid, y, y_prev, flux, dt)
 
     u = y_prev + w_next
     y, r = state_and_residual(u)
     rnorm = _norm_l2(grid, r)
     iters = 0
-    while rnorm > newton_tol:
+    while not rnorm <= newton_tol:  # a NaN residual never counts as converged
         if iters >= newton_max_iter:
             raise StepFailureError(
                 f"Newton did not reach tol {newton_tol:.3g} in {newton_max_iter} iterations "
@@ -191,11 +193,9 @@ def _step_implicit_core(
         slope = 1.0 / (1.0 + np.abs(u))
         a = 1.0 + eps * slope
         b = slope + eps * a
-        ab = np.zeros((3, grid.n_interior))
-        ab[0, 1:] = -scale * b[1:]
-        ab[1] = a + 2.0 * scale * b
-        ab[2, :-1] = -scale * b[:-1]
-        delta = solve_banded((1, 1), ab, -r)
+        *_, delta, info = dgtsv(-scale * b[:-1], a + 2.0 * scale * b, -scale * b[1:], -r)
+        if info != 0:
+            raise StepFailureError(f"tridiagonal solve failed (dgtsv info {info})", residual=rnorm)
 
         alpha = 1.0
         for _ in range(_MAX_DAMPING_HALVINGS):
@@ -206,7 +206,7 @@ def _step_implicit_core(
                 break
             alpha *= 0.5
         else:  # no decrease: stop (leave the while loop) if at the floor
-            if rnorm <= floor(u):
+            if at_floor(u, rnorm):
                 break
             raise StepFailureError(
                 f"Newton damping stalled at residual {rnorm:.3g}", residual=rnorm
@@ -214,7 +214,7 @@ def _step_implicit_core(
         stalled = r_try_norm > 0.5 * rnorm
         u, y, r, rnorm = u_try, y_try, r_try, r_try_norm
         iters += 1
-        if stalled and newton_tol < rnorm <= floor(u):
+        if stalled and rnorm > newton_tol and at_floor(u, rnorm):
             break
     return y, iters, rnorm
 

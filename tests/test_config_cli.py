@@ -308,6 +308,24 @@ class TestCliSimulate:
         out = tmp_path / "out"
         assert main(["simulate", "--config", cfg, "--out", str(out), "--paths", "1"]) == 3
 
+    def test_failed_tridiagonal_solve_exit_3(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr("logdiff.solver.dgtsv", lambda dl, d, du, b: (dl, d, du, b, 1))
+        cfg = write(tmp_path / "c.cfg", BASE)
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", cfg, "--out", str(out), "--paths", "1"]) == 3
+        assert "step 0 failed: tridiagonal solve failed" in capsys.readouterr().err
+
+    def test_overflowed_residual_exit_3(self, tmp_path, capsys):
+        # the residual norm and its rounding floor both overflow to inf; neither counts as converged
+        text = ("[grid]\nn_interior = 31\n[initial]\nprofile = bump\namplitude = 1e300\n"
+                "[solver]\nt_final = 0.005\n")
+        cfg = write(tmp_path / "c.cfg", text)
+        out = tmp_path / "out"
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            assert main(["simulate", "--config", cfg, "--out", str(out), "--paths", "1"]) == 3
+        assert "solver failure: step 0 failed" in capsys.readouterr().err
+        assert not (out / "summary.csv").exists()
+
     def test_failed_decay_check_exit_1(self, tmp_path, capsys):
         text = "[grid]\nn_interior = 31\n[noise]\ngamma_decay = 4.0\n"
         cfg = write(tmp_path / "c.cfg", text)
@@ -326,7 +344,7 @@ class TestCliSimulate:
         def singular(*args, **kwargs):
             raise np.linalg.LinAlgError("singular matrix")
 
-        monkeypatch.setattr("logdiff.solver.solve_banded", singular)
+        monkeypatch.setattr("logdiff.solver.dgtsv", singular)
         cfg = write(tmp_path / "c.cfg", BASE)
         with pytest.raises(np.linalg.LinAlgError):
             main(["simulate", "--config", cfg, "--out", str(tmp_path / "out"), "--paths", "1"])

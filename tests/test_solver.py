@@ -6,7 +6,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgtsv as DGTSV
 
+import logdiff.nonlinearity
 import logdiff.solver
 from logdiff.grid import Field, GridSpec, eigensystem, norm_hminus1, norm_l2
 from logdiff.noise import ExplicitGammas, NoiseSpec, PowerLawGammas, synthesize
@@ -16,6 +18,7 @@ from logdiff.solver import (
     StabilityError,
     StepFailureError,
     _rounding_floor,
+    _step_implicit_core,
     epsilon_sweep,
     run_ensemble,
     solve_path,
@@ -49,6 +52,25 @@ def default_noise(grid, eigen, seed=42, t_final=0.5, n_steps=200):
         n_steps=n_steps,
     )
     return synthesize(spec, eigen)
+
+
+def spy_dgtsv(monkeypatch):
+    """Record copies of (dl, d, du, b) for each dgtsv call the solver makes."""
+    calls = []
+
+    def spy(dl, d, du, b):
+        calls.append(tuple(np.array(v) for v in (dl, d, du, b)))
+        return DGTSV(dl, d, du, b)
+
+    monkeypatch.setattr("logdiff.solver.dgtsv", spy)
+    return calls
+
+
+def sine_run(grid, eps, t_final=0.05, n_steps=20):
+    """Solve from sin(pi x) on a default noise path; returns (noise, trajectory)."""
+    noise = default_noise(grid, eigensystem(grid, 8), t_final=t_final, n_steps=n_steps)
+    x0 = Field(grid, np.sin(np.pi * grid.nodes))
+    return noise, solve_path(x0, noise, SolverConfig(epsilon=eps))
 
 
 class TestSolverConfig:
@@ -234,22 +256,74 @@ class TestSolvePath:
         assert np.all(traj.newton_residuals <= cfg.newton_tol)
         assert np.all(traj.substeps == 1)
 
-    def test_band_matrix_is_finite_with_zero_corners(self, monkeypatch):
-        # solve_banded rejects a band array with a non-finite entry anywhere,
-        # including the two corners outside the tridiagonal matrix
-        seen = []
+    def test_newton_matrix_is_the_tridiagonal_jacobian(self, monkeypatch):
+        calls = spy_dgtsv(monkeypatch)
+        eps, n = 1e-2, G127.n_interior
+        noise, traj = sine_run(G127, eps)
+        for dl, d, du, _ in calls:
+            assert (dl.shape, d.shape, du.shape) == ((n - 1,), (n,), (n - 1,))
+            assert np.all(np.isfinite(dl)) and np.all(np.isfinite(d)) and np.all(np.isfinite(du))
+        # each step's first Newton iteration linearizes at u = Y_n + W_{n+1}
+        lap = (np.eye(n, k=-1) - 2.0 * np.eye(n) + np.eye(n, k=1)) / G127.h**2
+        first = np.concatenate([[0], np.cumsum(traj.newton_iters)[:-1]])
+        for step, call in enumerate(first):
+            slope = 1.0 / (1.0 + np.abs(traj.y_fields[step] + noise.values[step + 1]))
+            a = 1.0 + eps * slope
+            jac = np.diag(a) - noise.dt * lap @ np.diag(slope + eps * a)
+            dl, d, du, _ = calls[call]
+            for k, diagonal in ((-1, dl), (0, d), (1, du)):
+                np.testing.assert_allclose(diagonal, np.diag(jac, k), rtol=1e-14, atol=0)
 
-        def checked(l_and_u, ab, b):
-            assert np.all(np.isfinite(ab))
-            assert ab[0, 0] == ab[2, -1] == 0.0
-            seen.append(ab.shape)
-            return solve_banded(l_and_u, ab, b)
+    @pytest.mark.parametrize("eps", [1e-1, 1e-4])
+    @pytest.mark.parametrize("n", [31, 127, 1023])
+    def test_dgtsv_is_bitwise_solve_banded(self, monkeypatch, n, eps):
+        calls = spy_dgtsv(monkeypatch)
+        sine_run(GridSpec(length=1.0, n_interior=n), eps, t_final=5e-3, n_steps=5)
+        assert calls
+        for dl, d, du, rhs in calls:
+            ab = np.zeros((3, n))
+            ab[0, 1:], ab[1], ab[2, :-1] = du, d, dl
+            *_, x, info = DGTSV(dl, d, du, rhs)
+            assert info == 0
+            assert np.array_equal(x, solve_banded((1, 1), ab, rhs))
 
-        monkeypatch.setattr("logdiff.solver.solve_banded", checked)
-        noise = default_noise(G127, E127, t_final=0.05, n_steps=20)
-        cfg = SolverConfig(epsilon=1e-2)
-        solve_path(Field(G127, np.sin(np.pi * G127.nodes)), noise, cfg)
-        assert seen and all(shape == (3, 127) for shape in seen)
+    def test_one_lapack_call_per_newton_iteration(self, monkeypatch):
+        calls = spy_dgtsv(monkeypatch)
+        _, traj = sine_run(G127, 1e-2)
+        assert len(calls) == traj.newton_iters.sum() > traj.n_steps
+
+    def test_no_input_validation_inside_newton(self, monkeypatch):
+        prepared = []
+        prepare = logdiff.nonlinearity._prepare
+        monkeypatch.setattr(
+            "logdiff.nonlinearity._prepare", lambda x: prepared.append(1) or prepare(x)
+        )
+        _, traj = sine_run(G127, 1e-2)
+        assert traj.newton_iters.sum() > 0
+        assert prepared == []
+
+    def test_failed_tridiagonal_solve_fails_its_step(self, monkeypatch):
+        monkeypatch.setattr("logdiff.solver.dgtsv", lambda dl, d, du, b: (dl, d, du, b, 1))
+        with pytest.raises(StepFailureError, match="dgtsv info 1") as err:
+            sine_run(G127, 1e-2)
+        assert err.value.step == 0
+
+    def test_nan_residual_never_counts_as_converged(self):
+        # the step does not validate its inputs; a NaN state must still fail it
+        y_prev, w_next = np.full(15, np.nan), np.zeros(15)
+        with pytest.raises(StepFailureError):
+            _step_implicit_core(y_prev, w_next, G15, 1e-2, 1e-3, 1e-10, 50)
+
+    def test_overflowed_residual_is_not_at_the_rounding_floor(self):
+        # near 1e300 the residual norm and its rounding floor both overflow to inf
+        grid = GridSpec(length=1.0, n_interior=31)
+        noise = default_noise(grid, eigensystem(grid, 8), t_final=5e-3, n_steps=5)
+        x0 = Field(grid, 1e300 * grid.nodes * (1.0 - grid.nodes))
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            with pytest.raises(StepFailureError) as err:
+                solve_path(x0, noise, SolverConfig(epsilon=1e-2))
+        assert err.value.step == 0
+        assert err.value.residual == np.inf
 
     def test_grid_mismatch_rejected(self):
         noise = default_noise(G127, E127)

@@ -12,15 +12,9 @@ from .grid import (
     Field,
     GridSpec,
     eigensystem,
-    inner_hminus1,
-    inner_l2,
-    laplacian_apply,
-    laplacian_resolvent,
     neg_laplacian_inverse,
     norm_hminus1,
     norm_l2,
-    norm_linf,
-    norm_lp,
 )
 from .noise import (
     ExplicitGammas,
@@ -84,17 +78,11 @@ __all__ = [
     "epsilon_sweep",
     "flux_l1_integral",
     "hminus1_sup",
-    "inner_hminus1",
-    "inner_l2",
-    "laplacian_apply",
-    "laplacian_resolvent",
     "mean_square_bound",
     "moreau_envelope",
     "neg_laplacian_inverse",
     "norm_hminus1",
     "norm_l2",
-    "norm_linf",
-    "norm_lp",
     "parse_config",
     "potential",
     "resolvent",

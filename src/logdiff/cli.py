@@ -20,8 +20,9 @@ import numpy as np
 
 from . import __version__
 from .config import SCHEMA_VERSION, ConfigError, ExperimentConfig, parse_config
-from .grid import norm_hminus1, norm_l2
+from .grid import EigenSystem, norm_hminus1, norm_l2
 from .noise import (
+    DecayReport,
     OscillationError,
     modulus_of_continuity,
     sup_norm_estimate,
@@ -94,11 +95,10 @@ def _summary_row(index: int, traj) -> list:
             float(np.max(traj.newton_residuals)), int(np.sum(traj.substeps))]
 
 
-def cmd_simulate(cfg: ExperimentConfig, out_dir: str, n_paths: int, dump: bool) -> int:
-    grid = cfg.grid_spec()
-    eigen = cfg.eigen(grid)
+def cmd_simulate(cfg: ExperimentConfig, eigen: EigenSystem, out_dir: str, n_paths: int,
+                 dump: bool) -> int:
     rows: list = []
-    for traj in run_ensemble(cfg.initial_datum(grid, eigen), eigen, cfg.noise_spec(),
+    for traj in run_ensemble(cfg.initial_datum(eigen.grid, eigen), eigen, cfg.noise_spec(),
                              cfg.solver_config(), n_paths, workers=cfg.output.workers,
                              override_decay_check=cfg.noise.override_decay_check):
         if dump:
@@ -110,11 +110,9 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir: str, n_paths: int, dump: bool) 
     return EXIT_OK
 
 
-def cmd_sweep_eps(cfg: ExperimentConfig, out_dir: str) -> int:
-    grid = cfg.grid_spec()
-    eigen = cfg.eigen(grid)
+def cmd_sweep_eps(cfg: ExperimentConfig, eigen: EigenSystem, out_dir: str) -> int:
     path = synthesize(cfg.noise_spec(), eigen, override_decay_check=cfg.noise.override_decay_check)
-    x0 = cfg.initial_datum(grid, eigen)
+    x0 = cfg.initial_datum(eigen.grid, eigen)
     report = epsilon_sweep(x0, path, cfg.solver_config(), cfg.solver.epsilon_list)
 
     eps = report.epsilons
@@ -132,10 +130,8 @@ def cmd_sweep_eps(cfg: ExperimentConfig, out_dir: str) -> int:
     return EXIT_OK
 
 
-def cmd_verify(cfg: ExperimentConfig, out_dir: str, n_paths: int) -> int:
-    grid = cfg.grid_spec()
-    eigen = cfg.eigen(grid)
-    x0 = cfg.initial_datum(grid, eigen)
+def cmd_verify(cfg: ExperimentConfig, eigen: EigenSystem, out_dir: str, n_paths: int) -> int:
+    x0 = cfg.initial_datum(eigen.grid, eigen)
     spec, solver_cfg = cfg.noise_spec(), cfg.solver_config()
     base_path = synthesize(spec, eigen, override_decay_check=cfg.noise.override_decay_check)
     # the base path at [solver] epsilon, solved on first need: it is ensemble path 0,
@@ -178,10 +174,9 @@ def cmd_verify(cfg: ExperimentConfig, out_dir: str, n_paths: int) -> int:
     return EXIT_OK if overall else EXIT_CHECK_FAILED
 
 
-def cmd_noise_check(cfg: ExperimentConfig, out_dir: str, n_paths: int) -> int:
-    eigen = cfg.eigen(cfg.grid_spec())
+def cmd_noise_check(cfg: ExperimentConfig, eigen: EigenSystem, report: DecayReport,
+                    out_dir: str, n_paths: int) -> int:
     spec = cfg.noise_spec()
-    report = validate_decay(spec, eigen)
     _write_csv(
         os.path.join(out_dir, "decay_report.csv"),
         ["k_max", "sum_gamma_sq_lambda_sq", "sum_gamma_lambda_cubed",
@@ -277,7 +272,8 @@ def main(argv=None) -> int:
         if (args.command == "verify" and "mean_square" in cfg.verify.checks
                 and n_paths < MEAN_SQUARE_MIN_PATHS):
             raise ConfigError(f"mean_square needs >= {MEAN_SQUARE_MIN_PATHS} paths, got {n_paths}")
-        decay = validate_decay(cfg.noise_spec(), cfg.eigen(cfg.grid_spec()))
+        eigen = cfg.eigen(cfg.grid_spec())  # carries the grid; every command shares it
+        decay = validate_decay(cfg.noise_spec(), eigen)
         # noise-check reports a failed decay check in its own output files
         if args.command != "noise-check" and not (decay.ok or cfg.noise.override_decay_check):
             print(f"check failure: noise amplitudes fail the decay check (margins "
@@ -289,12 +285,12 @@ def main(argv=None) -> int:
 
         if args.command == "simulate":
             dump = args.dump_trajectories or cfg.output.dump_trajectories
-            return cmd_simulate(cfg, out_dir, n_paths, dump)
+            return cmd_simulate(cfg, eigen, out_dir, n_paths, dump)
         if args.command == "sweep-eps":
-            return cmd_sweep_eps(cfg, out_dir)
+            return cmd_sweep_eps(cfg, eigen, out_dir)
         if args.command == "verify":
-            return cmd_verify(cfg, out_dir, n_paths)
-        return cmd_noise_check(cfg, out_dir, n_paths)
+            return cmd_verify(cfg, eigen, out_dir, n_paths)
+        return cmd_noise_check(cfg, eigen, decay, out_dir, n_paths)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR

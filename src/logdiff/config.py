@@ -19,6 +19,7 @@ import numpy as np
 
 from .grid import EigenSystem, Field, GridSpec, eigensystem
 from .noise import NoiseSpec, PowerLawGammas
+from .solver import SolverConfig
 
 SCHEMA_VERSION = "1"
 
@@ -107,9 +108,7 @@ class ExperimentConfig:
             n_steps=round(self.solver.t_final / self.solver.dt),
         )
 
-    def solver_config(self):
-        from .solver import SolverConfig
-
+    def solver_config(self) -> SolverConfig:
         return SolverConfig(
             epsilon=self.solver.epsilon,
             newton_tol=self.solver.newton_tol,

@@ -18,8 +18,9 @@ so |e_k|_-1 = lambda_k^(-1/2) holds exactly for the stencil eigenpairs
     e_k(j)    = sqrt(2/L) * sin(k*pi*j/(n+1)),
     lambda_k  = (4/h^2) * sin(k*pi*h/(2L))^2.
 
-All public operations take and return immutable ``Field`` values; the
-underscore-prefixed array helpers are the in-package hot paths.
+``Field`` is the immutable value type for data and eigenvectors.  The
+operations are the underscore-prefixed array cores on plain arrays;
+norm_l2, norm_hminus1 and neg_laplacian_inverse wrap them for Fields.
 """
 
 from __future__ import annotations
@@ -109,13 +110,6 @@ class EigenSystem:
     def k_max(self) -> int:
         return self.eigenvalues.shape[0]
 
-    @property
-    def modes(self) -> list[tuple[int, float, Field]]:
-        return [
-            (k + 1, float(self.eigenvalues[k]), Field(self.grid, self.eigenvectors[k]))
-            for k in range(self.k_max)
-        ]
-
     def vector(self, k: int) -> Field:
         """Eigenvector e_k, 1-based index."""
         return Field(self.grid, self.eigenvectors[k - 1])
@@ -174,10 +168,6 @@ def _norm_l2(grid: GridSpec, v: np.ndarray) -> float:
     return float(np.sqrt(grid.h * np.dot(v, v)))
 
 
-def _inner_hminus1(grid: GridSpec, u: np.ndarray, v: np.ndarray) -> float:
-    return float(grid.h * np.dot(_solve_neg_laplacian(grid, u), v))
-
-
 def _hminus1_norms(grid: GridSpec, rows: np.ndarray) -> np.ndarray:
     """H^-1 norm of each row of a (m, n) array in one banded solve."""
     sol = _solve_neg_laplacian(grid, rows.T)
@@ -186,57 +176,19 @@ def _hminus1_norms(grid: GridSpec, rows: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# public Field operations
-
-def _check_same_grid(f: Field, g: Field) -> None:
-    if f.grid != g.grid:
-        raise ValueError("fields live on different grids")
-
-
-def laplacian_apply(f: Field) -> Field:
-    """Apply the Dirichlet Laplacian Lap_h (negative semidefinite sign)."""
-    return Field(f.grid, _laplacian(f.values.copy(), f.grid.h))
-
+# Field-level entry points
 
 def neg_laplacian_inverse(f: Field) -> Field:
     """Direct tridiagonal solve of (-Lap_h) u = f."""
     return Field(f.grid, _solve_neg_laplacian(f.grid, f.values))
 
 
-def laplacian_resolvent(mu: float, f: Field) -> Field:
-    """Direct solve of (I - mu*Lap_h) u = f, mu > 0."""
-    if not (np.isfinite(mu) and mu > 0):
-        raise ValueError(f"mu must be positive and finite, got {mu}")
-    return Field(f.grid, _solve_resolvent(f.grid, mu, f.values))
-
-
-def inner_l2(f: Field, g: Field) -> float:
-    """(f, g)_2 = h * sum_j f_j g_j."""
-    _check_same_grid(f, g)
-    return float(f.grid.h * np.dot(f.values, g.values))
-
-
 def norm_l2(f: Field) -> float:
     return _norm_l2(f.grid, f.values)
 
 
-def norm_lp(f: Field, p: float) -> float:
-    """(h * sum_j |f_j|^p)^(1/p) for finite p >= 1."""
-    if not (np.isfinite(p) and p >= 1):
-        raise ValueError(f"p must be finite and >= 1, got {p}")
-    return float((f.grid.h * np.sum(np.abs(f.values) ** p)) ** (1.0 / p))
-
-
-def norm_linf(f: Field) -> float:
-    return float(np.max(np.abs(f.values)))
-
-
-def inner_hminus1(f: Field, g: Field) -> float:
-    """<f, g>_-1 = ((-Lap_h)^-1 f, g)_2."""
-    _check_same_grid(f, g)
-    return _inner_hminus1(f.grid, f.values, g.values)
-
-
 def norm_hminus1(f: Field) -> float:
-    sq = _inner_hminus1(f.grid, f.values, f.values)
+    """|f|_-1 = sqrt(((-Lap_h)^-1 f, f)_2)."""
+    v = f.values
+    sq = float(f.grid.h * np.dot(_solve_neg_laplacian(f.grid, v), v))
     return float(np.sqrt(max(sq, 0.0)))

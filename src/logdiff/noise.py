@@ -103,11 +103,6 @@ class NoiseSpec:
         return self.t_final / self.n_steps
 
 
-def time_grid(t_final: float, n_steps: int) -> np.ndarray:
-    """Uniform grid 0 = t_0 < ... < t_N = t_final, N = n_steps."""
-    return np.linspace(0.0, t_final, n_steps + 1)
-
-
 @dataclass(frozen=True, eq=False)
 class NoisePath:
     """One realized path of the spectral noise on a space-time grid.
@@ -228,7 +223,8 @@ def synthesize(
     for k in range(spec.k_max):
         if gam[k] != 0.0:
             values += np.outer(gam[k] * brownian[:, k], eigen.eigenvectors[k])
-    return NoisePath(spec, eigen.grid, time_grid(spec.t_final, spec.n_steps), values, brownian)
+    times = np.linspace(0.0, spec.t_final, spec.n_steps + 1)
+    return NoisePath(spec, eigen.grid, times, values, brownian)
 
 
 def sup_norm_estimate(path: NoisePath) -> float:

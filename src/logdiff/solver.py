@@ -148,9 +148,6 @@ class Trajectory:
         ones.flags.writeable = False
         return ones
 
-    def y_field(self, n: int) -> Field:
-        return Field(self.grid, self.y_fields[n])
-
     def x_field(self, n: int) -> Field:
         return Field(self.grid, self.y_fields[n] + self.noise.values[n])
 
@@ -235,29 +232,6 @@ def _step_explicit_core(
     if bound > 1.0:
         raise StabilityError(bound, dt)
     return y_prev + dt * _laplacian(yosida_shifted(eps, z), grid.h)
-
-
-def step_implicit(y_prev: Field, w_next: Field, dt: float, cfg: SolverConfig) -> Field:
-    """One implicit Euler step of size dt with the end-point noise value."""
-    if y_prev.grid != w_next.grid:
-        raise ValueError("state and noise fields live on different grids")
-    if not (np.isfinite(dt) and dt > 0):
-        raise ValueError(f"dt must be positive and finite, got {dt}")
-    y, _, _ = _step_implicit_core(
-        y_prev.values.copy(), w_next.values, y_prev.grid,
-        cfg.epsilon, dt, cfg.newton_tol, cfg.newton_max_iter,
-    )
-    return Field(y_prev.grid, y)
-
-
-def step_explicit(y_prev: Field, w_prev: Field, dt: float, cfg: SolverConfig) -> Field:
-    """One explicit Euler step of size dt; raises StabilityError outside its guard."""
-    if y_prev.grid != w_prev.grid:
-        raise ValueError("state and noise fields live on different grids")
-    if not (np.isfinite(dt) and dt > 0):
-        raise ValueError(f"dt must be positive and finite, got {dt}")
-    y = _step_explicit_core(y_prev.values.copy(), w_prev.values, y_prev.grid, cfg.epsilon, dt)
-    return Field(y_prev.grid, y)
 
 
 def solve_path(x0: Field, noise: NoisePath, cfg: SolverConfig) -> Trajectory:

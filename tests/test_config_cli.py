@@ -490,6 +490,27 @@ class TestCliOther:
         assert main(["noise-check", "--config", cfg, "--out", str(out)]) == 1
         assert (out / "decay_report.csv").exists()
 
+    @pytest.mark.parametrize("command", ["noise-check", "simulate"])
+    def test_eigensystem_and_decay_check_run_once(self, tmp_path, monkeypatch, command):
+        calls = []
+
+        def spy_on(target):
+            module, name = target.rsplit(".", 1)
+            real = getattr(sys.modules[module], name)
+
+            def spy(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(target, spy)
+
+        spy_on("logdiff.cli.validate_decay")
+        spy_on("logdiff.config.eigensystem")
+        cfg = write(tmp_path / "c.cfg", BASE)
+        out = tmp_path / "out"
+        assert main([command, "--config", cfg, "--paths", "3", "--out", str(out)]) == 0
+        assert sorted(calls) == ["eigensystem", "validate_decay"]
+
     def test_version_string(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["--version"])

@@ -43,6 +43,7 @@ from .solver import (
     epsilon_sweep,
     run_ensemble,
     solve_path,
+    solve_rows,
 )
 from .verifier import (
     Report,
@@ -90,6 +91,7 @@ __all__ = [
     "run_ensemble",
     "signed_log",
     "solve_path",
+    "solve_rows",
     "synthesize",
     "total_variation",
     "uniqueness_distance",

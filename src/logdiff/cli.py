@@ -13,8 +13,6 @@ import csv
 import os
 import sys
 from dataclasses import replace
-from functools import cache
-from itertools import chain
 
 import numpy as np
 
@@ -29,7 +27,14 @@ from .noise import (
     synthesize,
     validate_decay,
 )
-from .solver import StepFailureError, epsilon_sweep, run_ensemble, solve_path
+# solve_path is not called here, but the benchmark's tracer wraps it under this module
+from .solver import (  # noqa: F401
+    StepFailureError,
+    epsilon_sweep,
+    run_ensemble,
+    solve_path,
+    solve_rows,
+)
 from .verifier import (
     MEAN_SQUARE_MIN_PATHS,
     build_test_process,
@@ -104,7 +109,7 @@ def cmd_simulate(cfg: ExperimentConfig, eigen: EigenSystem, out_dir: str, n_path
         if dump:
             _dump_trajectory(traj, out_dir, len(rows))
         rows.append(_summary_row(len(rows), traj))
-        del traj  # drop it before the next path is solved: one trajectory alive at a time
+        del traj  # hold no path already written while the next batch is solved
     _write_csv(os.path.join(out_dir, "summary.csv"), _SUMMARY_HEADER, rows)
     print(f"simulate: {n_paths} path(s) -> {os.path.join(out_dir, 'summary.csv')}")
     return EXIT_OK
@@ -133,33 +138,45 @@ def cmd_sweep_eps(cfg: ExperimentConfig, eigen: EigenSystem, out_dir: str) -> in
 def cmd_verify(cfg: ExperimentConfig, eigen: EigenSystem, out_dir: str, n_paths: int) -> int:
     x0 = cfg.initial_datum(eigen.grid, eigen)
     spec, solver_cfg = cfg.noise_spec(), cfg.solver_config()
-    base_path = synthesize(spec, eigen, override_decay_check=cfg.noise.override_decay_check)
-    # the base path at [solver] epsilon, solved on first need: it is ensemble path 0,
-    # the diagnostic solve at that eps and the variational check's trajectory
-    base = cache(lambda: solve_path(x0, base_path, solver_cfg))
+    eps = solver_cfg.epsilon
     checks = cfg.verify.checks
-    reports = []
-
-    if "mean_square" in checks:
-        rest = run_ensemble(x0, eigen, replace(spec, seed=spec.seed + 1), solver_cfg,
-                            n_paths - 1, workers=cfg.output.workers,
-                            override_decay_check=cfg.noise.override_decay_check)
-        reports.append(mean_square_bound(chain([base()], rest)))
-
     diagnostics = ("flux_l1", "total_variation", "hminus1_sup")
     diag_eps = cfg.verify.diag_epsilons if any(c in checks for c in diagnostics) else ()
+    # every (seed, eps) row, in the order the checks read them; the base row (seed, eps)
+    # is ensemble path 0, the diagnostic solve at that eps and the variational trajectory
+    base_row = (spec.seed, eps)
+    rows = [(spec.seed + i, eps) for i in range(n_paths)] if "mean_square" in checks else []
+    for e in diag_eps:
+        if e != eps or base_row not in rows:
+            rows.append((spec.seed, e))
+    if "variational" in checks and base_row not in rows:
+        rows.append(base_row)
+    solved = solve_rows(x0, eigen, spec, solver_cfg, rows, workers=cfg.output.workers,
+                        override_decay_check=cfg.noise.override_decay_check)
+    kept = {}
+
+    def trajectory(row):  # the next solved row; the base row's is kept and solved once
+        if row not in kept:
+            traj = next(solved)
+            if row != base_row:
+                return traj
+            kept[row] = traj
+        return kept[row]
+
+    reports = []
+    if "mean_square" in checks:
+        reports.append(mean_square_bound(trajectory((spec.seed + i, eps)) for i in range(n_paths)))
     values = []
     for e in diag_eps:
-        traj = (base() if e == solver_cfg.epsilon
-                else solve_path(x0, base_path, replace(solver_cfg, epsilon=e)))
+        traj = trajectory((spec.seed, e))
         values.append((flux_l1_integral(traj), total_variation(traj), hminus1_sup(traj)))
-        del traj  # drop it before the next eps is solved: one trajectory alive besides the base
     reports += [spread_report(name, diag_eps, column, cfg.verify.ratio_max)
                 for name, column in zip(diagnostics, zip(*values)) if name in checks]
     if "variational" in checks:
-        z = build_test_process(base(), cfg.verify.mu)
+        base = trajectory(base_row)
+        z = build_test_process(base, cfg.verify.mu)
         reports.append(variational_residual(z, tol_vi=cfg.verify.tol_vi))
-        self_rep = variational_residual(self_test_process(base()), tol_vi=1e-9)
+        self_rep = variational_residual(self_test_process(base), tol_vi=1e-9)
         reports[-1].flags.append(replace(self_rep.flags[0], name="self_test_residual"))
 
     for report in reports:

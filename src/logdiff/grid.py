@@ -136,9 +136,10 @@ def eigensystem(grid: GridSpec, k_max: int) -> EigenSystem:
 # array cores (package-internal hot paths; inputs are plain 1-d/2-d arrays)
 
 def _laplacian(v: np.ndarray, h: float) -> np.ndarray:
+    """Lap_h along the last axis, so each row of a (m, n) array separately."""
     out = -2.0 * v
-    out[:-1] += v[1:]
-    out[1:] += v[:-1]
+    out[..., :-1] += v[..., 1:]
+    out[..., 1:] += v[..., :-1]
     out /= h * h
     return out
 
@@ -166,6 +167,11 @@ def _solve_resolvent(grid: GridSpec, mu: float, rhs: np.ndarray) -> np.ndarray:
 
 def _norm_l2(grid: GridSpec, v: np.ndarray) -> float:
     return float(np.sqrt(grid.h * np.dot(v, v)))
+
+
+def _norms_l2(grid: GridSpec, rows: np.ndarray) -> np.ndarray:
+    """L2 norm along the last axis; np.vecdot gives each row the bits of _norm_l2's np.dot."""
+    return np.sqrt(grid.h * np.vecdot(rows, rows))
 
 
 def _hminus1_norms(grid: GridSpec, rows: np.ndarray) -> np.ndarray:

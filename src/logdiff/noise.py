@@ -170,8 +170,7 @@ def validate_decay(spec: NoiseSpec, eigen: EigenSystem) -> DecayReport:
     (the equation is then deterministic), and explicit finite tables
     are valid by construction.
     """
-    if eigen.k_max < spec.k_max:
-        raise ValueError(f"eigensystem holds {eigen.k_max} modes, need {spec.k_max}")
+    _require_modes(spec, eigen)
     gam = spec.gammas.values(spec.k_max)
     lam = eigen.eigenvalues[: spec.k_max]
     s_sq = float(np.sum(gam**2 * lam**2))
@@ -187,6 +186,22 @@ def validate_decay(spec: NoiseSpec, eigen: EigenSystem) -> DecayReport:
     return DecayReport(spec.k_max, s_sq, s_lin, margin_sq, margin_lin, ok)
 
 
+def _require_modes(spec: NoiseSpec, eigen: EigenSystem) -> None:
+    if eigen.k_max < spec.k_max:
+        raise ValueError(f"eigensystem holds {eigen.k_max} modes, need {spec.k_max}")
+
+
+def _require_decay(spec: NoiseSpec, eigen: EigenSystem) -> None:
+    """Raise ValueError unless the amplitudes pass validate_decay."""
+    report = validate_decay(spec, eigen)
+    if not report.ok:
+        raise ValueError(
+            "noise amplitudes fail the decay check "
+            f"(margins {report.margin_square_sum}, {report.margin_linear_sum}); "
+            "pass override_decay_check=True to synthesize anyway"
+        )
+
+
 def synthesize(
     spec: NoiseSpec,
     eigen: EigenSystem,
@@ -200,13 +215,10 @@ def synthesize(
     first K modes does not depend on k_max >= K.  Requires a passing
     decay report unless ``override_decay_check`` is set.
     """
-    report = validate_decay(spec, eigen)
-    if not report.ok and not override_decay_check:
-        raise ValueError(
-            "noise amplitudes fail the decay check "
-            f"(margins {report.margin_square_sum}, {report.margin_linear_sum}); "
-            "pass override_decay_check=True to synthesize anyway"
-        )
+    if override_decay_check:
+        _require_modes(spec, eigen)
+    else:
+        _require_decay(spec, eigen)
 
     n_rows = spec.n_steps + 1
     sqrt_dt = np.sqrt(spec.dt)

@@ -25,13 +25,14 @@ and J_eps(x) = x/(1 + eps) to first order, used for |x| < 1e-8, where
 eps*w - 1 loses J to cancellation.  It serves the public maps here and
 the verifier; the solver's implicit step needs no resolvent, because it
 takes u = J_eps(x) as its unknown and evaluates the flux as
-signed_log(u) + eps*x with x = u + eps*signed_log(u).
+signed_log(u) + eps*x with x = u + eps*signed_log(u).  So scipy.special,
+which holds Wright omega, is imported on the resolvent's first call:
+`simulate`, `sweep-eps` and `noise-check` never load it.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import wrightomega
 
 _LINEAR_BELOW = 1e-8
 
@@ -68,6 +69,8 @@ def potential(x):
 
 def _resolvent(eps, arr: np.ndarray) -> np.ndarray:
     """Closed-form J_eps through Wright omega, linear near 0."""
+    from scipy.special import wrightomega  # loaded on the first call (module docstring)
+
     a = np.abs(arr)
     j = np.sign(arr) * (eps * wrightomega((1.0 + a) / eps - np.log(eps)) - 1.0)
     return np.where(a < _LINEAR_BELOW, arr / (1.0 + eps), j)

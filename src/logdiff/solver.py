@@ -18,9 +18,8 @@ W_{n+1}).  Since F_eps = signed_log(J_eps) + eps*id, with s = signed_log(u)
 so no scalar root solve runs inside a step.  Newton starts at
 u = Y_n + W_{n+1} and stops once the residual in Y is at most newton_tol
 (a NaN residual never is); its Jacobian diag(a) - dt * Lap_h diag(b),
-with a = 1 + eps/(1+|u|) and b = 1/(1+|u|) + eps*a, is tridiagonal and
-strictly diagonally dominant; each iteration solves it by one direct
-LAPACK dgtsv call, which checks nothing for finiteness.  The residual
+with a = 1 + eps/(1+|u|) and b = 1/(1+|u|) + eps*a, is tridiagonal and,
+as a > 0, strictly diagonally dominant in its columns.  The residual
 cannot fall below its rounding floor
 
     16 * macheps * | |Y_{n+1}| + |Y_n| + 4*(dt/h^2)*|F_eps| |_2,
@@ -32,10 +31,35 @@ independent cross-check; it refuses to run outside its stability bound
 
     dt * (4/h^2) * max_j F_eps'(Y_n + W_n) <= 1.
 
-The noise path owns the space-time grid: solve_path takes its steps of
-size dt = noise.dt on the noise's own time grid.  A Newton failure
-(a failed dgtsv, a non-finite residual) raises StepFailureError with
-the step index.  Trajectory.x_fields computes X_n = Y_n + W_n anew.
+Lockstep rows.  One core, _solve_batch, marches a batch of rows, each a
+(noise path, eps) pair on one space-time grid from one datum, through
+the time steps together: a step works on the rows' (P, n) block.  The
+residual, the Jacobian diagonals and the damping are vectorised over
+rows, and per-row L2 norms use np.vecdot, which runs the same BLAS dot
+per row as np.dot does on one row.  Only rows still above tolerance
+iterate; damping, the rounding-floor stop and the iteration budget act
+per row.  Each Newton iteration makes one LAPACK dgtsv call: the rows'
+tridiagonal systems are stacked, each followed by two identity rows with
+zero coupling.  For finite input this gives every row the bits of its
+own dgtsv call: column dominance means dgtsv never swaps rows, so each
+block is eliminated as if alone; the multipliers into and out of the
+identity rows are +0, the identity rows solve to +0, and subtracting +0
+changes no value, not even the sign of a zero.  A non-finite value
+breaks this, since 0*inf carries a NaN across every block boundary, and
+dgtsv's info counts across the whole stack.  So an iteration in which
+a row's residual is not finite, or whose stacked call returns info != 0
+or a non-finite entry, solves its rows with one dgtsv call each.  A
+batch of one row (solve_path) makes that plain call.
+
+When a row's step fails (a failed dgtsv, a non-finite residual, Newton's
+iteration budget, the explicit stability bound) the row stops, and so
+do the rows after it: the batch returns the trajectories of the rows
+before it and the StepFailureError, with the step index, that solving
+that row alone raises.  A batch holds at most _BATCH_VALUES state
+values; solve_rows (and so run_ensemble) and epsilon_sweep cut their
+rows into batches by that one rule.  The noise path owns the space-time
+grid: every step has size dt = noise.dt on the noise's own time grid.
+Trajectory.x_fields computes X_n = Y_n + W_n anew.
 """
 
 from __future__ import annotations
@@ -43,16 +67,20 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, fields, replace
 from functools import partial
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 from scipy.linalg.lapack import dgtsv
 
-from .grid import EigenSystem, Field, GridSpec, _hminus1_norms, _laplacian, _norm_l2
-from .noise import NoisePath, NoiseSpec, synthesize
+from .grid import EigenSystem, Field, GridSpec, _hminus1_norms, _laplacian, _norms_l2
+from .noise import NoisePath, NoiseSpec, _require_decay, synthesize
 from .nonlinearity import _check_eps, yosida_derivative, yosida_shifted
 
 _MAX_DAMPING_HALVINGS = 30
+
+# a batch of rows holds at most this many state values of Y (4 MiB): the 5 desk
+# paths (127 nodes, 500 steps) form one batch, and 8 such paths fill one
+_BATCH_VALUES = 2**19
 
 _SCHEMES = ("implicit", "explicit")
 
@@ -152,117 +180,283 @@ class Trajectory:
         return Field(self.grid, self.y_fields[n] + self.noise.values[n])
 
 
+def _state_and_flux(u: np.ndarray, eps, w_next: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Y = u + eps*s - W and F_eps(Y + W) = s + eps*(u + eps*s), with s = signed_log(u)."""
+    s = np.sign(u) * np.log1p(np.abs(u))  # signed_log(u), without its finiteness check
+    x = u + eps * s  # Y + W
+    return x - w_next, s + eps * x
+
+
 def _step_implicit_core(
     y_prev: np.ndarray,
     w_next: np.ndarray,
     grid: GridSpec,
-    eps: float,
+    eps: np.ndarray,
     dt: float,
     newton_tol: float,
     newton_max_iter: int,
-) -> tuple[np.ndarray, int, float]:
-    """One damped-Newton implicit Euler step in u = J_eps(Y + W); returns (y, iters, residual)."""
-    scale = dt / grid.h**2
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict[int, StepFailureError]]:
+    """One damped-Newton implicit Euler step in u = J_eps(Y + W) for each row of (P, n) arrays.
 
-    def state_and_flux(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        s = np.sign(u) * np.log1p(np.abs(u))  # signed_log(u), without its finiteness check
-        return u + eps * s - w_next, s + eps * (u + eps * s)
+    eps is a (P, 1) column.  Returns (y, iters, residuals, failures): failures maps the
+    position of each row whose Newton failed to its error, and that row's y, iters and
+    residual mean nothing.
+    """
+    h, scale = grid.h, dt / grid.h**2
+    y_out = np.empty_like(y_prev)
+    iters_out = np.zeros(len(y_prev), dtype=int)
+    res_out = np.zeros(len(y_prev))
+    failures: dict[int, StepFailureError] = {}
 
-    def state_and_residual(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        y, flux = state_and_flux(u)
-        return y, y - dt * _laplacian(flux, grid.h) - y_prev
+    def residual(u, e, w, yp):
+        y, flux = _state_and_flux(u, e, w)
+        r = y - dt * _laplacian(flux, h) - yp
+        return y, r, _norms_l2(grid, r)
 
-    def at_floor(u: np.ndarray, rnorm: float) -> bool:
-        y, flux = state_and_flux(u)
-        return rnorm < np.inf and rnorm <= _rounding_floor(grid, y, y_prev, flux, dt)
+    def at_floor(u, rnorm, e, w, yp):
+        y, flux = _state_and_flux(u, e, w)
+        return (rnorm < np.inf) & (rnorm <= _rounding_floor(grid, y, yp, flux, dt))
 
+    def fail(rows, rnorm, message):
+        for p, rn in zip(rows, rnorm):
+            failures[p] = StepFailureError(message.format(rn), residual=float(rn))
+
+    # the rows still iterating: their positions and their own states; all of them have
+    # taken `iters` Newton iterations
+    rows, e, w, yp = np.arange(len(y_prev)), eps, w_next, y_prev
     u = y_prev + w_next
-    y, r = state_and_residual(u)
-    rnorm = _norm_l2(grid, r)
+    y, r, rnorm = residual(u, e, w, yp)
     iters = 0
-    while not rnorm <= newton_tol:  # a NaN residual never counts as converged
+    stop = rnorm <= newton_tol  # a NaN residual never counts as converged
+    while True:
+        n_stop = np.count_nonzero(stop)
+        if n_stop == rows.size:
+            y_out[rows], iters_out[rows], res_out[rows] = y, iters, rnorm
+            break
+        if n_stop:
+            done = rows[stop]
+            y_out[done], iters_out[done], res_out[done] = y[stop], iters, rnorm[stop]
+            keep = ~stop
+            rows, u, y, r, rnorm, e, w, yp = (a[keep] for a in (rows, u, y, r, rnorm, e, w, yp))
         if iters >= newton_max_iter:
-            raise StepFailureError(
-                f"Newton did not reach tol {newton_tol:.3g} in {newton_max_iter} iterations "
-                f"(residual {rnorm:.3g})",
-                residual=rnorm,
-            )
-        slope = 1.0 / (1.0 + np.abs(u))
-        a = 1.0 + eps * slope
-        b = slope + eps * a
-        *_, delta, info = dgtsv(-scale * b[:-1], a + 2.0 * scale * b, -scale * b[1:], -r)
-        if info != 0:
-            raise StepFailureError(f"tridiagonal solve failed (dgtsv info {info})", residual=rnorm)
+            fail(rows, rnorm, f"Newton did not reach tol {newton_tol:.3g} in {newton_max_iter} "
+                 "iterations (residual {:.3g})")
+            break
+        delta, failed = _newton_directions(u, r, rnorm, e, scale)
+        if failed:  # a failed solve fails its row
+            for i, info in failed.items():
+                failures[rows[i]] = StepFailureError(
+                    f"tridiagonal solve failed (dgtsv info {info})", residual=float(rnorm[i]))
+            keep = np.ones(rows.size, dtype=bool)
+            keep[list(failed)] = False
+            rows, u, r, rnorm, e, w, yp, delta = (
+                a[keep] for a in (rows, u, r, rnorm, e, w, yp, delta))
+            if not rows.size:
+                break
 
+        u_try = u + delta
+        y_try, r_try, rn_try = residual(u_try, e, w, yp)
+        pending = (~(rn_try < rnorm)).nonzero()[0]
         alpha = 1.0
-        for _ in range(_MAX_DAMPING_HALVINGS):
-            u_try = u + alpha * delta
-            y_try, r_try = state_and_residual(u_try)
-            r_try_norm = _norm_l2(grid, r_try)
-            if r_try_norm < rnorm:
+        for _ in range(_MAX_DAMPING_HALVINGS - 1):
+            if not pending.size:
                 break
             alpha *= 0.5
-        else:  # no decrease: stop (leave the while loop) if at the floor
-            if at_floor(u, rnorm):
-                break
-            raise StepFailureError(
-                f"Newton damping stalled at residual {rnorm:.3g}", residual=rnorm
-            )
-        stalled = r_try_norm > 0.5 * rnorm
-        u, y, r, rnorm = u_try, y_try, r_try, r_try_norm
+            trial = u[pending] + alpha * delta[pending]
+            y_t, r_t, rn_t = residual(trial, e[pending], w[pending], yp[pending])
+            u_try[pending], y_try[pending], r_try[pending], rn_try[pending] = trial, y_t, r_t, rn_t
+            pending = pending[~(rn_t < rnorm[pending])]
+
+        if pending.size:  # no decrease: the row stops at the rounding floor, or fails
+            floor = at_floor(u[pending], rnorm[pending], e[pending], w[pending], yp[pending])
+            done = pending[floor]
+            at = rows[done]
+            y_out[at], iters_out[at], res_out[at] = y[done], iters, rnorm[done]
+            fail(rows[pending[~floor]], rnorm[pending[~floor]],
+                 "Newton damping stalled at residual {:.3g}")
+            keep = np.ones(rows.size, dtype=bool)
+            keep[pending] = False
+            rows, rnorm, e, w, yp, u_try, y_try, r_try, rn_try = (
+                a[keep] for a in (rows, rnorm, e, w, yp, u_try, y_try, r_try, rn_try))
+
+        stalled = rn_try > 0.5 * rnorm
+        u, y, r, rnorm = u_try, y_try, r_try, rn_try
         iters += 1
-        if stalled and rnorm > newton_tol and at_floor(u, rnorm):
-            break
-    return y, iters, rnorm
+        stop = rnorm <= newton_tol
+        if np.count_nonzero(stalled):
+            check = (stalled & ~stop).nonzero()[0]
+            stop[check] = at_floor(u[check], rnorm[check], e[check], w[check], yp[check])
+    return y_out, iters_out, res_out, failures
+
+
+def _newton_directions(
+    u: np.ndarray, r: np.ndarray, rnorm: np.ndarray, eps: np.ndarray, scale: float
+) -> tuple[np.ndarray, dict[int, int]]:
+    """Solve each row's Jacobian system for its Newton step; returns (delta, failed).
+
+    failed maps the position of each row whose dgtsv call failed to its info.  One
+    dgtsv call takes the rows' tridiagonal systems stacked, each followed by two
+    identity rows.  If a row's residual is not finite, or the stacked call reports
+    info != 0 or a non-finite entry, each row gets a dgtsv call of its own instead
+    (module docstring).
+    """
+    slope = 1.0 / (1.0 + np.abs(u))
+    a = 1.0 + eps * slope
+    b = slope + eps * a
+    k, n = u.shape
+    if k > 1 and np.isfinite(rnorm).all():
+        dl, du, d, rhs = np.empty((4, k, n + 2))
+        np.multiply(-scale, b[:, :-1], out=dl[:, :n - 1])
+        np.multiply(-scale, b[:, 1:], out=du[:, :n - 1])
+        np.multiply(2.0 * scale, b, out=d[:, :n])
+        d[:, :n] += a
+        np.negative(r, out=rhs[:, :n])
+        dl[:, n - 1:] = du[:, n - 1:] = rhs[:, n:] = 0.0  # +0 coupling, identity rows
+        d[:, n:] = 1.0
+        *_, x, info = dgtsv(dl.ravel()[:-1], d.ravel(), du.ravel()[:-1], rhs.ravel())
+        if info == 0 and np.isfinite(x @ x):  # x @ x is finite iff x is (or it overflows)
+            return x.reshape(k, n + 2)[:, :n], {}
+    off, diag = -scale * b, a + 2.0 * scale * b
+    solved = [dgtsv(off[i, :-1], diag[i], off[i, 1:], -r[i])[3:] for i in range(k)]
+    failed = {i: info for i, (_, info) in enumerate(solved) if info != 0}
+    return np.array([x for x, _ in solved]), failed
 
 
 def _rounding_floor(
     grid: GridSpec, y: np.ndarray, y_prev: np.ndarray, flux: np.ndarray, dt: float
-) -> float:
-    """16 macheps | |y| + |y_prev| + 4 (dt/h^2) |flux| |_2, below which rounding hides the residual."""
+) -> np.ndarray:
+    """16 macheps | |y| + |y_prev| + 4 (dt/h^2) |flux| |_2 per row, the residual's floor."""
     bound = np.abs(y) + np.abs(y_prev) + (4.0 * dt / grid.h**2) * np.abs(flux)
-    return 16.0 * np.finfo(float).eps * _norm_l2(grid, bound)
+    return 16.0 * np.finfo(float).eps * _norms_l2(grid, bound)
 
 
 def _step_explicit_core(
-    y_prev: np.ndarray, w_prev: np.ndarray, grid: GridSpec, eps: float, dt: float
+    y_prev: np.ndarray, w_prev: np.ndarray, grid: GridSpec, eps, dt: float
 ) -> np.ndarray:
+    """One explicit Euler step of a state, or of each row of (P, n) states with a (P, 1) eps."""
     z = y_prev + w_prev
-    bound = dt * (4.0 / grid.h**2) * float(np.max(yosida_derivative(eps, z) + eps))
-    if bound > 1.0:
-        raise StabilityError(bound, dt)
+    bound = dt * (4.0 / grid.h**2) * np.max(yosida_derivative(eps, z) + eps, axis=-1)
+    if np.any(bound > 1.0):
+        raise StabilityError(float(np.max(bound)), dt)
     return y_prev + dt * _laplacian(yosida_shifted(eps, z), grid.h)
 
 
+def _step_explicit_rows(y_prev, w_prev, grid, eps, dt) -> tuple[np.ndarray, dict[int, Exception]]:
+    """The explicit step for all rows, or, when that raises, for each row alone: (y, failures)."""
+    try:
+        return _step_explicit_core(y_prev, w_prev, grid, eps, dt), {}
+    except (StabilityError, ValueError):
+        pass
+    y, failures = np.empty_like(y_prev), {}
+    for i in range(len(y_prev)):
+        try:
+            y[i] = _step_explicit_core(y_prev[i], w_prev[i], grid, eps[i, 0], dt)
+        except (StabilityError, ValueError) as exc:
+            failures[i] = exc
+    return y, failures
+
+
+def _solve_batch(
+    x0: Field, cfg: SolverConfig, rows: Sequence[tuple[NoisePath, float]]
+) -> tuple[list[Trajectory], Exception | None]:
+    """March rows (noise path, eps) from x0 in lockstep across their shared time grid.
+
+    Returns the trajectories of the rows before the first row whose step fails, and that
+    row's error (None if no row fails): what solving the rows one at a time yields and raises.
+    """
+    grid = x0.grid
+    if any(path.grid != grid for path, _ in rows):
+        raise ValueError("noise path lives on a different grid")
+    n_steps, dt = rows[0][0].spec.n_steps, rows[0][0].dt
+    ys = [np.empty((n_steps + 1, grid.n_interior)) for _ in rows]
+    iters = np.zeros((len(rows), n_steps), dtype=int)
+    resids = np.zeros((len(rows), n_steps))
+    y = np.empty((len(rows), grid.n_interior))
+    y[:] = x0.values
+    for y_row in ys:
+        y_row[0] = x0.values
+    eps = np.array([[e] for _, e in rows])
+    w = np.empty_like(y)
+    values = [path.values for path, _ in rows]
+    implicit = cfg.scheme == "implicit"
+    live, error = len(rows), None  # rows after a failed row are dropped: the live rows are a prefix
+    for n in range(n_steps):
+        for i in range(live):
+            w[i] = values[i][n + 1 if implicit else n]
+        if implicit:
+            y, iters[:live, n], resids[:live, n], failures = _step_implicit_core(
+                y, w[:live], grid, eps[:live], dt, cfg.newton_tol, cfg.newton_max_iter)
+        else:
+            y, failures = _step_explicit_rows(y, w[:live], grid, eps[:live], dt)
+        if failures:
+            live = min(failures)
+            exc = error = failures[live]
+            if isinstance(exc, (StepFailureError, StabilityError)):
+                error = StepFailureError(f"step {n} failed: {exc}", step=n,
+                                         residual=getattr(exc, "residual", None))
+                error.__cause__ = exc
+            y = y[:live]
+        for i in range(live):
+            ys[i][n + 1] = y[i]
+        if not live:
+            break
+    trajs = [Trajectory(config=replace(cfg, epsilon=e), noise=path, y_fields=ys[i],
+                        newton_iters=iters[i], newton_residuals=resids[i])
+             for i, (path, e) in enumerate(rows[:live])]
+    return trajs, error
+
+
+def _batches(rows: Sequence, values_per_row: int) -> list[Sequence]:
+    """Cut rows into batches of at most _BATCH_VALUES state values each: the batching rule."""
+    size = max(1, _BATCH_VALUES // values_per_row)
+    return [rows[i:i + size] for i in range(0, len(rows), size)]
+
+
+def _yield_rows(
+    results: Iterable[tuple[list[Trajectory], Exception | None]]
+) -> Iterator[Trajectory]:
+    """Each batch's trajectories in order, then its error if it has one."""
+    for trajs, error in results:
+        trajs.reverse()
+        while trajs:  # pop, so the batch does not outlive its consumer's references
+            yield trajs.pop()
+        if error is not None:
+            raise error
+
+
 def solve_path(x0: Field, noise: NoisePath, cfg: SolverConfig) -> Trajectory:
-    """March the configured scheme across the noise path's time grid, in steps of noise.dt.
+    """March the configured scheme across the noise path's time grid: a batch of one row.
 
     Deterministic: identical inputs give identical output.
     """
-    grid = x0.grid
-    if noise.grid != grid:
-        raise ValueError("noise path lives on a different grid")
+    return next(_yield_rows([_solve_batch(x0, cfg, [(noise, cfg.epsilon)])]))
 
-    n_steps, dt, w = noise.spec.n_steps, noise.dt, noise.values
-    y_all = np.empty((n_steps + 1, grid.n_interior))
-    y_all[0] = x0.values
-    iters = np.zeros(n_steps, dtype=int)
-    resids = np.zeros(n_steps)
 
-    for n in range(n_steps):
-        try:
-            if cfg.scheme == "implicit":
-                y_all[n + 1], iters[n], resids[n] = _step_implicit_core(
-                    y_all[n], w[n + 1], grid, cfg.epsilon, dt, cfg.newton_tol, cfg.newton_max_iter
-                )
-            else:
-                y_all[n + 1] = _step_explicit_core(y_all[n], w[n], grid, cfg.epsilon, dt)
-        except (StepFailureError, StabilityError) as exc:
-            residual = getattr(exc, "residual", None)
-            raise StepFailureError(f"step {n} failed: {exc}", step=n, residual=residual) from exc
+def solve_rows(
+    x0: Field,
+    eigen: EigenSystem,
+    base_spec: NoiseSpec,
+    cfg: SolverConfig,
+    rows: Sequence[tuple[int, float]],
+    *,
+    override_decay_check: bool = False,
+    workers: int = 1,
+) -> Iterator[Trajectory]:
+    """Lazily solve rows (seed, eps) from x0, yielded in row order.
 
-    return Trajectory(config=cfg, noise=noise, y_fields=y_all, newton_iters=iters,
-                      newton_residuals=resids)
+    Row (seed, eps) is base_spec's noise path with that seed, solved at that eps.  The
+    decay check judges base_spec once, here, unless override_decay_check.  The rows go in
+    batches of the batching rule; a batch draws each of its seeds' paths once and is
+    solved in lockstep.  workers > 1 solves the batches in min(workers, batches)
+    processes, at most twice that many batches ahead of the consumer, with the same results.
+    """
+    if not override_decay_check:
+        _require_decay(base_spec, eigen)
+    batches = _batches(list(rows), (base_spec.n_steps + 1) * eigen.grid.n_interior)
+    solve = partial(_solve_seed_rows, x0, eigen, base_spec, cfg)
+    if workers > 1 and len(batches) > 1:
+        return _yield_rows(_solve_in_pool(solve, batches, min(workers, len(batches))))
+    return _yield_rows(map(solve, batches))
 
 
 def run_ensemble(
@@ -275,33 +469,34 @@ def run_ensemble(
     override_decay_check: bool = False,
     workers: int = 1,
 ) -> Iterator[Trajectory]:
-    """Lazily solve n_paths paths with seeds base_spec.seed + i, yielded in seed order.
+    """Lazily solve n_paths paths with seeds base_spec.seed + i at cfg.epsilon, in seed order.
 
-    workers > 1 solves them in min(workers, n_paths) processes, at most
-    twice that many paths ahead of the consumer, with the same results.
+    The rows (seed, cfg.epsilon) go through solve_rows, so a consumer that drops each
+    trajectory holds one batch at a time, not one path.
     """
     if n_paths < 0:
         raise ValueError("n_paths must be >= 0")
-    solve = partial(_solve_seed, x0, eigen, base_spec, cfg, override_decay_check)
-    seeds = range(base_spec.seed, base_spec.seed + n_paths)
-    if workers > 1 and n_paths > 1:
-        return _solve_in_pool(solve, seeds, min(workers, n_paths))
-    return map(solve, seeds)
+    rows = [(seed, cfg.epsilon) for seed in range(base_spec.seed, base_spec.seed + n_paths)]
+    return solve_rows(x0, eigen, base_spec, cfg, rows,
+                      override_decay_check=override_decay_check, workers=workers)
 
 
-def _solve_seed(x0, eigen, base_spec, cfg, override_decay_check, seed) -> Trajectory:
-    spec = replace(base_spec, seed=seed)
-    path = synthesize(spec, eigen, override_decay_check=override_decay_check)
-    return solve_path(x0, path, cfg)
+def _solve_seed_rows(x0, eigen, base_spec, cfg, rows):
+    paths: dict[int, NoisePath] = {}
+    for seed, _ in rows:  # solve_rows has judged the decay check
+        if seed not in paths:
+            spec = replace(base_spec, seed=seed)
+            paths[seed] = synthesize(spec, eigen, override_decay_check=True)
+    return _solve_batch(x0, cfg, [(paths[seed], eps) for seed, eps in rows])
 
 
-def _solve_in_pool(solve, seeds: range, workers: int) -> Iterator[Trajectory]:
+def _solve_in_pool(solve, batches: list, workers: int) -> Iterator:
     from concurrent.futures import ProcessPoolExecutor  # serial runs never load multiprocessing
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        ahead = deque(pool.submit(solve, seed) for seed in seeds[: 2 * workers])
-        for seed in seeds[2 * workers:]:
+        ahead = deque(pool.submit(solve, batch) for batch in batches[: 2 * workers])
+        for batch in batches[2 * workers:]:
             yield ahead.popleft().result()
-            ahead.append(pool.submit(solve, seed))
+            ahead.append(pool.submit(solve, batch))
         while ahead:
             yield ahead.popleft().result()
 
@@ -347,10 +542,9 @@ def epsilon_sweep(
     if np.any(np.diff(eps) > 0):
         raise ValueError("eps_list must be non-increasing")
 
-    y_stacks = []
-    for e in eps:
-        traj = solve_path(x0, noise, replace(cfg, epsilon=float(e)))
-        y_stacks.append(traj.y_fields)
+    rows = [(noise, float(e)) for e in eps]
+    batches = _batches(rows, (noise.spec.n_steps + 1) * x0.grid.n_interior)
+    y_stacks = [t.y_fields for t in _yield_rows(_solve_batch(x0, cfg, b) for b in batches)]
 
     m = eps.size
     pairwise = np.zeros((m, m))

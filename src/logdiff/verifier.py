@@ -306,7 +306,7 @@ def mean_square_bound(trajectories: Iterable[Trajectory]) -> Report:
         x = traj.x_fields
         sq_rows.append(h * np.sum(x**2, axis=1))
         l4_sup.append(np.max((h * np.sum(x**4, axis=1)) ** 0.25))
-        del traj, x  # drop them before the next path is solved: one trajectory alive at a time
+        del traj, x  # hold no path already read while the source makes the next one
     if len(sq_rows) < MEAN_SQUARE_MIN_PATHS:
         raise ValueError(f"need at least {MEAN_SQUARE_MIN_PATHS} trajectories, got {len(sq_rows)}")
 

@@ -12,11 +12,16 @@ import numpy as np
 import pytest
 
 import logdiff.cli
+import logdiff.noise
+import logdiff.solver
 from logdiff.cli import main
 from logdiff.config import ConfigError, ExperimentConfig, parse_config
 from logdiff.grid import Field, GridSpec, eigensystem
 from logdiff.noise import NoiseSpec, PowerLawGammas, synthesize
 from logdiff.solver import SolverConfig, solve_path
+
+
+SMOKE = Path(__file__).parents[1] / "scripts" / "configs" / "smoke.cfg"
 
 
 def write(path, text):
@@ -233,18 +238,21 @@ class TestCliSimulate:
         main(["simulate", "--config", cfg, "--out", str(out)])
         assert (out / "summary.csv").read_bytes() == first
 
-    def test_workers_do_not_change_bytes(self, tmp_path):
-        for args in (["simulate", "--paths", "4", "--dump-trajectories"],
-                     ["verify", "--paths", "30"]):
-            outputs = []
-            for workers in (1, 2):
-                cfg = write(tmp_path / f"c{workers}.cfg",
-                            BASE + f"\n[output]\nworkers = {workers}\n")
-                out = tmp_path / f"{args[0]}{workers}"
-                assert main([args[0], "--config", cfg, "--out", str(out)] + args[1:]) == 0
-                outputs.append({p.name: p.read_bytes() for p in out.iterdir()})
-            assert len(outputs[0]) > 1
-            assert outputs[0] == outputs[1]
+    def test_workers_do_not_change_bytes(self, tmp_path, monkeypatch):
+        first = {}  # each command's output at the first batch size and worker count
+        # batches of 1 or 7 paths of 51 steps on 31 nodes, or the rule's own (all paths)
+        for batch_values in (51 * 31, 7 * 51 * 31, logdiff.solver._BATCH_VALUES):
+            monkeypatch.setattr("logdiff.solver._BATCH_VALUES", batch_values)
+            for args in (["simulate", "--paths", "4", "--dump-trajectories"],
+                         ["verify", "--paths", "30"]):
+                for workers in (1, 2):
+                    cfg = write(tmp_path / f"c{workers}.cfg",
+                                BASE + f"\n[output]\nworkers = {workers}\n")
+                    out = tmp_path / f"{args[0]}{workers}-{batch_values}"
+                    assert main([args[0], "--config", cfg, "--out", str(out)] + args[1:]) == 0
+                    outputs = {p.name: p.read_bytes() for p in out.iterdir()}
+                    assert len(outputs) > 1
+                    assert first.setdefault(args[0], outputs) == outputs
 
     def test_dump_trajectories(self, tmp_path):
         cfg = write(tmp_path / "c.cfg", BASE)
@@ -381,6 +389,7 @@ class TestCliOther:
 
         monkeypatch.setattr("logdiff.cli.solve_path", no_solve)
         monkeypatch.setattr("logdiff.solver.solve_path", no_solve)
+        monkeypatch.setattr("logdiff.solver._solve_batch", no_solve)
         cfg = write(tmp_path / "c.cfg", BASE)
         one_eps = write(tmp_path / "one_eps.cfg",
                         BASE.replace("t_final = 0.1", "t_final = 0.1\nepsilon_list = 1e-2"))
@@ -407,34 +416,38 @@ class TestCliOther:
         assert not out.exists()
 
     def test_verify_solves_each_base_path_eps_once(self, tmp_path, monkeypatch):
-        solve_path = logdiff.cli.solve_path
-        solved = []
+        solve_batch = logdiff.solver._solve_batch
+        solved, batches = [], []
 
-        def spy(x0, noise, config):
-            solved.append(config.epsilon)
-            return solve_path(x0, noise, config)
+        def spy(x0, config, rows):
+            batches.append(len(rows))
+            solved.extend((path.spec.seed, eps) for path, eps in rows)
+            return solve_batch(x0, config, rows)
 
-        # the base path is solved through the CLI, ensemble paths 1.. through the solver
-        monkeypatch.setattr("logdiff.cli.solve_path", spy)
-        monkeypatch.setattr("logdiff.solver.solve_path", spy)
+        # every (seed, eps) row verify solves goes through one batch core
+        monkeypatch.setattr("logdiff.solver._solve_batch", spy)
 
         def verify(name, text):
             cfg = write(tmp_path / f"{name}.cfg", text)
             out = tmp_path / name
             solved.clear()
+            batches.clear()
             assert main(["verify", "--config", cfg, "--out", str(out), "--paths", "30"]) == 0
+            assert len(set(solved)) == len(solved)  # each row once
             return {p.name: p.read_bytes() for p in out.iterdir()}, list(solved)
 
-        # the base path at eps 1e-2 is ensemble path 0, one of the diag eps and the
-        # variational check's trajectory, and it is solved once
+        # the base row (42, 1e-2) is ensemble path 0, one of the diag eps and the
+        # variational check's trajectory, and it is solved once; all rows form one batch
         everything, solves = verify("all", BASE)
-        assert solves == [1e-2] * 30 + [1e-1, 1e-3, 1e-4]
+        assert solves == [(42 + i, 1e-2) for i in range(30)] + [(42, 1e-1), (42, 1e-3), (42, 1e-4)]
+        assert batches == [33]
         # each check run alone solves for itself, as every check did before sharing
         alone = {}
         for check in ("mean_square", "flux_l1", "total_variation", "hminus1_sup", "variational"):
             files, solves = verify(check, BASE + f"\n[verify]\nchecks = {check}\n")
-            assert solves == {"mean_square": [1e-2] * 30, "variational": [1e-2]}.get(
-                check, [1e-1, 1e-2, 1e-3, 1e-4])
+            assert solves == {"mean_square": [(42 + i, 1e-2) for i in range(30)],
+                              "variational": [(42, 1e-2)]}.get(
+                check, [(42, 1e-1), (42, 1e-2), (42, 1e-3), (42, 1e-4)])
             summary = files.pop("verify_summary.txt").decode()
             alone[check] = (files, summary.removesuffix("\n\noverall: PASS\n"))
         assert everything.pop("verify_summary.txt").decode() == "\n\n".join(
@@ -446,7 +459,7 @@ class TestCliOther:
                 ("variational", [5e-3]),
                 ("flux_l1, variational", [1e-1, 1e-2, 1e-3, 1e-4, 5e-3]))):
             _, solves = verify(f"off{i}", off_list + f"\n[verify]\nchecks = {checks}\n")
-            assert solves == expected
+            assert solves == [(42, e) for e in expected]
 
     def test_cli_keeps_every_name_the_benchmark_traces(self):
         # the traced benchmark wraps these names where logdiff.cli looks them up
@@ -526,3 +539,27 @@ class TestCliOther:
         run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                              text=True, check=True)
         assert run.stdout.strip() == "[]"
+
+    def test_simulate_judges_the_decay_check_once(self, tmp_path, monkeypatch):
+        # cli.main judges the spec through its own import; the ensemble judges it once more
+        calls = []
+        validate_decay = logdiff.noise.validate_decay
+        monkeypatch.setattr("logdiff.noise.validate_decay",
+                            lambda *args: calls.append(1) or validate_decay(*args))
+        assert main(["simulate", "--config", str(SMOKE), "--out", str(tmp_path / "out")]) == 0
+        assert len(calls) <= 1
+
+    @pytest.mark.parametrize("command, loads", [
+        ("simulate", False), ("sweep-eps", False), ("noise-check", False), ("verify", True),
+    ])
+    def test_scipy_special_loads_only_for_the_resolvent(self, tmp_path, command, loads):
+        # the implicit solver never evaluates the resolvent; verify's flux_l1 check does
+        src = str(Path(__file__).parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        code = ("import sys, logdiff.cli; "
+                f"code = logdiff.cli.main([{command!r}, '--config', {str(SMOKE)!r}, "
+                f"'--out', {str(tmp_path / 'out')!r}]); "
+                "print(code, 'scipy.special' in sys.modules)")
+        run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True)
+        assert run.stdout.splitlines()[-1].split() == ["0", str(loads)]

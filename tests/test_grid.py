@@ -7,6 +7,8 @@ from logdiff.grid import (
     Field,
     GridSpec,
     _laplacian,
+    _norm_l2,
+    _norms_l2,
     _solve_neg_laplacian,
     _solve_resolvent,
     eigensystem,
@@ -187,6 +189,22 @@ class TestNorms:
         es = eigensystem(g, 31)
         for k in (1, 7, 31):
             assert abs(norm_l2(es.vector(k)) - 1.0) < 1e-12
+
+    @pytest.mark.parametrize("n", [31, 127, 1023])
+    def test_row_norms_have_the_bits_of_one_row(self, n):
+        # the lockstep solver's per-row norms must match the norm of each row alone
+        g = GridSpec(length=1.0, n_interior=n)
+        rng = np.random.default_rng(n)
+        rows = rng.standard_normal((7, n)) * 10.0 ** rng.integers(-12, 4, (7, 1))
+        for sub in (rows, rows[[1, 4]], rows[3:4]):
+            assert [float(v) for v in _norms_l2(g, sub)] == [_norm_l2(g, v) for v in sub]
+
+    def test_laplacian_acts_on_each_row(self):
+        g = GridSpec(length=1.0, n_interior=31)
+        rows = np.random.default_rng(2).standard_normal((4, 31))
+        lap = _laplacian(rows, g.h)
+        for row, out in zip(rows, lap):
+            assert np.array_equal(out, _laplacian(row, g.h))
 
     def test_hminus1_of_eigenvector(self):
         # |e_k|_{-1} = lambda_k^{-1/2}

@@ -74,10 +74,14 @@ def spy_dgtsv(monkeypatch):
 
 
 def implicit(grid, y_prev, w_next, dt, cfg):
-    """The implicit core's new state for arrays y_prev and w_next."""
-    return _step_implicit_core(
-        y_prev, w_next, grid, cfg.epsilon, dt, cfg.newton_tol, cfg.newton_max_iter
-    )[0]
+    """The implicit core's new state for arrays y_prev and w_next, as a batch of one row."""
+    y, _, _, failures = _step_implicit_core(
+        y_prev[None], w_next[None], grid, np.array([[cfg.epsilon]]), dt, cfg.newton_tol,
+        cfg.newton_max_iter,
+    )
+    if failures:
+        raise failures[0]
+    return y[0]
 
 
 def explicit(grid, y_prev, w_prev, dt, cfg):
@@ -320,7 +324,7 @@ class TestSolvePath:
         # the step does not validate its inputs; a NaN state must still fail it
         y_prev, w_next = np.full(15, np.nan), np.zeros(15)
         with pytest.raises(StepFailureError):
-            _step_implicit_core(y_prev, w_next, G15, 1e-2, 1e-3, 1e-10, 50)
+            implicit(G15, y_prev, w_next, 1e-3, SolverConfig(epsilon=1e-2))
 
     def test_overflowed_residual_is_not_at_the_rounding_floor(self):
         # near 1e300 the residual norm and its rounding floor both overflow to inf
@@ -514,25 +518,32 @@ class TestEnsemble:
 
     def test_lazy_contract(self, monkeypatch):
         x0, spec, cfg = self.ensemble_inputs()
-        solved = []
-        solve = logdiff.solver.solve_path
+        batches = []
+        solve_batch = logdiff.solver._solve_batch
 
-        def counting_solve(*args):
-            solved.append(1)
-            return solve(*args)
+        def counting_solve(x0, cfg, rows):
+            batches.append(len(rows))
+            return solve_batch(x0, cfg, rows)
 
-        monkeypatch.setattr("logdiff.solver.solve_path", counting_solve)
+        monkeypatch.setattr("logdiff.solver._solve_batch", counting_solve)
+        monkeypatch.setattr("logdiff.solver._BATCH_VALUES", 2 * 21 * 15)  # two paths a batch
         paths = run_ensemble(x0, E15, spec, cfg, 5)
+        assert batches == []
         assert next(paths).noise.spec.seed == 100
-        assert len(solved) == 1
+        assert batches == [2]  # the first trajectory costs one batch
+        assert next(paths).noise.spec.seed == 101 and batches == [2]
+        assert [t.noise.spec.seed for t in paths] == [102, 103, 104]
+        assert batches == [2, 2, 1]
 
         assert list(run_ensemble(x0, E15, spec, cfg, 0)) == []
+        assert batches == [2, 2, 1]
         with pytest.raises(ValueError):
             run_ensemble(x0, E15, spec, cfg, -1)  # raised at call time, before iterating
 
         steep = replace(spec, gammas=PowerLawGammas(gamma0=1.0, decay=4.0))
         with pytest.raises(ValueError, match="decay check"):
-            next(run_ensemble(x0, E15, steep, cfg, 1))
+            run_ensemble(x0, E15, steep, cfg, 1)  # judged at call time, before any solve
+        assert batches == [2, 2, 1]
         traj = next(run_ensemble(x0, E15, steep, cfg, 1, override_decay_check=True))
         assert traj.noise.spec.gammas.decay == 4.0
 
@@ -549,7 +560,7 @@ class TestEnsemble:
                 assert not arr.flags.writeable
 
     def test_pool_never_exceeds_the_path_count(self, monkeypatch):
-        # a fake executor records the pool size and solves in this process
+        # nor the batch count; a fake executor records the pool size and solves in this process
         sizes = []
 
         class FakePool:
@@ -570,7 +581,183 @@ class TestEnsemble:
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
         x0, spec, cfg = self.ensemble_inputs()
         serial = list(run_ensemble(x0, E15, spec, cfg, 5))
+        # the 5 paths form one batch, which needs no pool
+        assert all(np.array_equal(a.y_fields, b.y_fields)
+                   for a, b in zip(serial, run_ensemble(x0, E15, spec, cfg, 5, workers=64)))
+        assert sizes == []
+        monkeypatch.setattr("logdiff.solver._BATCH_VALUES", 21 * 15)  # one path a batch
         pooled = list(run_ensemble(x0, E15, spec, cfg, 2, workers=64))
         pooled += run_ensemble(x0, E15, replace(spec, seed=102), cfg, 3, workers=2)
         assert sizes == [2, 2]
         assert all(np.array_equal(a.y_fields, b.y_fields) for a, b in zip(serial, pooled))
+
+
+def same_bits(a, b):
+    """Bitwise equality of two float arrays, which tells -0.0 from 0.0."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def assert_rows_alone(x0, cfg, rows, trajs):
+    """Each batch trajectory has the bits of solve_path on its row alone."""
+    assert len(trajs) == len(rows)
+    for (path, eps), traj in zip(rows, trajs):
+        alone = solve_path(x0, path, replace(cfg, epsilon=eps))
+        assert traj.config == alone.config and traj.noise is path
+        assert same_bits(traj.y_fields, alone.y_fields)
+        assert np.array_equal(traj.newton_iters, alone.newton_iters)
+        assert same_bits(traj.newton_residuals, alone.newton_residuals)
+
+
+def overflowing_path(grid, n_steps=6, at=3):
+    """A noise path of value 1e200 from step `at` on: the residual's norm overflows there."""
+    values = np.zeros((n_steps + 1, grid.n_interior))
+    values[at:] = 1e200
+    spec = NoiseSpec(k_max=1, gammas=ExplicitGammas(gammas=(0.0,)), seed=99,
+                     t_final=n_steps * 1e-3, n_steps=n_steps)
+    return logdiff.solver.NoisePath(spec, grid, np.linspace(0.0, spec.t_final, n_steps + 1),
+                                    values, np.zeros((n_steps + 1, 1)))
+
+
+class TestLockstep:
+    """A batch of rows (noise path, eps) solved in lockstep against each row alone."""
+
+    @pytest.mark.parametrize("n", [31, 127, 1023])
+    def test_batch_is_bitwise_one_row_at_a_time(self, n):
+        grid = GridSpec(length=1.0, n_interior=n)
+        eigen = eigensystem(grid, 8)
+        paths = [default_noise(grid, eigen, seed=s, t_final=8e-3, n_steps=8) for s in (1, 2, 3)]
+        still = zero_noise(grid, t_final=8e-3, n_steps=8)  # from x0 = 0: 0 iterations a step
+        rows = [(paths[0], 1e-1), (still, 1e-2), (paths[1], 1e-4), (paths[0], 1e-3),
+                (paths[2], 1e-2), (paths[1], 1e-1)]
+        x0 = Field(grid, np.zeros(n))
+        cfg = SolverConfig(epsilon=1e-2)
+        trajs, error = logdiff.solver._solve_batch(x0, cfg, rows)
+        assert error is None
+        assert np.all(trajs[1].newton_iters == 0) and np.all(trajs[0].newton_iters > 0)
+        assert_rows_alone(x0, cfg, rows, trajs)
+
+    def test_stress_cells_with_damping_and_floor_stops(self, monkeypatch):
+        # amplitude 5 on 1023 nodes at dt 1e-2 and tol 1e-12: eps 1e-1 needs damping,
+        # and every eps stops at the residual's rounding floor
+        noise, x0 = stress_setup(1023, 1e-2, "amplitude5")
+        other = default_noise(x0.grid, eigensystem(x0.grid, 8), seed=4, t_final=0.2, n_steps=20)
+        rows = [(noise, 1e-1), (other, 1e-2), (noise, 1e-2), (noise, 1e-3), (noise, 1e-4),
+                (other, 1e-1)]
+        cfg = SolverConfig(epsilon=1e-2, newton_tol=1e-12)
+        floors = []
+        rounding_floor = logdiff.solver._rounding_floor
+        monkeypatch.setattr("logdiff.solver._rounding_floor",
+                            lambda *args: floors.append(1) or rounding_floor(*args))
+        trajs, error = logdiff.solver._solve_batch(x0, cfg, rows)
+        assert error is None and floors
+        assert np.any(trajs[0].newton_residuals > cfg.newton_tol)
+        assert_rows_alone(x0, cfg, rows, trajs)
+
+    def test_explicit_rows_are_bitwise_one_row_at_a_time(self):
+        grid = GridSpec(length=1.0, n_interior=31)
+        eigen = eigensystem(grid, 8)
+        paths = [default_noise(grid, eigen, seed=s, t_final=0.01, n_steps=40) for s in (1, 2)]
+        rows = [(paths[0], 1e-1), (paths[1], 1e-2), (paths[0], 1e-3)]
+        x0 = Field(grid, np.sin(np.pi * grid.nodes))
+        cfg = SolverConfig(epsilon=1e-2, scheme="explicit")
+        trajs, error = logdiff.solver._solve_batch(x0, cfg, rows)
+        assert error is None
+        assert_rows_alone(x0, cfg, rows, trajs)
+
+    def test_explicit_unstable_row_yields_the_rows_before_it_then_its_error(self):
+        # dt * 4/h^2 = 0.995: stable for eps 1e-2 (max F' about 1.0001), not for eps 1e-1
+        grid = GridSpec(length=1.0, n_interior=31)
+        path = default_noise(grid, eigensystem(grid, 8), t_final=5 * 0.995 / 4096, n_steps=5)
+        rows = [(path, 1e-2), (path, 1e-1), (path, 1e-2)]
+        x0 = Field(grid, np.zeros(31))
+        cfg = SolverConfig(epsilon=1e-2, scheme="explicit")
+        trajs, error = logdiff.solver._solve_batch(x0, cfg, rows)
+        with pytest.raises(StepFailureError, match="explicit step unstable") as alone:
+            solve_path(x0, path, replace(cfg, epsilon=1e-1))
+        assert (type(error), str(error), error.step, error.residual) == (
+            StepFailureError, str(alone.value), 0, None)
+        assert_rows_alone(x0, cfg, rows[:1], trajs)
+
+    def test_stacked_solve_is_each_rows_own_dgtsv(self):
+        # exact zeros of both signs at and across the block boundaries keep their bits,
+        # including rows whose right-hand side is all +0 or all -0 after either sign
+        rng = np.random.default_rng(5)
+        k, n, scale = 8, 31, 7.0
+        u = rng.standard_normal((k, n)) * 10.0 ** rng.integers(-3, 4, (k, 1))
+        r = rng.standard_normal((k, n))
+        r[:, [0, -1]] = [[0.0, -0.0], [-0.0, 0.0], [-0.0, -5.0], [0.0, 0.0], [1e-300, 5.0],
+                         [-0.0, 0.0], [0.0, 0.0], [0.0, -0.0]]
+        r[3] = 0.0
+        r[5] = 0.0
+        r[6] = -0.0
+        eps = 10.0 ** -rng.integers(1, 5, (k, 1))
+        rnorm = np.sqrt(np.einsum("ij,ij->i", r, r))
+        delta, failed = logdiff.solver._newton_directions(u, r, rnorm, eps, scale)
+        assert failed == {}
+        for i in range(k):
+            alone, _ = logdiff.solver._newton_directions(u[i:i + 1], r[i:i + 1], rnorm[i:i + 1],
+                                                         eps[i:i + 1], scale)
+            assert same_bits(delta[i], alone[0])
+
+    def test_failing_row_yields_the_rows_before_it_then_its_error(self):
+        grid = GridSpec(length=1.0, n_interior=31)
+        eigen = eigensystem(grid, 8)
+        good = [default_noise(grid, eigen, seed=s, t_final=6e-3, n_steps=6) for s in (1, 2, 3)]
+        late, early = overflowing_path(grid, at=4), overflowing_path(grid, at=2)
+        x0 = Field(grid, grid.nodes * (1.0 - grid.nodes))
+        cfg = SolverConfig(epsilon=1e-2)
+        # the later-failing row comes first, so its error is the batch's
+        rows = [(good[0], 1e-2), (good[1], 1e-3), (late, 1e-2), (good[2], 1e-2), (early, 1e-2)]
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            with pytest.raises(StepFailureError) as alone:
+                solve_path(x0, late, cfg)
+            trajs, error = logdiff.solver._solve_batch(x0, cfg, rows)
+            solved = []
+            with pytest.raises(StepFailureError) as raised:
+                batch = logdiff.solver._solve_batch(x0, cfg, rows)
+                for traj in logdiff.solver._yield_rows([batch]):
+                    solved.append(traj)
+        assert alone.value.step == 3 and alone.value.residual == np.inf
+        for err in (error, raised.value):
+            assert type(err) is StepFailureError
+            assert (str(err), err.step, err.residual) == (
+                str(alone.value), alone.value.step, alone.value.residual)
+        assert_rows_alone(x0, cfg, rows[:2], trajs)
+        assert [t.noise for t in solved] == [good[0], good[1]]
+
+    @pytest.mark.parametrize("fault", ["info", "nan"])
+    def test_faulty_stacked_solve_falls_back_to_one_row_at_a_time(self, monkeypatch, fault):
+        grid = GridSpec(length=1.0, n_interior=31)
+        eigen = eigensystem(grid, 8)
+        paths = [default_noise(grid, eigen, seed=s, t_final=5e-3, n_steps=5) for s in (1, 2, 3)]
+        rows = [(paths[0], 1e-2), (paths[1], 1e-3), (paths[2], 1e-1)]
+        x0 = Field(grid, np.sin(np.pi * grid.nodes))
+        cfg = SolverConfig(epsilon=1e-2)
+        stacked, alone = [], []
+
+        def faulty(dl, d, du, b):
+            *lu, x, info = DGTSV(dl, d, du, b)
+            if d.size == grid.n_interior:
+                alone.append(1)
+                return (*lu, x, info)
+            stacked.append(1)
+            if fault == "info":
+                return (*lu, x, 2)
+            x = x.copy()
+            x[grid.n_interior + 2 + 5] = np.nan  # one entry of the second row's block
+            return (*lu, x, info)
+
+        monkeypatch.setattr("logdiff.solver.dgtsv", faulty)
+        trajs, error = logdiff.solver._solve_batch(x0, cfg, rows)
+        assert error is None and stacked and alone
+        monkeypatch.setattr("logdiff.solver.dgtsv", DGTSV)
+        assert_rows_alone(x0, cfg, rows, trajs)
+
+    def test_batching_rule(self, monkeypatch):
+        # a batch holds at most 2^19 state values: 8 paths of 127 nodes and 500 steps
+        rows = list(range(20))
+        assert [len(b) for b in logdiff.solver._batches(rows, 501 * 127)] == [8, 8, 4]
+        assert [len(b) for b in logdiff.solver._batches(rows[:5], 501 * 127)] == [5]
+        assert [len(b) for b in logdiff.solver._batches(rows[:3], 2**20)] == [1, 1, 1]
+        assert logdiff.solver._batches([], 10) == []

@@ -268,6 +268,34 @@ class TestCliSimulate:
         assert rows[0] == ["step", "time", "node", "y", "x"]
         assert len(rows) == 1 + 51 * 31
 
+    def test_dump_keeps_the_csv_writer_bytes(self, tmp_path):
+        eigen = eigensystem(GridSpec(length=1.0, n_interior=15), 8)
+        noise = synthesize(NoiseSpec(k_max=8, gammas=PowerLawGammas(), seed=3, t_final=0.02,
+                                     n_steps=10), eigen)
+        traj = solve_path(Field.zeros(eigen.grid), noise, SolverConfig(epsilon=1e-2))
+        y = np.array(traj.y_fields)
+        y[0, 0] = -0.0
+        traj = replace(traj, y_fields=y)
+        logdiff.cli._dump_trajectory(traj, str(tmp_path), 0)
+        # the rows as csv.writer wrote them through _fmt, value by value
+        x = traj.x_fields
+        tables = {
+            "trajectory_0000.csv": (["step", "time", "node", "y", "x"], [
+                (n, traj.times[n], j + 1, traj.y_fields[n, j], x[n, j])
+                for n in range(traj.n_steps + 1) for j in range(traj.grid.n_interior)]),
+            "diagnostics_0000.csv": (["step", "newton_iters", "newton_residual", "substeps"],
+                                     list(zip(range(traj.n_steps), traj.newton_iters,
+                                              traj.newton_residuals, traj.substeps))),
+        }
+        for name, (header, rows) in tables.items():
+            with open(tmp_path / f"old_{name}", "w", newline="") as fh:
+                writer = csv.writer(fh)
+                writer.writerow(header)
+                for row in rows:
+                    writer.writerow([logdiff.cli._fmt(v) for v in row])
+            assert (tmp_path / name).read_bytes() == (tmp_path / f"old_{name}").read_bytes()
+        assert b"\r\n0,0.0,1,-0.0,0.0\r\n" in (tmp_path / "trajectory_0000.csv").read_bytes()
+
     def test_config_error_exit_2(self, tmp_path, capsys):
         bad = write(tmp_path / "bad.cfg", "[grid]\nwhat = 1\n")
         assert main(["simulate", "--config", bad]) == 2
@@ -548,6 +576,27 @@ class TestCliOther:
                             lambda *args: calls.append(1) or validate_decay(*args))
         assert main(["simulate", "--config", str(SMOKE), "--out", str(tmp_path / "out")]) == 0
         assert len(calls) <= 1
+
+    def test_noise_check_judges_the_decay_check_once(self, tmp_path, monkeypatch):
+        # cli.main judges the spec through its own import; the paths are not judged again
+        calls = []
+        validate_decay = logdiff.noise.validate_decay
+        monkeypatch.setattr("logdiff.noise.validate_decay",
+                            lambda *args: calls.append(1) or validate_decay(*args))
+        assert main(["noise-check", "--config", str(SMOKE), "--out", str(tmp_path / "out")]) == 0
+        assert len(calls) <= 1
+
+    def test_block_size_does_not_change_noise_check_bytes(self, tmp_path, monkeypatch):
+        first = None
+        # smoke.cfg has 31 nodes and 51 time rows: blocks of 1 or 7 rows, or the default
+        for block_values in (31, 7 * 31, logdiff.noise._BLOCK_VALUES):
+            monkeypatch.setattr("logdiff.noise._BLOCK_VALUES", block_values)
+            out = tmp_path / f"out{block_values}"
+            assert main(["noise-check", "--config", str(SMOKE), "--out", str(out)]) == 0
+            outputs = {p.name: p.read_bytes() for p in out.iterdir()}
+            assert len(outputs) == 3
+            first = first or outputs
+            assert outputs == first
 
     @pytest.mark.parametrize("command, loads", [
         ("simulate", False), ("sweep-eps", False), ("noise-check", False), ("verify", True),

@@ -1,11 +1,15 @@
 """Forcing synthesis: mode decay checks, reproducibility, continuity proxies."""
 
+import math
+
 import numpy as np
 import pytest
 
+import logdiff.noise
 from logdiff.grid import GridSpec, eigensystem, norm_l2
 from logdiff.noise import (
     ExplicitGammas,
+    NoisePath,
     NoiseSpec,
     OscillationError,
     PowerLawGammas,
@@ -28,6 +32,59 @@ def power_spec(seed=42, decay=8.0, gamma0=1.0, k_max=8, t_final=1.0, n_steps=100
         t_final=t_final,
         n_steps=n_steps,
     )
+
+
+def path_of(values):
+    """A NoisePath holding the given (n_steps + 1, n) values; row 0 must be zero."""
+    n_steps = len(values) - 1
+    spec = NoiseSpec(k_max=1, gammas=ExplicitGammas(gammas=(1.0,)), seed=0, t_final=1.0,
+                     n_steps=n_steps)
+    return NoisePath(spec, GridSpec(length=1.0, n_interior=values.shape[1]),
+                     np.linspace(0.0, 1.0, n_steps + 1), values, np.zeros((n_steps + 1, 1)))
+
+
+def outer_loop_values(spec, eigen, brownian):
+    """Field values by the whole-array rule: one np.outer per mode, added in k order."""
+    gam = spec.gammas.values(spec.k_max)
+    values = np.zeros((spec.n_steps + 1, eigen.grid.n_interior))
+    for k in range(spec.k_max):
+        if gam[k] != 0.0:
+            values += np.outer(gam[k] * brownian[:, k], eigen.eigenvectors[k])
+    return values
+
+
+def greedy_cuts(path, alpha):
+    """The partition by a row-by-row scan: each cell grows one time step at a time."""
+    values = path.values
+    n_steps = path.spec.n_steps
+    cuts = [0]
+    start = 0
+    while start < n_steps:
+        run_min = values[start].copy()
+        run_max = values[start].copy()
+        end = start
+        while end < n_steps:
+            cand_min = np.minimum(run_min, values[end + 1])
+            cand_max = np.maximum(run_max, values[end + 1])
+            osc = float(np.max(cand_max - cand_min))
+            if osc < alpha:
+                run_min, run_max = cand_min, cand_max
+                end += 1
+            else:
+                break
+        if end == start:
+            one_step = float(np.max(np.abs(values[start + 1] - values[start])))
+            raise OscillationError(start, one_step, alpha)
+        cuts.append(end)
+        start = end
+    return cuts
+
+
+def partition_or_error(scan, path, alpha):
+    try:
+        return list(scan(path, alpha))
+    except OscillationError as exc:
+        return exc.step, str(exc)
 
 
 class TestSpecs:
@@ -190,6 +247,23 @@ class TestSynthesis:
         with pytest.raises(ValueError):
             path.values[0, 0] = 1.0
 
+    @pytest.mark.parametrize("n", [31, 127, 1023])
+    @pytest.mark.parametrize("rows", [1, 10, None])  # one row, 10 rows (201 = 20 * 10 + 1), default
+    @pytest.mark.parametrize("gammas", [
+        PowerLawGammas(gamma0=1.0, decay=8.0),
+        ExplicitGammas(gammas=(1.0, 0.0, 0.5, 0.25, 0.0, 0.125, 3.0, 0.0)),
+        # mode 2 alone: its products at t = 0 are -0.0 where e_2 < 0, and 0.0 + -0.0 = 0.0
+        ExplicitGammas(gammas=(0.0, 0.7, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)),
+    ], ids=["power", "explicit-with-zeros", "mode-2-only"])
+    def test_blocks_keep_the_outer_loop_bits(self, monkeypatch, n, rows, gammas):
+        if rows is not None:
+            monkeypatch.setattr("logdiff.noise._BLOCK_VALUES", rows * n)
+        eigen = eigensystem(GridSpec(length=1.0, n_interior=n), 8)
+        spec = NoiseSpec(k_max=8, gammas=gammas, seed=n, t_final=1.0, n_steps=200)
+        path = synthesize(spec, eigen)
+        expected = outer_loop_values(spec, eigen, path.brownian)
+        assert np.array_equal(path.values.view(np.int64), expected.view(np.int64))
+
 
 class TestSupNorm:
     def test_zero_noise(self):
@@ -210,6 +284,17 @@ class TestSupNorm:
         # reproducibility regression captured at first run of this config
         path = synthesize(power_spec(), EIGEN)
         assert abs(sup_norm_estimate(path) - 0.9670211867827212) < 1e-13
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_equals_the_max_of_abs(self, seed):
+        path = synthesize(power_spec(seed=seed, n_steps=300), EIGEN)
+        assert sup_norm_estimate(path) == float(np.max(np.abs(path.values)))
+
+    def test_signed_zeros_give_positive_zero(self):
+        values = np.zeros((4, 3))
+        values[1:] = -0.0
+        sup = sup_norm_estimate(path_of(values))
+        assert sup == 0.0 and math.copysign(1.0, sup) == 1.0
 
 
 class TestModulusOfContinuity:
@@ -246,6 +331,47 @@ class TestModulusOfContinuity:
         path = synthesize(power_spec(n_steps=10), EIGEN)
         with pytest.raises(ValueError):
             modulus_of_continuity(path, 0.0)
+
+    @pytest.mark.parametrize("rows", [1, 3, None])  # widest window of 1 or 3 rows, or the default
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_windows_keep_the_greedy_cuts(self, monkeypatch, rows, seed):
+        if rows is not None:
+            monkeypatch.setattr("logdiff.noise._BLOCK_VALUES", rows * 31)
+        path = synthesize(power_spec(seed=seed, n_steps=2000), eigensystem(GridSpec(1.0, 31), 8))
+        outcomes = []
+        # alpha = 0.03 and 0.05 fail at some step of these paths; 0.3 makes long cells
+        for alpha in (0.03, 0.05, 0.08, 0.1, 0.3, 1.0, np.inf):
+            expected = partition_or_error(greedy_cuts, path, alpha)
+            assert partition_or_error(modulus_of_continuity, path, alpha) == expected
+            outcomes.append(type(expected))
+        assert tuple in outcomes and list in outcomes
+
+    @pytest.mark.parametrize("rows", [1, 3, None])
+    @pytest.mark.parametrize("n_steps", [45, 49, 64])
+    @pytest.mark.parametrize("alpha", [7.0, 7.5, 8.0, 15.5, 16.0, np.inf])
+    def test_ramp_cells_end_on_window_boundaries(self, monkeypatch, rows, n_steps, alpha):
+        # on a ramp the cell [s, e] oscillates by exactly e - s, so alpha = L + 1/2 gives
+        # cells of L steps and alpha = L gives L - 1: the first cell's windows end at
+        # steps 1, 3, 7, 15, ..., each later cell's first window at its predecessor's length
+        if rows is not None:
+            monkeypatch.setattr("logdiff.noise._BLOCK_VALUES", rows * 2)
+        steps = np.arange(n_steps + 1, dtype=float)
+        path = path_of(np.column_stack([steps, -0.5 * steps]))
+        cuts = modulus_of_continuity(path, alpha)
+        assert list(cuts) == greedy_cuts(path, alpha)
+        assert cuts[-1] == n_steps
+
+    @pytest.mark.parametrize("rows", [1, 3, None])
+    def test_error_step_and_message_match_the_greedy_scan(self, monkeypatch, rows):
+        if rows is not None:
+            monkeypatch.setattr("logdiff.noise._BLOCK_VALUES", rows * 2)
+        steps = np.arange(41, dtype=float)
+        values = np.column_stack([steps, -0.5 * steps])
+        values[21:, 0] += 10.0  # step 20 -> 21 oscillates by 11
+        path = path_of(values)
+        expected = partition_or_error(greedy_cuts, path, 5.5)
+        assert expected[0] == 20
+        assert partition_or_error(modulus_of_continuity, path, 5.5) == expected
 
 
 class TestRestrict:

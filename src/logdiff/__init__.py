@@ -42,6 +42,7 @@ from .solver import (
     Trajectory,
     epsilon_sweep,
     run_ensemble,
+    solve_explicit,
     solve_path,
     solve_rows,
 )
@@ -90,6 +91,7 @@ __all__ = [
     "restrict",
     "run_ensemble",
     "signed_log",
+    "solve_explicit",
     "solve_path",
     "solve_rows",
     "synthesize",

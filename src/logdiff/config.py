@@ -54,7 +54,6 @@ class SolverBlock:
     epsilon: float = 1e-2
     dt: float = 1e-3
     t_final: float = 0.5
-    scheme: str = "implicit"
     newton_tol: float = 1e-10
     newton_max_iter: int = 50
     epsilon_list: tuple[float, ...] = (1e-1, 3e-2, 1e-2, 3e-3, 1e-3)
@@ -113,7 +112,6 @@ class ExperimentConfig:
             epsilon=self.solver.epsilon,
             newton_tol=self.solver.newton_tol,
             newton_max_iter=self.solver.newton_max_iter,
-            scheme=self.solver.scheme,
         )
 
     def initial_datum(self, grid: GridSpec, eigen: Optional[EigenSystem] = None) -> Field:

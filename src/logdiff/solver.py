@@ -6,7 +6,7 @@ the regularized equation is a random PDE without stochastic integrals:
     dY/dt = Lap_h F_eps(Y + W_Q),   Y(0) = x,
     F_eps = yosida_shifted(eps, .)  (monotone, slope in [eps, 1/(1+eps)+eps]).
 
-The primary scheme is implicit Euler,
+The scheme is implicit Euler,
 
     Y_{n+1} - dt * Lap_h F_eps(Y_{n+1} + W_{n+1}) = Y_n,
 
@@ -26,8 +26,9 @@ cannot fall below its rounding floor
 
 so when a Newton step fails to halve the residual, or damping finds no
 decrease, Newton also stops if the residual is finite and below that
-floor.  An explicit Euler step (noise at the left endpoint) is an
-independent cross-check; it refuses to run outside its stability bound
+floor.  Explicit Euler (noise at the left endpoint), marched by
+solve_explicit, is an independent cross-check; a step refuses to run
+outside its stability bound
 
     dt * (4/h^2) * max_j F_eps'(Y_n + W_n) <= 1.
 
@@ -52,14 +53,13 @@ or a non-finite entry, solves its rows with one dgtsv call each.  A
 batch of one row (solve_path) makes that plain call.
 
 When a row's step fails (a failed dgtsv, a non-finite residual, Newton's
-iteration budget, the explicit stability bound) the row stops, and so
-do the rows after it: the batch returns the trajectories of the rows
-before it and the StepFailureError, with the step index, that solving
-that row alone raises.  A batch holds at most _BATCH_VALUES state
-values; solve_rows (and so run_ensemble) and epsilon_sweep cut their
-rows into batches by that one rule.  The noise path owns the space-time
-grid: every step has size dt = noise.dt on the noise's own time grid.
-Trajectory.x_fields computes X_n = Y_n + W_n anew.
+iteration budget) the row stops, and so do the rows after it: the batch
+returns the trajectories of the rows before it and the StepFailureError,
+with the step index, that solving that row alone raises.  A batch holds
+at most _BATCH_VALUES state values; solve_rows (and so run_ensemble) and
+epsilon_sweep cut their rows into batches by that one rule.  The noise
+path owns the space-time grid: every step has size dt = noise.dt on the
+noise's own time grid.  Trajectory.x_fields computes X_n = Y_n + W_n anew.
 """
 
 from __future__ import annotations
@@ -81,8 +81,6 @@ _MAX_DAMPING_HALVINGS = 30
 # a batch of rows holds at most this many state values of Y (4 MiB): the 5 desk
 # paths (127 nodes, 500 steps) form one batch, and 8 such paths fill one
 _BATCH_VALUES = 2**19
-
-_SCHEMES = ("implicit", "explicit")
 
 
 class StepFailureError(RuntimeError):
@@ -106,12 +104,11 @@ class StabilityError(RuntimeError):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Scheme and Newton settings; the time grid belongs to the noise path."""
+    """Regularization and Newton settings; the time grid belongs to the noise path."""
 
     epsilon: float
     newton_tol: float = 1e-10
     newton_max_iter: int = 50
-    scheme: str = "implicit"
 
     def __post_init__(self) -> None:
         _check_eps(self.epsilon)
@@ -119,8 +116,6 @@ class SolverConfig:
             raise ValueError(f"newton_tol must be positive and finite, got {self.newton_tol}")
         if self.newton_max_iter < 1:
             raise ValueError("newton_max_iter must be >= 1")
-        if self.scheme not in _SCHEMES:
-            raise ValueError(f"scheme must be one of {_SCHEMES}, got {self.scheme!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -249,8 +244,8 @@ def _step_implicit_core(
                     f"tridiagonal solve failed (dgtsv info {info})", residual=float(rnorm[i]))
             keep = np.ones(rows.size, dtype=bool)
             keep[list(failed)] = False
-            rows, u, r, rnorm, e, w, yp, delta = (
-                a[keep] for a in (rows, u, r, rnorm, e, w, yp, delta))
+            rows, u, y, r, rnorm, e, w, yp, delta = (
+                a[keep] for a in (rows, u, y, r, rnorm, e, w, yp, delta))
             if not rows.size:
                 break
 
@@ -331,34 +326,19 @@ def _rounding_floor(
 
 
 def _step_explicit_core(
-    y_prev: np.ndarray, w_prev: np.ndarray, grid: GridSpec, eps, dt: float
+    y_prev: np.ndarray, w_prev: np.ndarray, grid: GridSpec, eps: float, dt: float
 ) -> np.ndarray:
-    """One explicit Euler step of a state, or of each row of (P, n) states with a (P, 1) eps."""
+    """One explicit Euler step of a state; raises StabilityError outside the stability bound."""
     z = y_prev + w_prev
-    bound = dt * (4.0 / grid.h**2) * np.max(yosida_derivative(eps, z) + eps, axis=-1)
-    if np.any(bound > 1.0):
-        raise StabilityError(float(np.max(bound)), dt)
+    bound = dt * (4.0 / grid.h**2) * np.max(yosida_derivative(eps, z) + eps)
+    if bound > 1.0:
+        raise StabilityError(float(bound), dt)
     return y_prev + dt * _laplacian(yosida_shifted(eps, z), grid.h)
-
-
-def _step_explicit_rows(y_prev, w_prev, grid, eps, dt) -> tuple[np.ndarray, dict[int, Exception]]:
-    """The explicit step for all rows, or, when that raises, for each row alone: (y, failures)."""
-    try:
-        return _step_explicit_core(y_prev, w_prev, grid, eps, dt), {}
-    except (StabilityError, ValueError):
-        pass
-    y, failures = np.empty_like(y_prev), {}
-    for i in range(len(y_prev)):
-        try:
-            y[i] = _step_explicit_core(y_prev[i], w_prev[i], grid, eps[i, 0], dt)
-        except (StabilityError, ValueError) as exc:
-            failures[i] = exc
-    return y, failures
 
 
 def _solve_batch(
     x0: Field, cfg: SolverConfig, rows: Sequence[tuple[NoisePath, float]]
-) -> tuple[list[Trajectory], Exception | None]:
+) -> tuple[list[Trajectory], StepFailureError | None]:
     """March rows (noise path, eps) from x0 in lockstep across their shared time grid.
 
     Returns the trajectories of the rows before the first row whose step fails, and that
@@ -378,23 +358,17 @@ def _solve_batch(
     eps = np.array([[e] for _, e in rows])
     w = np.empty_like(y)
     values = [path.values for path, _ in rows]
-    implicit = cfg.scheme == "implicit"
     live, error = len(rows), None  # rows after a failed row are dropped: the live rows are a prefix
     for n in range(n_steps):
         for i in range(live):
-            w[i] = values[i][n + 1 if implicit else n]
-        if implicit:
-            y, iters[:live, n], resids[:live, n], failures = _step_implicit_core(
-                y, w[:live], grid, eps[:live], dt, cfg.newton_tol, cfg.newton_max_iter)
-        else:
-            y, failures = _step_explicit_rows(y, w[:live], grid, eps[:live], dt)
+            w[i] = values[i][n + 1]
+        y, iters[:live, n], resids[:live, n], failures = _step_implicit_core(
+            y, w[:live], grid, eps[:live], dt, cfg.newton_tol, cfg.newton_max_iter)
         if failures:
             live = min(failures)
-            exc = error = failures[live]
-            if isinstance(exc, (StepFailureError, StabilityError)):
-                error = StepFailureError(f"step {n} failed: {exc}", step=n,
-                                         residual=getattr(exc, "residual", None))
-                error.__cause__ = exc
+            exc = failures[live]
+            error = StepFailureError(f"step {n} failed: {exc}", step=n, residual=exc.residual)
+            error.__cause__ = exc
             y = y[:live]
         for i in range(live):
             ys[i][n + 1] = y[i]
@@ -425,11 +399,32 @@ def _yield_rows(
 
 
 def solve_path(x0: Field, noise: NoisePath, cfg: SolverConfig) -> Trajectory:
-    """March the configured scheme across the noise path's time grid: a batch of one row.
+    """March implicit Euler across the noise path's time grid: a batch of one row.
 
     Deterministic: identical inputs give identical output.
     """
     return next(_yield_rows([_solve_batch(x0, cfg, [(noise, cfg.epsilon)])]))
+
+
+def solve_explicit(x0: Field, noise: NoisePath, cfg: SolverConfig) -> Trajectory:
+    """March explicit Euler across the noise path's time grid, one path on its own.
+
+    The cross-check of the implicit scheme: it reads only cfg.epsilon, takes the noise at
+    each step's left endpoint and reports zero Newton iterations and residuals.  A step
+    outside the stability bound raises StepFailureError with its step index.
+    """
+    if noise.grid != x0.grid:
+        raise ValueError("noise path lives on a different grid")
+    n_steps = noise.spec.n_steps
+    y = np.empty((n_steps + 1, x0.grid.n_interior))
+    y[0] = x0.values
+    for n in range(n_steps):
+        try:
+            y[n + 1] = _step_explicit_core(y[n], noise.values[n], x0.grid, cfg.epsilon, noise.dt)
+        except StabilityError as exc:
+            raise StepFailureError(f"step {n} failed: {exc}", step=n) from exc
+    return Trajectory(config=cfg, noise=noise, y_fields=y,
+                      newton_iters=np.zeros(n_steps, dtype=int), newton_residuals=np.zeros(n_steps))
 
 
 def solve_rows(

@@ -361,7 +361,7 @@ def uniqueness_distance(a: Trajectory, b: Trajectory) -> float:
 
     The trajectories must share the seed, the initial datum and the
     noise values on the common (coarser) time grid; configs may differ
-    in scheme and eps, and the noise paths in step count (one a
+    in eps, and the noise paths in step count (one a
     restriction of the other).  Comparison happens on the common grid.
     """
     if a.grid != b.grid:

@@ -35,7 +35,13 @@ from logdiff.nonlinearity import (
     yosida,
     yosida_shifted,
 )
-from logdiff.solver import SolverConfig, epsilon_sweep, run_ensemble, solve_path
+from logdiff.solver import (
+    SolverConfig,
+    epsilon_sweep,
+    run_ensemble,
+    solve_explicit,
+    solve_path,
+)
 from logdiff.verifier import (
     build_test_process,
     flux_l1_integral,
@@ -271,9 +277,7 @@ def test_criterion_7_scheme_agreement_uniqueness_proxy():
         n_steps = round(T / dt)
         path = restrict(fine, n_fine // n_steps)
         imp = solve_path(x0, path, SolverConfig(epsilon=1e-2))
-        exp = solve_path(
-            x0, path, SolverConfig(epsilon=1e-2, scheme="explicit")
-        )
+        exp = solve_explicit(x0, path, SolverConfig(epsilon=1e-2))
         dists.append(uniqueness_distance(imp, exp))
     r1, r2 = dists[0] / dists[1], dists[1] / dists[2]
     ok = r1 >= 1.8 and r2 >= 1.8

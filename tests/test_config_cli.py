@@ -21,7 +21,8 @@ from logdiff.noise import NoiseSpec, PowerLawGammas, synthesize
 from logdiff.solver import SolverConfig, solve_path
 
 
-SMOKE = Path(__file__).parents[1] / "scripts" / "configs" / "smoke.cfg"
+CONFIGS = Path(__file__).parents[1] / "scripts" / "configs"
+SMOKE = CONFIGS / "smoke.cfg"
 
 
 def write(path, text):
@@ -57,7 +58,6 @@ KEY_VALUES = [
     ("solver", "epsilon", "1e-3", 1e-3),
     ("solver", "dt", "2e-3", 2e-3),
     ("solver", "t_final", "0.25", 0.25),
-    ("solver", "scheme", "explicit", "explicit"),
     ("solver", "newton_tol", "1e-12", 1e-12),
     ("solver", "newton_max_iter", "20", 20),
     ("solver", "epsilon_list", "1e-1, 1e-2", (1e-1, 1e-2)),
@@ -102,8 +102,13 @@ class TestParseConfig:
         assert cfg.output.workers == 1
 
     def test_default_cfg_spells_out_the_defaults(self, tmp_path):
-        default = Path(__file__).parents[1] / "scripts" / "configs" / "default.cfg"
-        assert parse_config(str(default)) == parse_config(write(tmp_path / "c.cfg", ""))
+        empty = parse_config(write(tmp_path / "c.cfg", ""))
+        assert parse_config(str(CONFIGS / "default.cfg")) == empty
+
+    @pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.cfg")), ids=lambda p: p.name)
+    def test_every_shipped_config_parses(self, path):
+        # a key dropped from the schema must not linger in a shipped config
+        assert isinstance(parse_config(str(path)), ExperimentConfig)
 
     def test_missing_file(self):
         with pytest.raises(ConfigError):
@@ -116,6 +121,13 @@ class TestParseConfig:
     def test_unknown_key(self, tmp_path):
         with pytest.raises(ConfigError, match="unknown key"):
             parse_config(write(tmp_path / "c.cfg", "[grid]\nspacing = 0.1\n"))
+
+    def test_scheme_is_an_unknown_key(self, tmp_path, capsys):
+        # implicit Euler is the only scheme, so no key chooses one
+        cfg = write(tmp_path / "c.cfg", "[solver]\nscheme = implicit\n")
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        assert "unknown key 'scheme' in section [solver]" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_bad_value(self, tmp_path):
         with pytest.raises(ConfigError):
@@ -148,7 +160,7 @@ class TestParseConfig:
         assert solver.epsilon == 1e-2
         # per-eps configs and per-path specs are derived with replace, which re-validates
         per_eps = replace(solver, epsilon=1e-3)
-        assert (per_eps.epsilon, per_eps.scheme) == (1e-3, "implicit")
+        assert per_eps.epsilon == 1e-3
         assert replace(spec, seed=43).seed == 43
         with pytest.raises(ValueError):
             replace(solver, epsilon=-1e-3)
@@ -338,11 +350,13 @@ class TestCliSimulate:
         # the last seed itself is fine: noise-check's one path at --paths 0 runs
         assert main(["noise-check", "--config", top_cfg, "--out", str(out), "--paths", "0"]) == 0
 
-    def test_solver_failure_exit_3(self, tmp_path):
-        text = "[solver]\nscheme = explicit\ndt = 1e-3\nt_final = 0.01\n"
+    def test_solver_failure_exit_3(self, tmp_path, capsys):
+        # one Newton iteration cannot reach a tolerance far below the rounding floor
+        text = "[solver]\nnewton_max_iter = 1\nnewton_tol = 1e-300\ndt = 1e-3\nt_final = 0.01\n"
         cfg = write(tmp_path / "c.cfg", text)
         out = tmp_path / "out"
         assert main(["simulate", "--config", cfg, "--out", str(out), "--paths", "1"]) == 3
+        assert "solver failure: step 0 failed: Newton did not reach tol" in capsys.readouterr().err
 
     def test_failed_tridiagonal_solve_exit_3(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr("logdiff.solver.dgtsv", lambda dl, d, du, b: (dl, d, du, b, 1))

@@ -1,4 +1,4 @@
-"""Implicit/explicit steppers, the path driver, and the epsilon sweep."""
+"""Implicit/explicit steppers, the path drivers, and the epsilon sweep."""
 
 import concurrent.futures
 from dataclasses import replace
@@ -30,6 +30,7 @@ from logdiff.solver import (
     _step_implicit_core,
     epsilon_sweep,
     run_ensemble,
+    solve_explicit,
     solve_path,
 )
 
@@ -103,8 +104,6 @@ class TestSolverConfig:
             SolverConfig(epsilon=1e-2, newton_tol=0.0)
         with pytest.raises(ValueError):
             SolverConfig(epsilon=1e-2, newton_max_iter=0)
-        with pytest.raises(ValueError):
-            SolverConfig(epsilon=1e-2, scheme="midpoint")
 
 
 class TestImplicitStep:
@@ -197,6 +196,25 @@ class TestExplicitStep:
         cfg = SolverConfig(epsilon=1e-2)
         z = np.zeros(15)
         assert np.all(explicit(G15, z, z, 1e-4, cfg) == 0.0)
+
+    def test_solve_explicit_fails_at_the_unstable_step(self):
+        # dt * 4/h^2 = 0.995: stable for eps 1e-2 (max F' about 1.0001), not for eps 1e-1
+        grid = GridSpec(length=1.0, n_interior=31)
+        path = default_noise(grid, eigensystem(grid, 8), t_final=5 * 0.995 / 4096, n_steps=5)
+        x0 = Field(grid, np.zeros(31))
+        cfg = SolverConfig(epsilon=1e-2)
+        traj = solve_explicit(x0, path, cfg)
+        y = x0.values
+        for n in range(5):  # noise at the left endpoint
+            y = explicit(grid, y, path.values[n], path.dt, cfg)
+            assert same_bits(traj.y_fields[n + 1], y)
+        assert traj.config == cfg and traj.noise is path
+        assert np.all(traj.newton_iters == 0) and np.all(traj.newton_residuals == 0.0)
+        with pytest.raises(StepFailureError, match="explicit step unstable") as raised:
+            solve_explicit(x0, path, SolverConfig(epsilon=1e-1))
+        err = raised.value
+        assert str(err).startswith("step 0 failed: explicit step unstable")
+        assert (err.step, err.residual, type(err.__cause__)) == (0, None, StabilityError)
 
 
 class TestSolvePath:
@@ -340,8 +358,9 @@ class TestSolvePath:
     def test_grid_mismatch_rejected(self):
         noise = default_noise(G127, E127)
         cfg = SolverConfig(epsilon=1e-2)
-        with pytest.raises(ValueError):
-            solve_path(Field(G15, np.zeros(15)), noise, cfg)
+        for solve in (solve_path, solve_explicit):
+            with pytest.raises(ValueError, match="different grid"):
+                solve(Field(G15, np.zeros(15)), noise, cfg)
 
 
 class TestTightTolerance:
@@ -654,30 +673,24 @@ class TestLockstep:
         assert np.any(trajs[0].newton_residuals > cfg.newton_tol)
         assert_rows_alone(x0, cfg, rows, trajs)
 
-    def test_explicit_rows_are_bitwise_one_row_at_a_time(self):
-        grid = GridSpec(length=1.0, n_interior=31)
-        eigen = eigensystem(grid, 8)
-        paths = [default_noise(grid, eigen, seed=s, t_final=0.01, n_steps=40) for s in (1, 2)]
-        rows = [(paths[0], 1e-1), (paths[1], 1e-2), (paths[0], 1e-3)]
-        x0 = Field(grid, np.sin(np.pi * grid.nodes))
-        cfg = SolverConfig(epsilon=1e-2, scheme="explicit")
-        trajs, error = logdiff.solver._solve_batch(x0, cfg, rows)
-        assert error is None
-        assert_rows_alone(x0, cfg, rows, trajs)
+    def test_failed_solve_leaves_the_next_rows_own_state_at_the_floor(self, monkeypatch):
+        # row 0's dgtsv fails and row 1 gets a zero step, so row 1 stalls and stops at the
+        # (patched) rounding floor in the same iteration, with its own state
+        rng = np.random.default_rng(3)
+        y_prev, w = rng.normal(0, 0.5, (2, 15)), rng.normal(0, 0.2, (2, 15))
+        eps, dt = np.array([[1e-2], [1e-3]]), 1e-3
+        monkeypatch.setattr("logdiff.solver._rounding_floor", lambda *args: np.inf)
 
-    def test_explicit_unstable_row_yields_the_rows_before_it_then_its_error(self):
-        # dt * 4/h^2 = 0.995: stable for eps 1e-2 (max F' about 1.0001), not for eps 1e-1
-        grid = GridSpec(length=1.0, n_interior=31)
-        path = default_noise(grid, eigensystem(grid, 8), t_final=5 * 0.995 / 4096, n_steps=5)
-        rows = [(path, 1e-2), (path, 1e-1), (path, 1e-2)]
-        x0 = Field(grid, np.zeros(31))
-        cfg = SolverConfig(epsilon=1e-2, scheme="explicit")
-        trajs, error = logdiff.solver._solve_batch(x0, cfg, rows)
-        with pytest.raises(StepFailureError, match="explicit step unstable") as alone:
-            solve_path(x0, path, replace(cfg, epsilon=1e-1))
-        assert (type(error), str(error), error.step, error.residual) == (
-            StepFailureError, str(alone.value), 0, None)
-        assert_rows_alone(x0, cfg, rows[:1], trajs)
+        def directions(u, r, rnorm, e, scale):
+            return np.zeros_like(u), ({0: 1} if len(u) == 2 else {})
+
+        monkeypatch.setattr("logdiff.solver._newton_directions", directions)
+        y, iters, res, failures = _step_implicit_core(y_prev, w, G15, eps, dt, 1e-10, 50)
+        alone = _step_implicit_core(y_prev[1:], w[1:], G15, eps[1:], dt, 1e-10, 50)
+        assert list(failures) == [0] and "dgtsv info 1" in str(failures[0])
+        assert alone[3] == {} and res[1] > 1e-10
+        assert same_bits(y[1], alone[0][0])
+        assert iters[1] == alone[1][0] == 0 and res[1] == alone[2][0]
 
     def test_stacked_solve_is_each_rows_own_dgtsv(self):
         # exact zeros of both signs at and across the block boundaries keep their bits,

@@ -9,7 +9,12 @@ the spectral identities of the 3-point stencil exact to rounding.
 The negative Laplacian -Lap_h is the symmetric positive definite
 tridiagonal matrix with stencil (-1, 2, -1)/h^2.  Its inverse and the
 resolvent (I - mu*Lap_h)^-1 are direct banded Cholesky solves, O(n) per
-right-hand side.  The H^-1 inner product is
+right-hand side.  LAPACK dpbtrf factors each matrix once and dpbtrs
+solves; both are called directly, with the checks that scipy's
+cholesky_banded and cho_solve_banded make (matching shapes, a finite
+right-hand side, info = 0).  A norm that overflows although the values
+are finite is computed again on the values scaled by their largest
+magnitude.  The H^-1 inner product is
 
     <u, v>_-1 = ((-Lap_h)^-1 u, v)_2,
 
@@ -25,11 +30,13 @@ norm_l2, norm_hminus1 and neg_laplacian_inverse wrap them for Fields.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import cho_solve_banded, cholesky_banded
+
+from ._lapack import dpbtrf, dpbtrs
 
 
 @dataclass(frozen=True)
@@ -151,34 +158,75 @@ def _factor(length: float, n_interior: int, shift: float, mu: float) -> np.ndarr
     ab = np.zeros((2, n_interior))
     ab[0, 1:] = -mu / h**2
     ab[1] = shift + 2.0 * mu / h**2
-    return cholesky_banded(ab, lower=False)
+    cb, info = dpbtrf(ab, lower=0)
+    _check_info("dpbtrf", info)
+    return cb
+
+
+def _check_info(routine: str, info: int) -> None:
+    if info > 0:
+        raise np.linalg.LinAlgError(f"{info}-th leading minor not positive definite")
+    if info < 0:
+        raise ValueError(f"illegal value in {-info}-th argument of internal {routine}")
+
+
+def _solve_banded(cb: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve with the factor cb from _factor; rhs may be (n,) or (n, m) for m systems."""
+    if rhs.shape[0] != cb.shape[1]:  # dpbtrs would read the first n rows of a longer rhs
+        raise ValueError("shapes of cb and b are not compatible.")
+    if not np.isfinite(rhs).all():
+        raise ValueError("array must not contain infs or NaNs")
+    x, info = dpbtrs(cb, rhs, lower=0)
+    _check_info("dpbtrs", info)
+    return x
 
 
 def _solve_neg_laplacian(grid: GridSpec, rhs: np.ndarray) -> np.ndarray:
     """Solve (-Lap_h) u = rhs; rhs may be (n,) or (n, m) for m systems."""
-    cb = _factor(grid.length, grid.n_interior, 0.0, 1.0)
-    return cho_solve_banded((cb, False), rhs)
+    return _solve_banded(_factor(grid.length, grid.n_interior, 0.0, 1.0), rhs)
 
 
 def _solve_resolvent(grid: GridSpec, mu: float, rhs: np.ndarray) -> np.ndarray:
-    cb = _factor(grid.length, grid.n_interior, 1.0, mu)
-    return cho_solve_banded((cb, False), rhs)
+    return _solve_banded(_factor(grid.length, grid.n_interior, 1.0, mu), rhs)
 
 
 def _norm_l2(grid: GridSpec, v: np.ndarray) -> float:
-    return float(np.sqrt(grid.h * np.dot(v, v)))
+    return float(_norms_l2(grid, v[None, :])[0])
 
 
 def _norms_l2(grid: GridSpec, rows: np.ndarray) -> np.ndarray:
-    """L2 norm along the last axis; np.vecdot gives each row the bits of _norm_l2's np.dot."""
-    return np.sqrt(grid.h * np.vecdot(rows, rows))
+    """L2 norm of each row of a (m, n) array; np.vecdot gives each row the bits it has alone."""
+    return _unless_overflow(np.sqrt(grid.h * np.vecdot(rows, rows)), rows,
+                            lambda scaled: np.sqrt(grid.h * np.vecdot(scaled, scaled)))
 
 
 def _hminus1_norms(grid: GridSpec, rows: np.ndarray) -> np.ndarray:
     """H^-1 norm of each row of a (m, n) array in one banded solve."""
-    sol = _solve_neg_laplacian(grid, rows.T)
-    sq = grid.h * np.sum(sol * rows.T, axis=0)
-    return np.sqrt(np.maximum(sq, 0.0))
+
+    def norms(r):
+        sol = _solve_neg_laplacian(grid, r.T)
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is redone scaled
+            sq = grid.h * np.sum(sol * r.T, axis=0)
+        return np.sqrt(np.maximum(sq, 0.0))
+
+    return _unless_overflow(norms(rows), rows, norms)
+
+
+def _unless_overflow(out: np.ndarray, rows: np.ndarray, norms) -> np.ndarray:
+    """out, with each row whose norm overflowed, though its values are finite, redone scaled.
+
+    Such a row's norm is m * norms(row / m) with m = max |row|, which is finite
+    while the norm itself is; every other row keeps the bits of out.  norms
+    takes a (k, n) array; rows may also be one row of shape (n,).
+    """
+    if all(map(math.isfinite, out.ravel().tolist())):  # cheaper than np.isfinite for few rows
+        return out
+    flat_out, flat_rows = np.array(out, ndmin=1), rows.reshape(-1, rows.shape[-1])
+    m = np.max(np.abs(flat_rows), axis=-1)
+    redo = ~np.isfinite(flat_out) & np.isfinite(m)
+    if redo.any():
+        flat_out[redo] = m[redo] * norms(flat_rows[redo] / m[redo, None])
+    return flat_out.reshape(np.shape(out))
 
 
 # ---------------------------------------------------------------------------
@@ -194,7 +242,13 @@ def norm_l2(f: Field) -> float:
 
 
 def norm_hminus1(f: Field) -> float:
-    """|f|_-1 = sqrt(((-Lap_h)^-1 f, f)_2)."""
-    v = f.values
-    sq = float(f.grid.h * np.dot(_solve_neg_laplacian(f.grid, v), v))
-    return float(np.sqrt(max(sq, 0.0)))
+    """|f|_-1 = sqrt(((-Lap_h)^-1 f, f)_2), scaled by max |f| first if that overflows."""
+
+    def norms(rows):  # rows holds one row
+        sol = _solve_neg_laplacian(f.grid, rows[0])
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is redone scaled
+            sq = f.grid.h * np.dot(sol, rows[0])
+        return np.sqrt(np.maximum(sq, 0.0))[None]
+
+    rows = f.values[None, :]
+    return float(_unless_overflow(norms(rows), rows, norms)[0])

@@ -34,6 +34,7 @@ from dataclasses import dataclass, fields, replace
 from typing import Optional, Union
 
 import numpy as np
+import numpy.random  # noqa: F401  # numpy loads it lazily; import it here, not in synthesize's first call
 
 from .grid import EigenSystem, Field, GridSpec
 
@@ -115,7 +116,9 @@ class NoisePath:
     """One realized path of the spectral noise on a space-time grid.
 
     values[n, j] is the field at time index n and node j+1; row 0 is
-    identically zero.  brownian[n, k] holds beta_{k+1}(t_n).
+    identically zero.  brownian[n, k] holds beta_{k+1}(t_n).  The arrays
+    are read-only copies, except that a read-only float64 array owning
+    its memory, as synthesize builds them, is taken as it is.
     """
 
     spec: NoiseSpec
@@ -125,8 +128,8 @@ class NoisePath:
     brownian: np.ndarray
 
     def __post_init__(self) -> None:
-        t = np.array(self.times, dtype=float, copy=True)
-        v = np.array(self.values, dtype=float, copy=True)
+        t = _frozen(self.times)
+        v = _frozen(self.values)
         n_rows = self.spec.n_steps + 1
         if t.shape != (n_rows,):
             raise ValueError(f"times must have shape ({n_rows},), got {t.shape}")
@@ -138,11 +141,10 @@ class NoisePath:
             raise ValueError("noise values must be finite")
         if np.any(v[0] != 0.0):
             raise ValueError("noise must vanish at t = 0")
-        b = np.array(self.brownian, dtype=float, copy=True)
+        b = _frozen(self.brownian)
         if b.shape != (n_rows, self.spec.k_max):
             raise ValueError("brownian matrix shape mismatch")
         for name, arr in (("times", t), ("values", v), ("brownian", b)):
-            arr.flags.writeable = False
             object.__setattr__(self, name, arr)
 
     def __reduce__(self):  # unpickle through __init__, so the arrays are read-only again
@@ -154,6 +156,16 @@ class NoisePath:
 
     def field_at(self, n: int) -> Field:
         return Field(self.grid, self.values[n])
+
+
+def _frozen(arr) -> np.ndarray:
+    """arr as a read-only float64 array; copied unless it is one already and owns its memory."""
+    if type(arr) is np.ndarray and arr.dtype == np.float64 and arr.base is None \
+            and not arr.flags.writeable:
+        return arr
+    out = np.array(arr, dtype=float, copy=True)
+    out.flags.writeable = False
+    return out
 
 
 @dataclass(frozen=True)
@@ -253,6 +265,8 @@ def synthesize(
             np.multiply(scaled[r0 : r0 + rows, k, None], eigen.eigenvectors[k], out=t)
             block += t
     times = np.linspace(0.0, spec.t_final, spec.n_steps + 1)
+    for arr in (values, brownian):  # nothing else holds them, so NoisePath need not copy them
+        arr.flags.writeable = False
     return NoisePath(spec, eigen.grid, times, values, brownian)
 
 

@@ -16,25 +16,23 @@ variants yosida_shifted = yosida + eps*x and the matching potential
 potential_shifted = moreau_envelope + eps*x^2/2, whose derivative is
 exactly yosida_shifted.
 
-The resolvent has a closed form in the Wright omega function w, the
-solution of w + ln(w) = z: with 1 + |J| = eps*w,
-
-    J_eps(x) = sign(x) * (eps * w((1 + |x|)/eps - ln(eps)) - 1),
-
-and J_eps(x) = x/(1 + eps) to first order, used for |x| < 1e-8, where
-eps*w - 1 loses J to cancellation.  It serves the public maps here and
-the verifier; the solver's implicit step needs no resolvent, because it
-takes u = J_eps(x) as its unknown and evaluates the flux as
-signed_log(u) + eps*x with x = u + eps*signed_log(u).  So scipy.special,
-which holds Wright omega, is imported on the resolvent's first call:
-`simulate`, `sweep-eps` and `noise-check` never load it.
+The resolvent is found by Newton's method on |J| alone: with a = |x|,
+g(y) = y + eps*ln(1 + y) - a is increasing and concave on y >= 0, and
+the start y_0 = a/(1 + eps) has g(y_0) <= 0 since ln(1 + y) <= y.  A
+Newton step from a point left of the root of a concave increasing g
+moves right and, by concavity, lands again left of the root, so the
+iterates rise monotonically to it.  The iteration stops once an iterate
+no longer rises, which in rounding arithmetic happens within a few ulps
+of the root, after 2-5 steps for eps <= 1; J takes the sign of x.
+yosida and yosida_shifted are then evaluated as signed_log(J) (+ eps*x),
+which avoids the cancellation in (x - J)/eps.  The solver's implicit step
+needs no resolvent, because it takes u = J_eps(x) as its unknown and
+evaluates the flux as signed_log(u) + eps*x with x = u + eps*signed_log(u).
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-_LINEAR_BELOW = 1e-8
 
 
 def _check_eps(eps) -> None:
@@ -54,10 +52,14 @@ def _output(out, scalar: bool):
     return float(out) if scalar else np.asarray(out)
 
 
+def _signed_log(v: np.ndarray) -> np.ndarray:
+    return np.sign(v) * np.log1p(np.abs(v))
+
+
 def signed_log(x):
     """sign(x) * ln(1 + |x|)."""
     arr, scalar = _prepare(x)
-    return _output(np.sign(arr) * np.log1p(np.abs(arr)), scalar)
+    return _output(_signed_log(arr), scalar)
 
 
 def potential(x):
@@ -68,12 +70,16 @@ def potential(x):
 
 
 def _resolvent(eps, arr: np.ndarray) -> np.ndarray:
-    """Closed-form J_eps through Wright omega, linear near 0."""
-    from scipy.special import wrightomega  # loaded on the first call (module docstring)
-
+    """J_eps by Newton on |J| from |x|/(1 + eps), rising to a fixed point (module docstring)."""
     a = np.abs(arr)
-    j = np.sign(arr) * (eps * wrightomega((1.0 + a) / eps - np.log(eps)) - 1.0)
-    return np.where(a < _LINEAR_BELOW, arr / (1.0 + eps), j)
+    y = a / (1.0 + eps)
+    while True:
+        step = (a - y - eps * np.log1p(y)) / (1.0 + eps / (1.0 + y))
+        y_next = y + step
+        rising = y_next > y
+        if not rising.any():
+            return np.copysign(y, arr)
+        y = np.where(rising, y_next, y)
 
 
 def _via_resolvent(eps, x, formula):
@@ -91,15 +97,15 @@ def _envelope(e, x, j):
 def resolvent(eps, x):
     """Solve y + eps*signed_log(y) = x for y (elementwise).
 
-    The root has the sign of x and |y| <= |x|; it is evaluated in
-    closed form through the Wright omega function (module docstring).
+    The root has the sign of x and |y| <= |x|; it is found by a
+    monotone Newton iteration (module docstring).
     """
     return _via_resolvent(eps, x, lambda e, x, j: j)
 
 
 def yosida(eps, x):
-    """(x - resolvent(eps, x)) / eps; equals signed_log at the resolvent."""
-    return _via_resolvent(eps, x, lambda e, x, j: (x - j) / e)
+    """(x - resolvent(eps, x)) / eps, evaluated as signed_log at the resolvent."""
+    return _via_resolvent(eps, x, lambda e, x, j: _signed_log(j))
 
 
 def moreau_envelope(eps, x):
@@ -113,7 +119,7 @@ def moreau_envelope(eps, x):
 
 def yosida_shifted(eps, x):
     """yosida(eps, x) + eps*x, strictly monotone with slope >= eps."""
-    return _via_resolvent(eps, x, lambda e, x, j: (x - j) / e + e * x)
+    return _via_resolvent(eps, x, lambda e, x, j: _signed_log(j) + e * x)
 
 
 def potential_shifted(eps, x):

@@ -70,8 +70,8 @@ from functools import partial
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
-from scipy.linalg.lapack import dgtsv
 
+from ._lapack import dgtsv
 from .grid import EigenSystem, Field, GridSpec, _hminus1_norms, _laplacian, _norms_l2
 from .noise import NoisePath, NoiseSpec, _require_decay, synthesize
 from .nonlinearity import _check_eps, yosida_derivative, yosida_shifted

@@ -366,15 +366,30 @@ class TestCliSimulate:
         assert "step 0 failed: tridiagonal solve failed" in capsys.readouterr().err
 
     def test_overflowed_residual_exit_3(self, tmp_path, capsys):
-        # the residual norm and its rounding floor both overflow to inf; neither counts as converged
-        text = ("[grid]\nn_interior = 31\n[initial]\nprofile = bump\namplitude = 1e300\n"
-                "[solver]\nt_final = 0.005\n")
+        # the residual itself overflows to inf, and so do its norm and rounding floor; neither
+        # counts as converged
+        text = ("[grid]\nn_interior = 31\n[initial]\nprofile = mode\nmode_k = 31\n"
+                "amplitude = 1e308\n[solver]\nt_final = 0.005\n")
         cfg = write(tmp_path / "c.cfg", text)
         out = tmp_path / "out"
         with pytest.warns(RuntimeWarning, match="overflow"):
             assert main(["simulate", "--config", cfg, "--out", str(out), "--paths", "1"]) == 3
         assert "solver failure: step 0 failed" in capsys.readouterr().err
         assert not (out / "summary.csv").exists()
+
+    def test_bump_of_amplitude_1e300_solves(self, tmp_path):
+        # every value is finite, so the norms are too: they scale by max |v| where the plain
+        # sum of squares overflows
+        text = ("[grid]\nn_interior = 31\n[initial]\nprofile = bump\namplitude = 1e300\n"
+                "[solver]\nt_final = 0.005\n")
+        cfg = write(tmp_path / "c.cfg", text)
+        out = tmp_path / "out"
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            assert main(["simulate", "--config", cfg, "--out", str(out), "--paths", "1"]) == 0
+        with open(out / "summary.csv", newline="") as fh:
+            (row,) = list(csv.DictReader(fh))
+        assert all(np.isfinite(float(v)) for v in row.values())
+        assert 1e299 < float(row["x_l2_final"]) < 1e300
 
     def test_failed_decay_check_exit_1(self, tmp_path, capsys):
         text = "[grid]\nn_interior = 31\n[noise]\ngamma_decay = 4.0\n"
@@ -573,11 +588,14 @@ class TestCliOther:
         assert capsys.readouterr().out.strip() == "logdiff 0.1.0 (config schema 1)"
 
     def test_cli_import_leaves_out_scipy_integrate_and_optimize(self):
-        # every command pays for what logdiff.cli imports; these two cost about 20 MB
+        # every command pays for what logdiff.cli imports; scipy.integrate and scipy.optimize
+        # cost about 20 MB, and scipy.linalg's init loads numpy.f2py (~260 ms in all).  The
+        # LAPACK loader falls back on scipy.linalg, so its absence shows the fast path in use
         src = str(Path(__file__).parents[1] / "src")
         env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
         code = ("import sys, logdiff.cli; "
-                "print(sorted(m for m in ('scipy.integrate', 'scipy.optimize') if m in sys.modules))")
+                "print(sorted(m for m in ('scipy.integrate', 'scipy.optimize', 'scipy.linalg', "
+                "'scipy.special', 'numpy.f2py') if m in sys.modules))")
         run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                              text=True, check=True)
         assert run.stdout.strip() == "[]"
@@ -613,16 +631,18 @@ class TestCliOther:
             assert outputs == first
 
     @pytest.mark.parametrize("command, loads", [
-        ("simulate", False), ("sweep-eps", False), ("noise-check", False), ("verify", True),
+        ("simulate", False), ("sweep-eps", False), ("noise-check", False), ("verify", False),
     ])
     def test_scipy_special_loads_only_for_the_resolvent(self, tmp_path, command, loads):
-        # the implicit solver never evaluates the resolvent; verify's flux_l1 check does
+        # the resolvent, which verify's flux_l1 check evaluates, is a Newton iteration in
+        # numpy, so no command loads scipy.special, nor scipy.linalg and numpy.f2py
         src = str(Path(__file__).parents[1] / "src")
         env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
         code = ("import sys, logdiff.cli; "
                 f"code = logdiff.cli.main([{command!r}, '--config', {str(SMOKE)!r}, "
                 f"'--out', {str(tmp_path / 'out')!r}]); "
-                "print(code, 'scipy.special' in sys.modules)")
+                "print(code, 'scipy.special' in sys.modules, "
+                "[m for m in ('scipy.linalg', 'numpy.f2py') if m in sys.modules])")
         run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                              text=True, check=True)
-        assert run.stdout.splitlines()[-1].split() == ["0", str(loads)]
+        assert run.stdout.splitlines()[-1].split(maxsplit=2) == ["0", str(loads), "[]"]

@@ -6,6 +6,7 @@ import pytest
 from logdiff.grid import (
     Field,
     GridSpec,
+    _hminus1_norms,
     _laplacian,
     _norm_l2,
     _norms_l2,
@@ -198,6 +199,30 @@ class TestNorms:
         rows = rng.standard_normal((7, n)) * 10.0 ** rng.integers(-12, 4, (7, 1))
         for sub in (rows, rows[[1, 4]], rows[3:4]):
             assert [float(v) for v in _norms_l2(g, sub)] == [_norm_l2(g, v) for v in sub]
+
+    def test_norms_of_huge_finite_rows_do_not_overflow(self):
+        # a row near 1e300 squares past the largest double: its norms are taken on the row
+        # scaled by max |v|, and every other row keeps its bits
+        g = GridSpec(length=1.0, n_interior=31)
+        rows = np.random.default_rng(4).standard_normal((3, 31))
+        big = rows.copy()
+        big[1] *= 1e300
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            for norms in (lambda r: _norms_l2(g, r), lambda r: _hminus1_norms(g, r)):
+                plain, scaled = norms(rows), norms(big)
+                assert np.array_equal(scaled[[0, 2]], plain[[0, 2]])
+                assert abs(scaled[1] / (1e300 * plain[1]) - 1.0) < 1e-14
+            assert norm_l2(Field(g, big[1])) == _norms_l2(g, big)[1]
+            ratio = norm_hminus1(Field(g, big[1])) / norm_hminus1(Field(g, rows[1]))
+        assert abs(ratio / 1e300 - 1.0) < 1e-14
+
+    def test_norms_keep_inf_and_nan_rows(self):
+        # a non-finite value is no overflow to undo: its row's norm stays inf or NaN
+        g = GridSpec(length=1.0, n_interior=15)
+        rows = np.ones((3, 15))
+        rows[1, 4], rows[2, 7] = np.inf, np.nan
+        norms = _norms_l2(g, rows)
+        assert norms[0] == _norm_l2(g, rows[0]) and norms[1] == np.inf and np.isnan(norms[2])
 
     def test_laplacian_acts_on_each_row(self):
         g = GridSpec(length=1.0, n_interior=31)

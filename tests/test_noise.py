@@ -247,6 +247,24 @@ class TestSynthesis:
         with pytest.raises(ValueError):
             path.values[0, 0] = 1.0
 
+    def test_path_copies_what_a_caller_still_owns(self):
+        # synthesize hands over read-only arrays nothing else holds; a caller's writeable
+        # arrays, and views of arrays, are copied, so a later write leaves the path as it was
+        path = synthesize(power_spec(n_steps=10), EIGEN)
+        times, values, brownian = path.times.copy(), path.values.copy(), path.brownian.copy()
+        built = NoisePath(path.spec, GRID, times, values, brownian)
+        assert not any(np.shares_memory(a, b) for a, b in
+                       ((built.times, times), (built.values, values), (built.brownian, brownian)))
+        values[1:] = 7.0
+        brownian[1:] = 7.0
+        assert np.array_equal(built.values, path.values)
+        assert np.array_equal(built.brownian, path.brownian)
+        assert not (built.values.flags.writeable or built.brownian.flags.writeable)
+        frozen_view = path.values[:, ::1]  # read-only, but a view of another array
+        assert NoisePath(path.spec, GRID, times, frozen_view, brownian).values is not frozen_view
+        again = NoisePath(path.spec, GRID, path.times, path.values, path.brownian)
+        assert again.values is path.values and again.brownian is path.brownian
+
     @pytest.mark.parametrize("n", [31, 127, 1023])
     @pytest.mark.parametrize("rows", [1, 10, None])  # one row, 10 rows (201 = 20 * 10 + 1), default
     @pytest.mark.parametrize("gammas", [

@@ -345,10 +345,11 @@ class TestSolvePath:
             implicit(G15, y_prev, w_next, 1e-3, SolverConfig(epsilon=1e-2))
 
     def test_overflowed_residual_is_not_at_the_rounding_floor(self):
-        # near 1e300 the residual norm and its rounding floor both overflow to inf
+        # the highest mode at amplitude 1e308: the residual itself, and so its norm and its
+        # rounding floor, overflow to inf
         grid = GridSpec(length=1.0, n_interior=31)
         noise = default_noise(grid, eigensystem(grid, 8), t_final=5e-3, n_steps=5)
-        x0 = Field(grid, 1e300 * grid.nodes * (1.0 - grid.nodes))
+        x0 = Field(grid, 1e308 * eigensystem(grid, 31).eigenvectors[30])
         with pytest.warns(RuntimeWarning, match="overflow"):
             with pytest.raises(StepFailureError) as err:
                 solve_path(x0, noise, SolverConfig(epsilon=1e-2))
@@ -629,9 +630,12 @@ def assert_rows_alone(x0, cfg, rows, trajs):
 
 
 def overflowing_path(grid, n_steps=6, at=3):
-    """A noise path of value 1e200 from step `at` on: the residual's norm overflows there."""
+    """A noise path of values +-1e308, alternating in space, from step `at` on.
+
+    The Laplacian of the flux, and so the residual itself, overflows there.
+    """
     values = np.zeros((n_steps + 1, grid.n_interior))
-    values[at:] = 1e200
+    values[at:] = 1e308 * (-1.0) ** np.arange(grid.n_interior)
     spec = NoiseSpec(k_max=1, gammas=ExplicitGammas(gammas=(0.0,)), seed=99,
                      t_final=n_steps * 1e-3, n_steps=n_steps)
     return logdiff.solver.NoisePath(spec, grid, np.linspace(0.0, spec.t_final, n_steps + 1),

@@ -37,7 +37,6 @@ from .nonlinearity import (
 )
 from .solver import (
     SolverConfig,
-    StabilityError,
     StepFailureError,
     Trajectory,
     epsilon_sweep,
@@ -72,7 +71,6 @@ __all__ = [
     "PowerLawGammas",
     "Report",
     "SolverConfig",
-    "StabilityError",
     "StepFailureError",
     "Trajectory",
     "build_test_process",

@@ -12,7 +12,7 @@ import argparse
 import csv
 import os
 import sys
-from dataclasses import replace
+from dataclasses import astuple, fields, replace
 
 import numpy as np
 
@@ -37,6 +37,7 @@ from .solver import (  # noqa: F401
 )
 from .verifier import (
     MEAN_SQUARE_MIN_PATHS,
+    InadmissibleError,
     build_test_process,
     flux_l1_integral,
     hminus1_sup,
@@ -183,9 +184,13 @@ def cmd_verify(cfg: ExperimentConfig, eigen: EigenSystem, out_dir: str, n_paths:
                 for name, column in zip(diagnostics, zip(*values)) if name in checks]
     if "variational" in checks:
         base = trajectory(base_row)
-        z = build_test_process(base, cfg.verify.mu)
+        try:
+            z, self_z = build_test_process(base, cfg.verify.mu), self_test_process(base)
+        except InadmissibleError as exc:
+            print(f"check failure: {exc}", file=sys.stderr)
+            return EXIT_CHECK_FAILED
         reports.append(variational_residual(z, tol_vi=cfg.verify.tol_vi))
-        self_rep = variational_residual(self_test_process(base), tol_vi=1e-9)
+        self_rep = variational_residual(self_z, tol_vi=1e-9)
         reports[-1].flags.append(replace(self_rep.flags[0], name="self_test_residual"))
 
     for report in reports:
@@ -203,19 +208,8 @@ def cmd_verify(cfg: ExperimentConfig, eigen: EigenSystem, out_dir: str, n_paths:
 def cmd_noise_check(cfg: ExperimentConfig, eigen: EigenSystem, report: DecayReport,
                     out_dir: str, n_paths: int) -> int:
     spec = cfg.noise_spec()
-    _write_csv(
-        os.path.join(out_dir, "decay_report.csv"),
-        ["k_max", "sum_gamma_sq_lambda_sq", "sum_gamma_lambda_cubed",
-         "margin_square_sum", "margin_linear_sum", "ok"],
-        [(
-            report.k_max,
-            report.sum_gamma_sq_lambda_sq,
-            report.sum_gamma_lambda_cubed,
-            "" if report.margin_square_sum is None else report.margin_square_sum,
-            "" if report.margin_linear_sum is None else report.margin_linear_sum,
-            report.ok,
-        )],
-    )
+    _write_csv(os.path.join(out_dir, "decay_report.csv"), [f.name for f in fields(report)],
+               [["" if v is None else v for v in astuple(report)]])
     if not report.ok:
         print(
             "noise-check: decay check FAILED "
@@ -298,7 +292,7 @@ def main(argv=None) -> int:
         if (args.command == "verify" and "mean_square" in cfg.verify.checks
                 and n_paths < MEAN_SQUARE_MIN_PATHS):
             raise ConfigError(f"mean_square needs >= {MEAN_SQUARE_MIN_PATHS} paths, got {n_paths}")
-        eigen = cfg.eigen(cfg.grid_spec())  # carries the grid; every command shares it
+        eigen = cfg.eigen(cfg.grid)  # carries the grid; every command shares it
         decay = validate_decay(cfg.noise_spec(), eigen)
         # noise-check reports a failed decay check in its own output files
         if args.command != "noise-check" and not (decay.ok or cfg.noise.override_decay_check):
@@ -309,14 +303,16 @@ def main(argv=None) -> int:
         out_dir = args.out if args.out is not None else cfg.output.directory
         os.makedirs(out_dir, exist_ok=True)
 
-        if args.command == "simulate":
-            dump = args.dump_trajectories or cfg.output.dump_trajectories
-            return cmd_simulate(cfg, eigen, out_dir, n_paths, dump)
-        if args.command == "sweep-eps":
-            return cmd_sweep_eps(cfg, eigen, out_dir)
-        if args.command == "verify":
-            return cmd_verify(cfg, eigen, out_dir, n_paths)
-        return cmd_noise_check(cfg, eigen, decay, out_dir, n_paths)
+        # a sum of squares that overflows is redone scaled; numpy need not warn of it
+        with np.errstate(over="ignore", invalid="ignore"):
+            if args.command == "simulate":
+                dump = args.dump_trajectories or cfg.output.dump_trajectories
+                return cmd_simulate(cfg, eigen, out_dir, n_paths, dump)
+            if args.command == "sweep-eps":
+                return cmd_sweep_eps(cfg, eigen, out_dir)
+            if args.command == "verify":
+                return cmd_verify(cfg, eigen, out_dir, n_paths)
+            return cmd_noise_check(cfg, eigen, decay, out_dir, n_paths)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR

@@ -1,7 +1,8 @@
 """Experiment configuration files: flat, sectioned, key = value text.
 
 The sections are the fields of ExperimentConfig and the keys are the
-fields of its blocks; each key is parsed by its annotated type.  Unknown
+fields of its blocks; each key is parsed by its annotated type.  The
+[grid] block is GridSpec, whose own checks reject a bad grid.  Unknown
 sections or keys are hard errors, as are malformed values and missing or
 unreadable files.  Every key has a default, so the empty file is the
 default desk-scale experiment.
@@ -30,12 +31,6 @@ PROFILES = get_args(Profile)
 
 class ConfigError(Exception):
     """Invalid configuration file or option."""
-
-
-@dataclass(frozen=True)
-class GridBlock:
-    length: float = 1.0
-    n_interior: int = 127
 
 
 @dataclass(frozen=True)
@@ -85,15 +80,12 @@ class OutputBlock:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    grid: GridBlock = GridBlock()
+    grid: GridSpec = GridSpec(length=1.0, n_interior=127)
     noise: NoiseBlock = NoiseBlock()
     solver: SolverBlock = SolverBlock()
     initial: InitialBlock = InitialBlock()
     verify: VerifyBlock = VerifyBlock()
     output: OutputBlock = OutputBlock()
-
-    def grid_spec(self) -> GridSpec:
-        return GridSpec(self.grid.length, self.grid.n_interior)
 
     def eigen(self, grid: GridSpec) -> EigenSystem:
         return eigensystem(grid, self.noise.k_max)
@@ -254,8 +246,11 @@ def parse_config(path: str) -> ExperimentConfig:
 
     def block(section: str, default):
         raw = parser[section] if parser.has_section(section) else {}
-        return replace(default, **{key: parse(raw[key], f"[{section}] {key}")
-                                   for key, parse in _SCHEMA[section].items() if key in raw})
+        try:  # GridSpec checks its own values
+            return replace(default, **{key: parse(raw[key], f"[{section}] {key}")
+                                       for key, parse in _SCHEMA[section].items() if key in raw})
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
 
     cfg = ExperimentConfig(**{f.name: block(f.name, f.default) for f in fields(ExperimentConfig)})
     _validate(cfg)
@@ -273,7 +268,6 @@ def _validate(cfg: ExperimentConfig) -> None:
         raise ConfigError(f"[solver] dt = {dt} does not divide [solver] t_final = {t_final} "
                           "into a finite number of steps")
     try:
-        grid = cfg.grid_spec()
         cfg.noise_spec()
         cfg.solver_config()
     except ValueError as exc:
@@ -290,7 +284,7 @@ def _validate(cfg: ExperimentConfig) -> None:
         raise ConfigError(f"initial mode_k must lie in 1..{cfg.grid.n_interior}")
     if cfg.initial.profile == "file":
         # parse the file early so missing/ill-formed data is a config error
-        cfg.initial_datum(grid)
+        cfg.initial_datum(cfg.grid)
     if cfg.verify.mu <= 0:
         raise ConfigError("verify mu must be positive")
     if cfg.verify.tol_vi is not None and cfg.verify.tol_vi <= 0:

@@ -55,11 +55,12 @@ batch of one row (solve_path) makes that plain call.
 When a row's step fails (a failed dgtsv, a non-finite residual, Newton's
 iteration budget) the row stops, and so do the rows after it: the batch
 returns the trajectories of the rows before it and the StepFailureError,
-with the step index, that solving that row alone raises.  A batch holds
-at most _BATCH_VALUES state values; solve_rows (and so run_ensemble) and
-epsilon_sweep cut their rows into batches by that one rule.  The noise
-path owns the space-time grid: every step has size dt = noise.dt on the
-noise's own time grid.  Trajectory.x_fields computes X_n = Y_n + W_n anew.
+with the step index, that solving that row alone raises.  solve_rows
+(and so run_ensemble) cuts its rows into batches of at most
+_BATCH_VALUES state values each; epsilon_sweep keeps all its rows' Y
+anyway, so it solves them as one batch.  The noise path owns the
+space-time grid: every step has size dt = noise.dt on the noise's own
+time grid.  Trajectory.x_fields computes X_n = Y_n + W_n anew.
 """
 
 from __future__ import annotations
@@ -74,7 +75,7 @@ import numpy as np
 from ._lapack import dgtsv
 from .grid import EigenSystem, Field, GridSpec, _hminus1_norms, _laplacian, _norms_l2
 from .noise import NoisePath, NoiseSpec, _require_decay, synthesize
-from .nonlinearity import _check_eps, yosida_derivative, yosida_shifted
+from .nonlinearity import _check_eps, _signed_log, yosida_derivative, yosida_shifted
 
 _MAX_DAMPING_HALVINGS = 30
 
@@ -90,16 +91,6 @@ class StepFailureError(RuntimeError):
         super().__init__(message)
         self.step = step
         self.residual = residual
-
-
-class StabilityError(RuntimeError):
-    """Explicit step refused: carries the computed stability bound."""
-
-    def __init__(self, bound: float, dt: float):
-        super().__init__(
-            f"explicit step unstable: dt * (4/h^2) * max F_eps' = {bound:.6g} > 1 at dt = {dt:.6g}"
-        )
-        self.bound = bound
 
 
 @dataclass(frozen=True)
@@ -177,7 +168,7 @@ class Trajectory:
 
 def _state_and_flux(u: np.ndarray, eps, w_next: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Y = u + eps*s - W and F_eps(Y + W) = s + eps*(u + eps*s), with s = signed_log(u)."""
-    s = np.sign(u) * np.log1p(np.abs(u))  # signed_log(u), without its finiteness check
+    s = _signed_log(u)
     x = u + eps * s  # Y + W
     return x - w_next, s + eps * x
 
@@ -309,7 +300,7 @@ def _newton_directions(
         dl[:, n - 1:] = du[:, n - 1:] = rhs[:, n:] = 0.0  # +0 coupling, identity rows
         d[:, n:] = 1.0
         *_, x, info = dgtsv(dl.ravel()[:-1], d.ravel(), du.ravel()[:-1], rhs.ravel())
-        if info == 0 and np.isfinite(x @ x):  # x @ x is finite iff x is (or it overflows)
+        if info == 0 and (np.isfinite(x @ x) or np.isfinite(x).all()):  # x @ x may overflow
             return x.reshape(k, n + 2)[:, :n], {}
     off, diag = -scale * b, a + 2.0 * scale * b
     solved = [dgtsv(off[i, :-1], diag[i], off[i, 1:], -r[i])[3:] for i in range(k)]
@@ -328,11 +319,12 @@ def _rounding_floor(
 def _step_explicit_core(
     y_prev: np.ndarray, w_prev: np.ndarray, grid: GridSpec, eps: float, dt: float
 ) -> np.ndarray:
-    """One explicit Euler step of a state; raises StabilityError outside the stability bound."""
+    """One explicit Euler step of a state; raises StepFailureError outside the stability bound."""
     z = y_prev + w_prev
     bound = dt * (4.0 / grid.h**2) * np.max(yosida_derivative(eps, z) + eps)
     if bound > 1.0:
-        raise StabilityError(float(bound), dt)
+        raise StepFailureError(
+            f"explicit step unstable: dt * (4/h^2) * max F_eps' = {bound:.6g} > 1 at dt = {dt:.6g}")
     return y_prev + dt * _laplacian(yosida_shifted(eps, z), grid.h)
 
 
@@ -421,7 +413,7 @@ def solve_explicit(x0: Field, noise: NoisePath, cfg: SolverConfig) -> Trajectory
     for n in range(n_steps):
         try:
             y[n + 1] = _step_explicit_core(y[n], noise.values[n], x0.grid, cfg.epsilon, noise.dt)
-        except StabilityError as exc:
+        except StepFailureError as exc:
             raise StepFailureError(f"step {n} failed: {exc}", step=n) from exc
     return Trajectory(config=cfg, noise=noise, y_fields=y,
                       newton_iters=np.zeros(n_steps, dtype=int), newton_residuals=np.zeros(n_steps))
@@ -537,14 +529,15 @@ def epsilon_sweep(
     if np.any(np.diff(eps) > 0):
         raise ValueError("eps_list must be non-increasing")
 
-    rows = [(noise, float(e)) for e in eps]
-    batches = _batches(rows, (noise.spec.n_steps + 1) * x0.grid.n_interior)
-    y_stacks = [t.y_fields for t in _yield_rows(_solve_batch(x0, cfg, b) for b in batches)]
+    # one batch: the pairwise table keeps every row's Y, so cutting the rows saves no memory
+    trajs, error = _solve_batch(x0, cfg, [(noise, float(e)) for e in eps])
+    if error is not None:
+        raise error
 
     m = eps.size
     pairwise = np.zeros((m, m))
     for i in range(m):
         for j in range(i + 1, m):
-            norms = _hminus1_norms(x0.grid, y_stacks[i] - y_stacks[j])
+            norms = _hminus1_norms(x0.grid, trajs[i].y_fields - trajs[j].y_fields)
             pairwise[i, j] = pairwise[j, i] = float(np.max(norms))
     return EpsilonSweepReport(eps, pairwise)

@@ -137,18 +137,13 @@ def _cumulative_trapezoid(values: np.ndarray, dx: float) -> np.ndarray:
     return np.concatenate(([0.0], np.cumsum(dx * (values[1:] + values[:-1]) / 2.0)))
 
 
-def _time_derivative(z: np.ndarray, dt: float) -> np.ndarray:
-    zp = np.empty_like(z)
-    zp[1:-1] = (z[2:] - z[:-2]) / (2.0 * dt)
-    zp[0] = (z[1] - z[0]) / dt
-    zp[-1] = (z[-1] - z[-2]) / dt
-    return zp
+class InadmissibleError(ValueError):
+    """A test process fails an admissibility clause: a check failure of its trajectory."""
 
 
 def _admissibility(
-    grid: GridSpec, times: np.ndarray, z: np.ndarray, zp: np.ndarray, w: np.ndarray
+    grid: GridSpec, dt: float, z: np.ndarray, zp: np.ndarray, w: np.ndarray
 ) -> dict[str, float]:
-    dt = float(times[1] - times[0])
     h = grid.h
     sup_l2 = float(np.max(np.sqrt(h * np.sum(z**2, axis=1))))
     zp_hm1_sq = _hminus1_norms(grid, zp) ** 2
@@ -165,7 +160,7 @@ def _admissibility(
     }
     for clause, value in record.items():
         if not np.isfinite(value):
-            raise ValueError(f"test process rejected: clause {clause} is not finite")
+            raise InadmissibleError(f"test process rejected: clause {clause} is not finite")
     return record
 
 
@@ -188,12 +183,13 @@ def self_test_process(traj: Trajectory) -> TestProcess:
 
 
 def _test_process(traj: Trajectory, z: np.ndarray) -> TestProcess:
-    zp = _time_derivative(z, traj.noise.dt)
+    dt = traj.noise.dt
+    zp = np.gradient(z, dt, axis=0)
     return TestProcess(
         trajectory=traj,
         z_fields=z,
         z_prime=zp,
-        admissibility=_admissibility(traj.grid, traj.times, z, zp, traj.noise.values),
+        admissibility=_admissibility(traj.grid, dt, z, zp, traj.noise.values),
     )
 
 
@@ -238,7 +234,7 @@ def variational_residual(z: TestProcess, tol_vi: Optional[float] = None) -> Repo
     mixed_cum = np.zeros_like(pair)
     mixed_cum[1:] = dt * np.cumsum(pair[:-1])
 
-    start = 0.5 * _hminus1_norms(grid, (y[0] - zf[0])[None, :])[0] ** 2
+    start = half_dual_sq[0]
     residual = half_dual_sq + g_x_cum + mixed_cum - start - g_z_cum
 
     max_residual = float(np.max(residual))

@@ -129,9 +129,20 @@ class TestParseConfig:
         assert "unknown key 'scheme' in section [solver]" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
-    def test_bad_value(self, tmp_path):
+    def test_bad_value(self, tmp_path, capsys):
         with pytest.raises(ConfigError):
             parse_config(write(tmp_path / "c.cfg", "[grid]\nn_interior = tiny\n"))
+        # the [grid] block is GridSpec, whose own checks give the message; a bad grid is
+        # reported before a bad dt
+        for grid, message in (("length = 0", "length must be positive and finite, got 0.0"),
+                              ("length = -1", "length must be positive and finite, got -1.0"),
+                              ("n_interior = 1", "n_interior must be an integer >= 2, got 1")):
+            for solver in ("", "[solver]\ndt = 0\n"):
+                cfg = write(tmp_path / "c.cfg", f"[grid]\n{grid}\n{solver}")
+                out = tmp_path / "out"
+                assert main(["simulate", "--config", cfg, "--out", str(out)]) == 2
+                assert capsys.readouterr().err == f"config error: {message}\n"
+                assert not out.exists()
 
     def test_constraint_violation(self, tmp_path):
         # more modes than interior nodes
@@ -151,8 +162,7 @@ class TestParseConfig:
 
     def test_builders(self, tmp_path):
         cfg = parse_config(write(tmp_path / "c.cfg", BASE))
-        grid = cfg.grid_spec()
-        assert grid.n_interior == 31
+        assert cfg.grid == GridSpec(length=1.0, n_interior=31)
         spec = cfg.noise_spec()
         assert spec.n_steps == 50
         assert spec.t_final == 0.1
@@ -202,8 +212,7 @@ class TestInitialProfiles:
             f"[initial]\nprofile = file\npath = {datum_file}\n"
         )
         cfg = parse_config(write(tmp_path / "c.cfg", text))
-        g = cfg.grid_spec()
-        assert np.allclose(cfg.initial_datum(g).values, [0.1, 0.2, 0.3, 0.4, 0.5])
+        assert np.allclose(cfg.initial_datum(cfg.grid).values, [0.1, 0.2, 0.3, 0.4, 0.5])
 
     def test_file_incomplete_rejected_at_parse_time(self, tmp_path):
         datum_file = tmp_path / "datum.csv"
@@ -367,29 +376,48 @@ class TestCliSimulate:
 
     def test_overflowed_residual_exit_3(self, tmp_path, capsys):
         # the residual itself overflows to inf, and so do its norm and rounding floor; neither
-        # counts as converged
+        # counts as converged.  The CLI prints no numpy warning (pytest makes one an error)
         text = ("[grid]\nn_interior = 31\n[initial]\nprofile = mode\nmode_k = 31\n"
                 "amplitude = 1e308\n[solver]\nt_final = 0.005\n")
         cfg = write(tmp_path / "c.cfg", text)
         out = tmp_path / "out"
-        with pytest.warns(RuntimeWarning, match="overflow"):
-            assert main(["simulate", "--config", cfg, "--out", str(out), "--paths", "1"]) == 3
-        assert "solver failure: step 0 failed" in capsys.readouterr().err
+        assert main(["simulate", "--config", cfg, "--out", str(out), "--paths", "1"]) == 3
+        assert capsys.readouterr().err.startswith("solver failure: step 0 failed")
         assert not (out / "summary.csv").exists()
 
-    def test_bump_of_amplitude_1e300_solves(self, tmp_path):
+    def test_bump_of_amplitude_1e300_solves(self, tmp_path, monkeypatch, capsys):
         # every value is finite, so the norms are too: they scale by max |v| where the plain
-        # sum of squares overflows
+        # sum of squares overflows, and numpy's overflow warnings stay off stderr.  The
+        # stacked Newton solution's x @ x overflows too, which alone must not send the
+        # batch's rows to one dgtsv call each
+        calls = []
+        dgtsv = logdiff.solver.dgtsv
+        monkeypatch.setattr("logdiff.solver.dgtsv",
+                            lambda dl, d, du, b: calls.append(d.size) or dgtsv(dl, d, du, b))
         text = ("[grid]\nn_interior = 31\n[initial]\nprofile = bump\namplitude = 1e300\n"
                 "[solver]\nt_final = 0.005\n")
         cfg = write(tmp_path / "c.cfg", text)
         out = tmp_path / "out"
-        with pytest.warns(RuntimeWarning, match="overflow"):
-            assert main(["simulate", "--config", cfg, "--out", str(out), "--paths", "1"]) == 0
+        assert main(["simulate", "--config", cfg, "--out", str(out), "--paths", "3"]) == 0
+        assert capsys.readouterr().err == ""
+        assert calls and set(calls) == {3 * (31 + 2)}
         with open(out / "summary.csv", newline="") as fh:
-            (row,) = list(csv.DictReader(fh))
-        assert all(np.isfinite(float(v)) for v in row.values())
-        assert 1e299 < float(row["x_l2_final"]) < 1e300
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 3
+        for row in rows:
+            assert all(np.isfinite(float(v)) for v in row.values())
+            assert 1e299 < float(row["x_l2_final"]) < 1e300
+
+    def test_inadmissible_test_process_is_a_check_failure(self, tmp_path, capsys):
+        # the sup-t L^2 clause of a 1e300 bump's test process, a plain sum of squares,
+        # overflows: the variational check fails with one line on stderr and no traceback
+        cfg = write(tmp_path / "c.cfg", SMOKE.read_text()
+                    + "\n[initial]\nprofile = bump\namplitude = 1e300\n")
+        out = tmp_path / "out"
+        assert main(["verify", "--config", cfg, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "check failure: test process rejected: clause sup_l2 is not finite\n"
+        assert captured.out == ""
 
     def test_failed_decay_check_exit_1(self, tmp_path, capsys):
         text = "[grid]\nn_interior = 31\n[noise]\ngamma_decay = 4.0\n"
@@ -553,6 +581,17 @@ class TestCliOther:
             rows = list(csv.reader(fh))
         assert len(rows) == 4
         assert (out / "noise_partition.csv").exists()
+
+    @pytest.mark.parametrize("name, row", [
+        ("smoke.cfg", b"8,97.27654389152015,1450.4305707055203,11.0,1.0,true"),
+        ("zero_noise.cfg", b"1,0.0,0.0,,,true"),  # no power rule: empty margins
+    ])
+    def test_decay_report_bytes(self, tmp_path, name, row):
+        out = tmp_path / "out"
+        assert main(["noise-check", "--config", str(CONFIGS / name), "--out", str(out)]) == 0
+        assert (out / "decay_report.csv").read_bytes() == (
+            b"k_max,sum_gamma_sq_lambda_sq,sum_gamma_lambda_cubed,margin_square_sum,"
+            b"margin_linear_sum,ok\r\n" + row + b"\r\n")
 
     def test_noise_check_decay_failure_exit_1(self, tmp_path):
         cfg = write(tmp_path / "c.cfg", "[noise]\ngamma_decay = 4.0\n")

@@ -23,7 +23,6 @@ from logdiff.noise import ExplicitGammas, NoiseSpec, PowerLawGammas, synthesize
 from logdiff.nonlinearity import yosida_shifted
 from logdiff.solver import (
     SolverConfig,
-    StabilityError,
     StepFailureError,
     _rounding_floor,
     _step_explicit_core,
@@ -189,7 +188,7 @@ class TestExplicitStep:
         # dt*(4/h^2)*max F' ~ 1e-3 * 1024 > 1 at h = 1/16
         z = np.zeros(15)
         cfg = SolverConfig(epsilon=1e-2)
-        with pytest.raises(StabilityError):
+        with pytest.raises(StepFailureError, match="explicit step unstable"):
             explicit(G15, z, z, 1e-3, cfg)
 
     def test_zero_fixed_point(self):
@@ -214,7 +213,7 @@ class TestExplicitStep:
             solve_explicit(x0, path, SolverConfig(epsilon=1e-1))
         err = raised.value
         assert str(err).startswith("step 0 failed: explicit step unstable")
-        assert (err.step, err.residual, type(err.__cause__)) == (0, None, StabilityError)
+        assert (err.step, err.residual, type(err.__cause__)) == (0, None, StepFailureError)
 
 
 class TestSolvePath:
@@ -510,6 +509,45 @@ class TestEpsilonSweep:
         # pairwise matrix is symmetric with zero diagonal
         assert np.allclose(rep.pairwise, rep.pairwise.T)
         assert np.all(np.diag(rep.pairwise) == 0.0)
+
+    def test_one_batch_of_rows_each_solved_as_alone(self, monkeypatch):
+        # the pairwise table keeps every row's Y, so the batching rule does not cut the sweep
+        calls = []
+        solve_batch = logdiff.solver._solve_batch
+
+        def spy(x0, cfg, rows):
+            calls.append((rows, solve_batch(x0, cfg, rows)))
+            return calls[-1][1]
+
+        monkeypatch.setattr("logdiff.solver._solve_batch", spy)
+        monkeypatch.setattr("logdiff.solver._BATCH_VALUES", 1)
+        noise = default_noise(G15, E15, t_final=0.02, n_steps=10)
+        x0 = Field(G15, np.sin(np.pi * G15.nodes))
+        cfg = SolverConfig(epsilon=1e-2)
+        eps = [1e-1, 5e-2, 2.5e-2, 1.25e-2, 6e-3, 3e-3]
+        rep = epsilon_sweep(x0, noise, cfg, eps)
+        (rows, (trajs, error)), = calls
+        assert rows == [(noise, e) for e in eps] and error is None
+        assert_rows_alone(x0, cfg, rows, trajs)
+        for i, j in [(0, 1), (2, 5), (4, 3)]:
+            dist = max(norm_hminus1(Field(G15, a - b))
+                       for a, b in zip(trajs[i].y_fields, trajs[j].y_fields))
+            assert rep.pairwise[i, j] == pytest.approx(dist, rel=1e-12)
+
+    def test_raises_the_first_rows_error(self):
+        grid = GridSpec(length=1.0, n_interior=31)
+        noise = overflowing_path(grid)
+        x0 = Field(grid, grid.nodes * (1.0 - grid.nodes))
+        cfg = SolverConfig(epsilon=1e-2)
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            with pytest.raises(StepFailureError) as alone:
+                solve_path(x0, noise, replace(cfg, epsilon=1e-1))
+            with pytest.raises(StepFailureError) as raised:
+                epsilon_sweep(x0, noise, cfg, [1e-1, 1e-2, 1e-3])
+        err = raised.value
+        assert (str(err), err.step, err.residual) == (
+            str(alone.value), alone.value.step, alone.value.residual)
+        assert err.step == 2 and err.residual == np.inf  # step 2 reaches the noise at t_3
 
 
 class TestEnsemble:

@@ -2,11 +2,12 @@
 
     python3 scripts/compare_outputs.py PARENT_CHECKOUT
 
-Both checkouts run the same 80 commands: simulate, simulate --paths 2
---dump-trajectories, sweep-eps, verify and noise-check, on every
-scripts/configs/*.cfg (each checkout its own file) and on the four
-benchmark workload configs at seed 1 (written by bench/workloads.py of
-this checkout), each at [output] workers 1 and 2.  Every run is a fresh
+Both checkouts make the same 96 runs: simulate, simulate --paths 2
+--dump-trajectories, sweep-eps, verify, noise-check and noise-check
+--paths 0 (its one-path edge case), on every scripts/configs/*.cfg
+(each checkout its own file) and on the four benchmark workload configs
+at seed 1 (written by bench/workloads.py of this checkout), each at
+[output] workers 1 and 2.  Every run is a fresh
 interpreter with one BLAS thread and the checkout's src on PYTHONPATH.
 A run matches when its exit code, stdout, stderr (with the run's own
 paths replaced by placeholders) and the bytes of every output file are
@@ -24,7 +25,7 @@ from pathlib import Path
 
 HERE = Path(__file__).resolve().parents[1]
 COMMANDS = (["simulate"], ["simulate", "--paths", "2", "--dump-trajectories"], ["sweep-eps"],
-            ["verify"], ["noise-check"])
+            ["verify"], ["noise-check"], ["noise-check", "--paths", "0"])
 WORKERS = (1, 2)
 
 

@@ -21,10 +21,12 @@ from .config import SCHEMA_VERSION, ConfigError, ExperimentConfig, parse_config
 from .grid import EigenSystem, norm_hminus1, norm_l2
 from .noise import (
     DecayReport,
+    NoiseOverflowError,
     OscillationError,
     modulus_of_continuity,
     sup_norm_estimate,
     synthesize,
+    synthesized_sup,
     validate_decay,
 )
 # solve_path is not called here, but the benchmark's tracer wraps it under this module
@@ -218,14 +220,12 @@ def cmd_noise_check(cfg: ExperimentConfig, eigen: EigenSystem, report: DecayRepo
         )
         return EXIT_CHECK_FAILED
 
-    sup_rows = []
-    first_path = None
-    for i in range(max(n_paths, 1)):
+    # only the first path is stored, for its partition; report.ok was judged above
+    first_path = synthesize(spec, eigen, override_decay_check=True)
+    sup_rows = [(0, spec.seed, sup_norm_estimate(first_path))]
+    for i in range(1, n_paths):
         spec_i = replace(spec, seed=spec.seed + i)
-        path = synthesize(spec_i, eigen, override_decay_check=True)  # report.ok was judged above
-        if first_path is None:
-            first_path = path
-        sup_rows.append((i, spec_i.seed, sup_norm_estimate(path)))
+        sup_rows.append((i, spec_i.seed, synthesized_sup(spec_i, eigen)))
     _write_csv(os.path.join(out_dir, "noise_sup.csv"),
                ["path", "seed", "sup_norm"], sup_rows)
 
@@ -293,18 +293,17 @@ def main(argv=None) -> int:
                 and n_paths < MEAN_SQUARE_MIN_PATHS):
             raise ConfigError(f"mean_square needs >= {MEAN_SQUARE_MIN_PATHS} paths, got {n_paths}")
         eigen = cfg.eigen(cfg.grid)  # carries the grid; every command shares it
-        decay = validate_decay(cfg.noise_spec(), eigen)
-        # noise-check reports a failed decay check in its own output files
-        if args.command != "noise-check" and not (decay.ok or cfg.noise.override_decay_check):
-            print(f"check failure: noise amplitudes fail the decay check (margins "
-                  f"{decay.margin_square_sum}, {decay.margin_linear_sum}); set "
-                  "[noise] override_decay_check = true to run anyway", file=sys.stderr)
-            return EXIT_CHECK_FAILED
-        out_dir = args.out if args.out is not None else cfg.output.directory
-        os.makedirs(out_dir, exist_ok=True)
-
-        # a sum of squares that overflows is redone scaled; numpy need not warn of it
+        # a sum of squares that overflows is redone scaled or judged; numpy need not warn of it
         with np.errstate(over="ignore", invalid="ignore"):
+            decay = validate_decay(cfg.noise_spec(), eigen)
+            # noise-check reports a failed decay check in its own output files
+            if args.command != "noise-check" and not (decay.ok or cfg.noise.override_decay_check):
+                print(f"check failure: noise amplitudes fail the decay check (margins "
+                      f"{decay.margin_square_sum}, {decay.margin_linear_sum}); set "
+                      "[noise] override_decay_check = true to run anyway", file=sys.stderr)
+                return EXIT_CHECK_FAILED
+            out_dir = args.out if args.out is not None else cfg.output.directory
+            os.makedirs(out_dir, exist_ok=True)
             if args.command == "simulate":
                 dump = args.dump_trajectories or cfg.output.dump_trajectories
                 return cmd_simulate(cfg, eigen, out_dir, n_paths, dump)
@@ -316,6 +315,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
+    except NoiseOverflowError as exc:
+        print(f"check failure: {exc}", file=sys.stderr)
+        return EXIT_CHECK_FAILED
     except StepFailureError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER_FAILURE

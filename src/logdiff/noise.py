@@ -22,14 +22,18 @@ margins are 2*decay - 5 and decay - 7; both must be positive.
 Determinism: each mode draws from its own child stream spawned from the
 master seed, so enlarging k_max leaves the earlier modes' Brownian
 paths bit-identical, and the mode accumulation runs in fixed k order so
-a resynthesis reproduces the field values exactly.  The field is filled
-one cache-sized block of time rows at a time; the blocks change which
-values are computed together, never the order in which a value's modes
-are added, so every value is the same sum of the same products.
+a resynthesis reproduces the field values exactly.  A stored path is
+filled one cache-sized block of time rows at a time; a path whose sup
+norm alone is wanted (:func:`synthesized_sup`) is built one tile of
+nodes at every time row at a time and never stored.  Blocks and tiles
+change which values are computed together, never the order in which a
+value's modes are added, so every value is the same sum of the same
+products.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields, replace
 from typing import Optional, Union
 
@@ -38,8 +42,8 @@ import numpy.random  # noqa: F401  # numpy loads it lazily; import it here, not 
 
 from .grid import EigenSystem, Field, GridSpec
 
-# values per block of time rows in synthesize and per widest window in
-# modulus_of_continuity: 2^15 float64 values (256 KiB) stay in cache
+# values per block of time rows in synthesize, per tile of nodes in synthesized_sup and per
+# widest window in modulus_of_continuity: 2^15 float64 values (256 KiB) stay in cache
 _BLOCK_VALUES = 2**15
 
 
@@ -111,6 +115,10 @@ class NoiseSpec:
         return self.t_final / self.n_steps
 
 
+class NoiseOverflowError(ValueError):
+    """A noise path whose values are not all finite, such as one whose amplitudes overflow."""
+
+
 @dataclass(frozen=True, eq=False)
 class NoisePath:
     """One realized path of the spectral noise on a space-time grid.
@@ -138,7 +146,7 @@ class NoisePath:
                 f"values must have shape ({n_rows}, {self.grid.n_interior}), got {v.shape}"
             )
         if not np.all(np.isfinite(v)):
-            raise ValueError("noise values must be finite")
+            raise NoiseOverflowError("noise values must be finite")
         if np.any(v[0] != 0.0):
             raise ValueError("noise must vanish at t = 0")
         b = _frozen(self.brownian)
@@ -243,14 +251,7 @@ def synthesize(
         _require_decay(spec, eigen)
 
     n_rows = spec.n_steps + 1
-    sqrt_dt = np.sqrt(spec.dt)
-    children = np.random.SeedSequence(spec.seed).spawn(spec.k_max)
-    brownian = np.zeros((n_rows, spec.k_max))
-    for k in range(spec.k_max):
-        rng = np.random.default_rng(children[k])
-        increments = sqrt_dt * rng.standard_normal(spec.n_steps)
-        brownian[1:, k] = np.cumsum(increments)
-
+    brownian = _brownian(spec)
     gam = spec.gammas.values(spec.k_max)
     scaled = brownian * gam  # column k holds gam[k] * brownian[:, k]
     modes = [k for k in range(spec.k_max) if gam[k] != 0.0]
@@ -268,6 +269,53 @@ def synthesize(
     for arr in (values, brownian):  # nothing else holds them, so NoisePath need not copy them
         arr.flags.writeable = False
     return NoisePath(spec, eigen.grid, times, values, brownian)
+
+
+def _brownian(spec: NoiseSpec) -> np.ndarray:
+    """brownian[n, k] = beta_{k+1}(t_n): mode k's child stream of SeedSequence(seed) gives its
+    n_steps increments sqrt(dt)*N(0,1), so the first K columns do not depend on k_max >= K."""
+    sqrt_dt = np.sqrt(spec.dt)
+    children = np.random.SeedSequence(spec.seed).spawn(spec.k_max)
+    brownian = np.zeros((spec.n_steps + 1, spec.k_max))
+    for k in range(spec.k_max):
+        rng = np.random.default_rng(children[k])
+        increments = sqrt_dt * rng.standard_normal(spec.n_steps)
+        brownian[1:, k] = np.cumsum(increments)
+    return brownian
+
+
+def synthesized_sup(spec: NoiseSpec, eigen: EigenSystem) -> float:
+    """sup_norm_estimate(synthesize(spec, eigen, override_decay_check=True)), bit for bit,
+    without storing the path.
+
+    The values are the same sums, added to 0.0 in the same k order, but built one tile
+    of max(1, _BLOCK_VALUES // (n_steps + 1)) nodes at every time row at a time, so each
+    product and sum runs over one node's whole time column; each tile is reduced to its
+    max and min, which are exact, and dropped.  Raises NoiseOverflowError, as NoisePath
+    does, if a value is not finite.  The caller judges the decay check.
+    """
+    _require_modes(spec, eigen)
+    gam = spec.gammas.values(spec.k_max)
+    # row k holds gam[k] * beta_{k+1}, the column synthesize scales, laid out contiguously
+    scaled = np.ascontiguousarray((_brownian(spec) * gam).T)
+    modes = [k for k in range(spec.k_max) if gam[k] != 0.0]
+    n, n_rows = eigen.grid.n_interior, spec.n_steps + 1
+    nodes = max(1, _BLOCK_VALUES // n_rows)
+    tile = np.empty((min(nodes, n), n_rows))
+    term = np.empty_like(tile)
+    hi, lo = -math.inf, math.inf
+    for j0 in range(0, n, nodes):
+        t = tile[: min(nodes, n - j0)]
+        u = term[: len(t)]
+        t.fill(0.0)
+        for k in modes:  # synthesize's k order, so each value is the same sum
+            np.multiply(eigen.eigenvectors[k, j0 : j0 + nodes, None], scaled[k], out=u)
+            t += u
+        t_hi, t_lo = float(t.max()), float(t.min())
+        if not (math.isfinite(t_hi) and math.isfinite(t_lo)):
+            raise NoiseOverflowError("noise values must be finite")
+        hi, lo = max(hi, t_hi), min(lo, t_lo)
+    return max(hi, -lo) + 0.0  # adding 0.0 turns the -0.0 of an all-zero path into 0.0
 
 
 def sup_norm_estimate(path: NoisePath) -> float:

@@ -28,7 +28,9 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .grid import GridSpec, _hminus1_norms, _solve_neg_laplacian, _solve_resolvent, eigensystem
+from .grid import (
+    GridSpec, _hminus1_norms, _norms_l2, _solve_neg_laplacian, _solve_resolvent, eigensystem,
+)
 from .nonlinearity import potential, yosida
 from .solver import Trajectory
 
@@ -145,7 +147,7 @@ def _admissibility(
     grid: GridSpec, dt: float, z: np.ndarray, zp: np.ndarray, w: np.ndarray
 ) -> dict[str, float]:
     h = grid.h
-    sup_l2 = float(np.max(np.sqrt(h * np.sum(z**2, axis=1))))
+    sup_l2 = float(np.max(_norms_l2(grid, z)))  # rescales a row whose sum of squares overflows
     zp_hm1_sq = _hminus1_norms(grid, zp) ** 2
     deriv_integral = float(_cumulative_trapezoid(zp_hm1_sq, dt)[-1])
     g_rows = h * np.sum(potential(z + w), axis=1)

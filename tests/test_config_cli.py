@@ -409,15 +409,61 @@ class TestCliSimulate:
             assert 1e299 < float(row["x_l2_final"]) < 1e300
 
     def test_inadmissible_test_process_is_a_check_failure(self, tmp_path, capsys):
-        # the sup-t L^2 clause of a 1e300 bump's test process, a plain sum of squares,
-        # overflows: the variational check fails with one line on stderr and no traceback
+        # a 1e300 bump's test process has a finite sup-t L^2 norm (near 1.7e299, summed
+        # scaled), but the integral of |Z'|_-1^2 overflows: the variational check fails
+        # with one line on stderr, naming that clause, and no traceback
         cfg = write(tmp_path / "c.cfg", SMOKE.read_text()
                     + "\n[initial]\nprofile = bump\namplitude = 1e300\n")
         out = tmp_path / "out"
         assert main(["verify", "--config", cfg, "--out", str(out)]) == 1
         captured = capsys.readouterr()
-        assert captured.err == "check failure: test process rejected: clause sup_l2 is not finite\n"
+        assert "sup_l2" not in captured.err
+        assert captured.err == ("check failure: test process rejected: "
+                                "clause deriv_hminus1_sq_integral is not finite\n")
         assert captured.out == ""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("command", ["simulate", "sweep-eps", "verify", "noise-check"])
+    def test_overflowing_noise_is_a_check_failure(self, tmp_path, monkeypatch, capsys,
+                                                  command, workers):
+        # gamma_1 * beta_1 overflows on the first path; one row per batch sends simulate's
+        # and verify's rows through the process pool at two workers
+        monkeypatch.setattr("logdiff.solver._BATCH_VALUES", 401 * 31)
+        cfg = write(tmp_path / "c.cfg", "[grid]\nn_interior = 31\n[noise]\ngamma0 = 1e308\n"
+                    "n_paths = 30\n[solver]\ndt = 1e-2\nt_final = 4\n"
+                    f"[output]\nworkers = {workers}\n")
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == "check failure: noise values must be finite\n"
+
+    def test_overflow_in_a_streamed_sup_is_a_check_failure(self, tmp_path, capsys):
+        # seed 2's path is finite and is stored; seed 3's, streamed for its sup norm, is not
+        cfg = write(tmp_path / "c.cfg", "[grid]\nn_interior = 31\n[noise]\ngamma0 = 1e308\n"
+                    "seed = 2\n[solver]\ndt = 1e-2\nt_final = 1\n")
+        one, two = tmp_path / "one", tmp_path / "two"
+        main(["noise-check", "--config", cfg, "--out", str(one), "--paths", "1"])
+        assert (one / "noise_sup.csv").read_bytes().startswith(b"path,seed,sup_norm\r\n0,2,1.3")
+        capsys.readouterr()
+        assert main(["noise-check", "--config", cfg, "--out", str(two), "--paths", "2"]) == 1
+        assert capsys.readouterr().err == "check failure: noise values must be finite\n"
+        assert not (two / "noise_sup.csv").exists()
+
+    @pytest.mark.parametrize("command, out_line, err_line", [
+        ("simulate", "simulate: 30 path(s)", None),
+        ("sweep-eps", None, "solver failure: step 0 failed"),
+        ("verify", None, "solver failure: step 0 failed"),
+        ("noise-check", None, "noise-check: step 0 -> 1 oscillates"),
+    ], ids=["simulate", "sweep-eps", "verify", "noise-check"])
+    def test_huge_amplitudes_print_no_numpy_warnings(self, tmp_path, capsys, command, out_line,
+                                                     err_line):
+        # the decay check's sums of squares overflow at gamma0 = 1e200; the command's own
+        # line is all it prints
+        cfg = write(tmp_path / "c.cfg",
+                    SMOKE.read_text().replace("[noise]\n", "[noise]\ngamma0 = 1e200\n"))
+        main([command, "--config", cfg, "--out", str(tmp_path / "out")])
+        captured = capsys.readouterr()
+        for text, line in ((captured.out, out_line), (captured.err, err_line)):
+            assert len(text.splitlines()) == (line is not None)
+            assert line is None or text.startswith(line)
 
     def test_failed_decay_check_exit_1(self, tmp_path, capsys):
         text = "[grid]\nn_interior = 31\n[noise]\ngamma_decay = 4.0\n"
@@ -582,6 +628,22 @@ class TestCliOther:
         assert len(rows) == 4
         assert (out / "noise_partition.csv").exists()
 
+    @pytest.mark.parametrize("paths, rows", [(None, 30), (0, 1), (1, 1)])
+    def test_noise_check_stores_only_the_first_path(self, tmp_path, monkeypatch, paths, rows):
+        # the partition reads the first path; every other sup norm is streamed, not stored
+        seeds = []
+        real = logdiff.cli.synthesize
+        monkeypatch.setattr("logdiff.cli.synthesize",
+                            lambda spec, *args, **kwargs: seeds.append(spec.seed)
+                            or real(spec, *args, **kwargs))
+        out = tmp_path / "out"
+        argv = ["noise-check", "--config", str(SMOKE), "--out", str(out)]
+        assert main(argv + ([] if paths is None else ["--paths", str(paths)])) == 0
+        assert seeds == [7]
+        with open(out / "noise_sup.csv", newline="") as fh:
+            table = list(csv.reader(fh))
+        assert [row[:2] for row in table[1:]] == [[str(i), str(7 + i)] for i in range(rows)]
+
     @pytest.mark.parametrize("name, row", [
         ("smoke.cfg", b"8,97.27654389152015,1450.4305707055203,11.0,1.0,true"),
         ("zero_noise.cfg", b"1,0.0,0.0,,,true"),  # no power rule: empty margins
@@ -659,8 +721,9 @@ class TestCliOther:
 
     def test_block_size_does_not_change_noise_check_bytes(self, tmp_path, monkeypatch):
         first = None
-        # smoke.cfg has 31 nodes and 51 time rows: blocks of 1 or 7 rows, or the default
-        for block_values in (31, 7 * 31, logdiff.noise._BLOCK_VALUES):
+        # smoke.cfg has 31 nodes and 51 time rows: blocks of 1 or 7 rows, or the default;
+        # the streamed sup norms' tiles hold 1, 1, 4 and all 31 nodes
+        for block_values in (1, 31, 7 * 31, logdiff.noise._BLOCK_VALUES):
             monkeypatch.setattr("logdiff.noise._BLOCK_VALUES", block_values)
             out = tmp_path / f"out{block_values}"
             assert main(["noise-check", "--config", str(SMOKE), "--out", str(out)]) == 0

@@ -9,6 +9,7 @@ import logdiff.noise
 from logdiff.grid import GridSpec, eigensystem, norm_l2
 from logdiff.noise import (
     ExplicitGammas,
+    NoiseOverflowError,
     NoisePath,
     NoiseSpec,
     OscillationError,
@@ -17,6 +18,7 @@ from logdiff.noise import (
     restrict,
     sup_norm_estimate,
     synthesize,
+    synthesized_sup,
     validate_decay,
 )
 
@@ -272,7 +274,8 @@ class TestSynthesis:
         ExplicitGammas(gammas=(1.0, 0.0, 0.5, 0.25, 0.0, 0.125, 3.0, 0.0)),
         # mode 2 alone: its products at t = 0 are -0.0 where e_2 < 0, and 0.0 + -0.0 = 0.0
         ExplicitGammas(gammas=(0.0, 0.7, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)),
-    ], ids=["power", "explicit-with-zeros", "mode-2-only"])
+        PowerLawGammas(gamma0=0.0, decay=8.0),
+    ], ids=["power", "explicit-with-zeros", "mode-2-only", "zero"])
     def test_blocks_keep_the_outer_loop_bits(self, monkeypatch, n, rows, gammas):
         if rows is not None:
             monkeypatch.setattr("logdiff.noise._BLOCK_VALUES", rows * n)
@@ -281,6 +284,9 @@ class TestSynthesis:
         path = synthesize(spec, eigen)
         expected = outer_loop_values(spec, eigen, path.brownian)
         assert np.array_equal(path.values.view(np.int64), expected.view(np.int64))
+        # the streamed sup's tiles of rows * n // 201 nodes (at least 1) sum the same values;
+        # hex() tells the sign of zero apart
+        assert synthesized_sup(spec, eigen).hex() == sup_norm_estimate(path).hex()
 
 
 class TestSupNorm:
@@ -313,6 +319,21 @@ class TestSupNorm:
         values[1:] = -0.0
         sup = sup_norm_estimate(path_of(values))
         assert sup == 0.0 and math.copysign(1.0, sup) == 1.0
+
+    def test_overflowing_values_raise_in_both(self):
+        # |beta_1| passes 1.8 before t = 4, so gamma_1 * beta_1 overflows
+        spec = NoiseSpec(k_max=1, gammas=ExplicitGammas(gammas=(1e308,)), seed=42,
+                         t_final=4.0, n_steps=400)
+        eigen = eigensystem(GridSpec(length=1.0, n_interior=31), 1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NoiseOverflowError, match="noise values must be finite"):
+                synthesize(spec, eigen)
+            with pytest.raises(NoiseOverflowError, match="noise values must be finite"):
+                synthesized_sup(spec, eigen)
+        values = np.zeros((3, 2))
+        values[2, 1] = np.inf
+        with pytest.raises(NoiseOverflowError, match="noise values must be finite"):
+            path_of(values)
 
 
 class TestModulusOfContinuity:

@@ -2,13 +2,14 @@
 
     python3 scripts/compare_outputs.py PARENT_CHECKOUT
 
-Both checkouts make the same 96 runs: simulate, simulate --paths 2
+Both checkouts make the same 108 runs: simulate, simulate --paths 2
 --dump-trajectories, sweep-eps, verify, noise-check and noise-check
 --paths 0 (its one-path edge case), on every scripts/configs/*.cfg
-(each checkout its own file) and on the four benchmark workload configs
-at seed 1 (written by bench/workloads.py of this checkout), each at
-[output] workers 1 and 2.  Every run is a fresh
-interpreter with one BLAS thread and the checkout's src on PYTHONPATH.
+(each checkout its own file), on the four benchmark workload configs
+at seed 1 (written by bench/workloads.py of this checkout) and on
+SHALLOW, defined here, each at [output] workers 1 and 2.  Every run is
+a fresh interpreter with one BLAS thread and the checkout's src on
+PYTHONPATH.
 A run matches when its exit code, stdout, stderr (with the run's own
 paths replaced by placeholders) and the bytes of every output file are
 equal.  Prints one line per differing run and exits 1 on any difference.
@@ -27,6 +28,11 @@ HERE = Path(__file__).resolve().parents[1]
 COMMANDS = (["simulate"], ["simulate", "--paths", "2", "--dump-trajectories"], ["sweep-eps"],
             ["verify"], ["noise-check"], ["noise-check", "--paths", "0"])
 WORKERS = (1, 2)
+# the shallowest spectrum noise-check admits (decay just above 7) on every mode of 31 nodes,
+# where the streamed sup norms' row bounds leave the most time rows to sum
+SHALLOW = {"grid": {"n_interior": "31"},
+           "noise": {"k_max": "31", "gamma_decay": "7.01", "n_paths": "30"},
+           "solver": {"dt": "1e-3", "t_final": "1.0"}}
 
 
 def workload_configs() -> dict[str, dict]:
@@ -96,7 +102,7 @@ def main(argv: list[str]) -> int:
     names = [path.name for path in sorted((HERE / "scripts" / "configs").glob("*.cfg"))]
     workloads = workload_configs()
     sides = {root: {**{name: file_sections(root / "scripts" / "configs" / name) for name in names},
-                    **workloads}
+                    **workloads, "shallow_decay": SHALLOW}
              for root in (HERE, other)}
     runs = differing = n_files = 0
     with tempfile.TemporaryDirectory() as scratch:

@@ -24,11 +24,17 @@ master seed, so enlarging k_max leaves the earlier modes' Brownian
 paths bit-identical, and the mode accumulation runs in fixed k order so
 a resynthesis reproduces the field values exactly.  A stored path is
 filled one cache-sized block of time rows at a time; a path whose sup
-norm alone is wanted (:func:`synthesized_sup`) is built one tile of
-nodes at every time row at a time and never stored.  Blocks and tiles
-change which values are computed together, never the order in which a
-value's modes are added, so every value is the same sum of the same
-products.
+norm alone is wanted (:func:`synthesized_sup`) is never stored.  Each
+of its time rows n has the bound
+
+    |W_Q(t_n)|_inf <= B_n = sum_k |gamma_k beta_k(t_n)| max_j |e_k[j]|,
+
+widened for rounding.  The row with the largest B_n is summed first,
+and of the rest only the rows whose B_n reaches that row's sup are
+summed, one tile of nodes at a time; no other row can hold the sup.
+Blocks and tiles change which values are computed together, never the
+order in which a value's modes are added, so every value is the same
+sum of the same products.
 """
 
 from __future__ import annotations
@@ -42,7 +48,7 @@ import numpy.random  # noqa: F401  # numpy loads it lazily; import it here, not 
 
 from .grid import EigenSystem, Field, GridSpec
 
-# values per block of time rows in synthesize, per tile of nodes in synthesized_sup and per
+# values per block of time rows in synthesize, per tile of nodes in _rows_sup and per
 # widest window in modulus_of_continuity: 2^15 float64 values (256 KiB) stay in cache
 _BLOCK_VALUES = 2**15
 
@@ -286,20 +292,61 @@ def _brownian(spec: NoiseSpec) -> np.ndarray:
 
 def synthesized_sup(spec: NoiseSpec, eigen: EigenSystem) -> float:
     """sup_norm_estimate(synthesize(spec, eigen, override_decay_check=True)), bit for bit,
-    without storing the path.
+    without storing the path, and summing only the time rows that can hold the sup.
 
-    The values are the same sums, added to 0.0 in the same k order, but built one tile
-    of max(1, _BLOCK_VALUES // (n_steps + 1)) nodes at every time row at a time, so each
-    product and sum runs over one node's whole time column; each tile is reduced to its
-    max and min, which are exact, and dropped.  Raises NoiseOverflowError, as NoisePath
-    does, if a value is not finite.  The caller judges the decay check.
+    Time row n holds the values v_j = 0.0 + sum_k fl(c_k e_k[j]), c_k = gam[k] beta_k(t_n)
+    as synthesize scales it, added in k order over the K nonzero modes.  Each value is
+    therefore at most B_n = sum_k |c_k| max_j |e_k[j]| in absolute value, up to rounding
+    (_row_bounds widens the computed B_n to cover it).  The row with the largest bound is
+    summed first; a row whose bound lies below that row's sup holds no value as large,
+    so it cannot change the sup and is never summed.  Every other row is summed by
+    _rows_sup, tile by tile, as the same sums in the same k order.  max and min are
+    exact, so the result keeps its bits.  A value that is not finite has an infinite
+    bound, so its row is always summed, and this raises NoiseOverflowError as NoisePath
+    does.  The caller judges the decay check.
     """
     _require_modes(spec, eigen)
     gam = spec.gammas.values(spec.k_max)
-    # row k holds gam[k] * beta_{k+1}, the column synthesize scales, laid out contiguously
-    scaled = np.ascontiguousarray((_brownian(spec) * gam).T)
+    scaled = _brownian(spec) * gam  # column k holds gam[k] * beta_{k+1}, as in synthesize
     modes = [k for k in range(spec.k_max) if gam[k] != 0.0]
-    n, n_rows = eigen.grid.n_interior, spec.n_steps + 1
+    bound = _row_bounds(scaled, eigen, len(modes))
+    top = int(np.argmax(bound))
+    best = _rows_sup(scaled[top : top + 1], eigen, modes)
+    # ~(bound < best), not bound >= best: a row whose bound is inf or NaN is summed
+    sup = _rows_sup(scaled[~(bound < best)], eigen, modes)
+    return sup + 0.0  # adding 0.0 turns the -0.0 of an all-zero path into 0.0
+
+
+def _row_bounds(scaled: np.ndarray, eigen: EigenSystem, n_modes: int) -> np.ndarray:
+    """Per time row, a bound on |value| over the row's nodes, widened for rounding.
+
+    With u = 2^-53, a product fl(c e) is within u|c e| of c e, or within 2^-1075 when
+    it is subnormal; the K - 1 additions to 0.0 + fl(c_1 e_1) each add at most u
+    relative error (a subnormal sum is exact).  So |v_j| <= (1+u)^K B_n + 2K 2^-1075
+    to first order.  The computed B_n (one product over nonnegative terms, in any
+    order, with or without fused multiply-adds) is at least (1-u)^(2K) B_n - K 2^-1075.
+    Multiplying by 1 + 4(K+2) eps = 1 + 8(K+2)u and adding (K+2) 2^-1074 covers both,
+    with room for the widening's own two roundings.  Zero modes add exact zeros.  A
+    bound may overflow to inf where every value is finite; that row is then summed.
+    """
+    peak = np.abs(eigen.eigenvectors[: scaled.shape[1]]).max(axis=1)
+    with np.errstate(over="ignore"):  # an infinite bound is not an overflowing value
+        bound = np.abs(scaled) @ peak
+        bound *= 1.0 + 4 * (n_modes + 2) * np.finfo(float).eps
+    bound += (n_modes + 2) * 2.0**-1074
+    return bound
+
+
+def _rows_sup(scaled: np.ndarray, eigen: EigenSystem, modes: list[int]) -> float:
+    """max |value| over the time rows whose scaled amplitudes are the rows of scaled.
+
+    The values are the sums synthesize forms, added to 0.0 in its k order, but built
+    one tile of max(1, _BLOCK_VALUES // rows) nodes at every row at a time, so each
+    product and sum runs over one node's column of rows; each tile is reduced to its
+    max and min and dropped.  Raises NoiseOverflowError if a value is not finite.
+    """
+    columns = np.ascontiguousarray(scaled.T)  # row k holds mode k's amplitude per time row
+    n, n_rows = eigen.grid.n_interior, len(scaled)
     nodes = max(1, _BLOCK_VALUES // n_rows)
     tile = np.empty((min(nodes, n), n_rows))
     term = np.empty_like(tile)
@@ -309,13 +356,13 @@ def synthesized_sup(spec: NoiseSpec, eigen: EigenSystem) -> float:
         u = term[: len(t)]
         t.fill(0.0)
         for k in modes:  # synthesize's k order, so each value is the same sum
-            np.multiply(eigen.eigenvectors[k, j0 : j0 + nodes, None], scaled[k], out=u)
+            np.multiply(eigen.eigenvectors[k, j0 : j0 + nodes, None], columns[k], out=u)
             t += u
         t_hi, t_lo = float(t.max()), float(t.min())
         if not (math.isfinite(t_hi) and math.isfinite(t_lo)):
             raise NoiseOverflowError("noise values must be finite")
         hi, lo = max(hi, t_hi), min(lo, t_lo)
-    return max(hi, -lo) + 0.0  # adding 0.0 turns the -0.0 of an all-zero path into 0.0
+    return max(hi, -lo)
 
 
 def sup_norm_estimate(path: NoisePath) -> float:

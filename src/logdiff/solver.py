@@ -181,12 +181,13 @@ def _step_implicit_core(
     dt: float,
     newton_tol: float,
     newton_max_iter: int,
+    work: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict[int, StepFailureError]]:
     """One damped-Newton implicit Euler step in u = J_eps(Y + W) for each row of (P, n) arrays.
 
-    eps is a (P, 1) column.  Returns (y, iters, residuals, failures): failures maps the
-    position of each row whose Newton failed to its error, and that row's y, iters and
-    residual mean nothing.
+    eps is a (P, 1) column; work, if given, is _newton_directions' (4, P, n + 2) workspace.
+    Returns (y, iters, residuals, failures): failures maps the position of each row whose
+    Newton failed to its error, and that row's y, iters and residual mean nothing.
     """
     h, scale = grid.h, dt / grid.h**2
     y_out = np.empty_like(y_prev)
@@ -228,7 +229,8 @@ def _step_implicit_core(
             fail(rows, rnorm, f"Newton did not reach tol {newton_tol:.3g} in {newton_max_iter} "
                  "iterations (residual {:.3g})")
             break
-        delta, failed = _newton_directions(u, r, rnorm, e, scale)
+        delta, failed = _newton_directions(
+            u, r, rnorm, e, scale, None if work is None else work[:, :rows.size])
         if failed:  # a failed solve fails its row
             for i, info in failed.items():
                 failures[rows[i]] = StepFailureError(
@@ -276,13 +278,15 @@ def _step_implicit_core(
 
 
 def _newton_directions(
-    u: np.ndarray, r: np.ndarray, rnorm: np.ndarray, eps: np.ndarray, scale: float
+    u: np.ndarray, r: np.ndarray, rnorm: np.ndarray, eps: np.ndarray, scale: float,
+    work: np.ndarray | None = None,
 ) -> tuple[np.ndarray, dict[int, int]]:
     """Solve each row's Jacobian system for its Newton step; returns (delta, failed).
 
     failed maps the position of each row whose dgtsv call failed to its info.  One
     dgtsv call takes the rows' tridiagonal systems stacked, each followed by two
-    identity rows.  If a row's residual is not finite, or the stacked call reports
+    identity rows, written into work (shape (4, rows, n + 2)) if given, else into a
+    fresh array.  If a row's residual is not finite, or the stacked call reports
     info != 0 or a non-finite entry, each row gets a dgtsv call of its own instead
     (module docstring).
     """
@@ -291,7 +295,7 @@ def _newton_directions(
     b = slope + eps * a
     k, n = u.shape
     if k > 1 and np.isfinite(rnorm).all():
-        dl, du, d, rhs = np.empty((4, k, n + 2))
+        dl, du, d, rhs = np.empty((4, k, n + 2)) if work is None else work
         np.multiply(-scale, b[:, :-1], out=dl[:, :n - 1])
         np.multiply(-scale, b[:, 1:], out=du[:, :n - 1])
         np.multiply(2.0 * scale, b, out=d[:, :n])
@@ -349,13 +353,17 @@ def _solve_batch(
         y_row[0] = x0.values
     eps = np.array([[e] for _, e in rows])
     w = np.empty_like(y)
+    # one workspace for every Newton iteration's stacked dgtsv operands: a fresh one per
+    # iteration (197 KB at 6 rows of 1023 nodes) passes glibc's mmap threshold, so each
+    # would be mapped and page-faulted anew
+    work = np.empty((4, len(rows), grid.n_interior + 2))
     values = [path.values for path, _ in rows]
     live, error = len(rows), None  # rows after a failed row are dropped: the live rows are a prefix
     for n in range(n_steps):
         for i in range(live):
             w[i] = values[i][n + 1]
         y, iters[:live, n], resids[:live, n], failures = _step_implicit_core(
-            y, w[:live], grid, eps[:live], dt, cfg.newton_tol, cfg.newton_max_iter)
+            y, w[:live], grid, eps[:live], dt, cfg.newton_tol, cfg.newton_max_iter, work)
         if failures:
             live = min(failures)
             exc = failures[live]

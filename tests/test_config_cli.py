@@ -661,6 +661,14 @@ class TestCliOther:
         assert main(["noise-check", "--config", cfg, "--out", str(out)]) == 1
         assert (out / "decay_report.csv").exists()
 
+    def test_noise_check_fails_the_decay_check_despite_the_override(self, tmp_path):
+        # the override lets the other commands solve; noise-check still reports the check,
+        # so it reaches its sup norms only with decay > 7 or zero amplitudes
+        cfg = write(tmp_path / "c.cfg", "[noise]\ngamma_decay = 4.0\noverride_decay_check = true\n")
+        out = tmp_path / "out"
+        assert main(["noise-check", "--config", cfg, "--out", str(out)]) == 1
+        assert sorted(p.name for p in out.iterdir()) == ["decay_report.csv"]
+
     @pytest.mark.parametrize("command", ["noise-check", "simulate"])
     def test_eigensystem_and_decay_check_run_once(self, tmp_path, monkeypatch, command):
         calls = []

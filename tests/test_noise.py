@@ -1,6 +1,7 @@
 """Forcing synthesis: mode decay checks, reproducibility, continuity proxies."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -275,18 +276,71 @@ class TestSynthesis:
         # mode 2 alone: its products at t = 0 are -0.0 where e_2 < 0, and 0.0 + -0.0 = 0.0
         ExplicitGammas(gammas=(0.0, 0.7, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)),
         PowerLawGammas(gamma0=0.0, decay=8.0),
-    ], ids=["power", "explicit-with-zeros", "mode-2-only", "zero"])
+        # every value subnormal: the row bounds' absolute slack must cover the products
+        PowerLawGammas(gamma0=1e-318, decay=8.0),
+        # flat amplitudes: the row bounds prune few rows
+        ExplicitGammas(gammas=(1.0,) * 8),
+        ExplicitGammas(gammas=(1.3,)),
+    ], ids=["power", "explicit-with-zeros", "mode-2-only", "zero", "subnormal", "flat",
+            "one-mode"])
     def test_blocks_keep_the_outer_loop_bits(self, monkeypatch, n, rows, gammas):
         if rows is not None:
             monkeypatch.setattr("logdiff.noise._BLOCK_VALUES", rows * n)
         eigen = eigensystem(GridSpec(length=1.0, n_interior=n), 8)
-        spec = NoiseSpec(k_max=8, gammas=gammas, seed=n, t_final=1.0, n_steps=200)
+        k_max = len(gammas.gammas) if isinstance(gammas, ExplicitGammas) else 8
+        spec = NoiseSpec(k_max=k_max, gammas=gammas, seed=n, t_final=1.0, n_steps=200)
         path = synthesize(spec, eigen)
         expected = outer_loop_values(spec, eigen, path.brownian)
         assert np.array_equal(path.values.view(np.int64), expected.view(np.int64))
         # the streamed sup's tiles of rows * n // 201 nodes (at least 1) sum the same values;
         # hex() tells the sign of zero apart
         assert synthesized_sup(spec, eigen).hex() == sup_norm_estimate(path).hex()
+
+
+def spy_rows_summed(monkeypatch):
+    """Record the number of time rows each _rows_sup call sums."""
+    counts = []
+    rows_sup = logdiff.noise._rows_sup
+    monkeypatch.setattr("logdiff.noise._rows_sup",
+                        lambda scaled, *args: counts.append(len(scaled)) or rows_sup(scaled, *args))
+    return counts
+
+
+class TestRowBounds:
+    def test_pruning_leaves_few_rows_to_sum(self, monkeypatch):
+        # the noise workload's shape: at decay 8 the sup sits in the few rows whose bound
+        # reaches the sum of the row with the largest bound
+        eigen = eigensystem(GRID, 8)
+        counts = spy_rows_summed(monkeypatch)
+        for seed in range(5):
+            counts.clear()
+            spec = power_spec(seed=seed, n_steps=10**4)
+            sup = synthesized_sup(spec, eigen)
+            assert sum(counts) <= (spec.n_steps + 1) // 100
+            assert sup.hex() == sup_norm_estimate(synthesize(spec, eigen)).hex()
+
+    def test_bound_covers_every_value(self):
+        spec = NoiseSpec(k_max=8, gammas=ExplicitGammas(gammas=(1.0, 0.0) * 4), seed=3,
+                         t_final=1.0, n_steps=500)
+        path = synthesize(spec, EIGEN, override_decay_check=True)
+        bound = logdiff.noise._row_bounds(path.brownian * spec.gammas.values(8), EIGEN, 4)
+        assert np.all(np.abs(path.values).max(axis=1) < bound)
+
+    def test_row_whose_bound_overflows_is_summed(self, monkeypatch):
+        # values up to about max_float / 1.001: several rows' bounds overflow to inf, the
+        # row holding the sup among them but not first, so dropping them would change it
+        eigen = eigensystem(GridSpec(length=1.0, n_interior=31), 2)
+        unit = NoiseSpec(k_max=2, gammas=ExplicitGammas(gammas=(1.0, 1.0)), seed=0,
+                         t_final=1.0, n_steps=200)
+        g = np.finfo(float).max / sup_norm_estimate(synthesize(unit, eigen)) / 1.001
+        spec = replace(unit, gammas=ExplicitGammas(gammas=(g, g)))
+        path = synthesize(spec, eigen, override_decay_check=True)
+        bound = logdiff.noise._row_bounds(path.brownian * spec.gammas.values(2), eigen, 2)
+        sup_row = int(np.argmax(np.abs(path.values).max(axis=1)))
+        assert np.isinf(bound[sup_row]) and sup_row != np.argmax(bound)
+        counts = spy_rows_summed(monkeypatch)
+        assert synthesized_sup(spec, eigen).hex() == sup_norm_estimate(path).hex()
+        assert counts[-1] >= np.count_nonzero(np.isinf(bound))
 
 
 class TestSupNorm:

@@ -723,7 +723,7 @@ class TestLockstep:
         eps, dt = np.array([[1e-2], [1e-3]]), 1e-3
         monkeypatch.setattr("logdiff.solver._rounding_floor", lambda *args: np.inf)
 
-        def directions(u, r, rnorm, e, scale):
+        def directions(u, r, rnorm, e, scale, work=None):
             return np.zeros_like(u), ({0: 1} if len(u) == 2 else {})
 
         monkeypatch.setattr("logdiff.solver._newton_directions", directions)

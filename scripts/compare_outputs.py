@@ -13,11 +13,16 @@ PYTHONPATH.
 A run matches when its exit code, stdout, stderr (with the run's own
 paths replaced by placeholders) and the bytes of every output file are
 equal.  Prints one line per differing run and exits 1 on any difference.
+A differing CSV file of unchanged shape is listed with the largest
+relative difference |x - y| / max(|x|, |y|) over its numeric cells.
 """
 
 from __future__ import annotations
 
 import configparser
+import csv
+import io
+import math
 import os
 import subprocess
 import sys
@@ -83,14 +88,36 @@ def finish(run) -> tuple:
     return proc.returncode, normalise(stdout), normalise(stderr), files
 
 
+def largest_relative_difference(a: bytes, b: bytes) -> float | None:
+    """Over the numeric cells of two CSV files of one shape; None if the shapes differ."""
+    rows_a, rows_b = (list(csv.reader(io.StringIO(text.decode()))) for text in (a, b))
+    if [len(row) for row in rows_a] != [len(row) for row in rows_b]:
+        return None
+    largest = 0.0
+    for x, y in zip((c for row in rows_a for c in row), (c for row in rows_b for c in row)):
+        if x == y:
+            continue
+        try:
+            fx, fy = float(x), float(y)
+        except ValueError:
+            continue
+        if not (math.isfinite(fx) and math.isfinite(fy)):
+            return math.inf
+        largest = max(largest, abs(fx - fy) / max(abs(fx), abs(fy)))
+    return largest
+
+
 def differences(a: tuple, b: tuple) -> list[str]:
     names = ("exit code", "stdout", "stderr")
     found = [name for name, x, y in zip(names, a, b) if x != y]
     files_a, files_b = a[3], b[3]
     if files_a.keys() != files_b.keys():
         found.append(f"file names {sorted(files_a.keys() ^ files_b.keys())}")
-    found += [name for name in sorted(files_a.keys() & files_b.keys())
-              if files_a[name] != files_b[name]]
+    for name in sorted(files_a.keys() & files_b.keys()):
+        if files_a[name] != files_b[name]:
+            largest = (largest_relative_difference(files_a[name], files_b[name])
+                       if name.endswith(".csv") else None)
+            found.append(name if largest is None else f"{name} (largest relative {largest:.2e})")
     return found
 
 

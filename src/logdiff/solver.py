@@ -542,10 +542,10 @@ def epsilon_sweep(
     if error is not None:
         raise error
 
-    m = eps.size
+    m, diff = eps.size, np.empty_like(trajs[0].y_fields)
     pairwise = np.zeros((m, m))
     for i in range(m):
         for j in range(i + 1, m):
-            norms = _hminus1_norms(x0.grid, trajs[i].y_fields - trajs[j].y_fields)
-            pairwise[i, j] = pairwise[j, i] = float(np.max(norms))
+            np.subtract(trajs[i].y_fields, trajs[j].y_fields, out=diff)
+            pairwise[i, j] = pairwise[j, i] = float(np.max(_hminus1_norms(x0.grid, diff)))
     return EpsilonSweepReport(eps, pairwise)

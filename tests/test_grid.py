@@ -17,6 +17,8 @@ from logdiff.grid import (
     norm_hminus1,
     norm_l2,
 )
+from logdiff.noise import NoiseSpec, PowerLawGammas, synthesize
+from logdiff.solver import SolverConfig, _solve_batch
 
 
 def dense_laplacian(grid: GridSpec) -> np.ndarray:
@@ -138,6 +140,17 @@ class TestLaplacianSolves:
             exact = g.nodes * (1.0 - g.nodes) / 2.0
             assert np.max(np.abs(u.values - exact)) < 1e-12
 
+    @pytest.mark.parametrize("n", [127, 1023])
+    def test_solve_matches_the_spectral_solution(self, n):
+        # u = sum_k (h e_k . f) / lambda_k e_k over every eigenpair; at 1023 nodes a factor
+        # by dpbtrf, whose pivots drift together, misses it by about 5e-13
+        g = GridSpec(length=1.0, n_interior=n)
+        es = eigensystem(g, n)
+        rhs = np.random.default_rng(n).standard_normal((n, 4))
+        spectral = es.eigenvectors.T @ ((g.h * es.eigenvectors @ rhs) / es.eigenvalues[:, None])
+        u = _solve_neg_laplacian(g, rhs)
+        assert np.max(np.abs(u - spectral)) <= 1e-13 * np.max(np.abs(spectral))
+
     def test_solve_residual_contract(self):
         rng = np.random.default_rng(3)
         g = GridSpec(length=1.0, n_interior=127)
@@ -215,6 +228,48 @@ class TestNorms:
             assert norm_l2(Field(g, big[1])) == _norms_l2(g, big)[1]
             ratio = norm_hminus1(Field(g, big[1])) / norm_hminus1(Field(g, rows[1]))
         assert abs(ratio / 1e300 - 1.0) < 1e-14
+
+    @pytest.mark.parametrize("n", [31, 127, 1023])
+    def test_hminus1_row_norms_have_the_bits_of_one_row(self, n):
+        # norm_hminus1 is _hminus1_norms on one row, and a batch changes no row's bits
+        g = GridSpec(length=1.0, n_interior=n)
+        rng = np.random.default_rng(n + 1)
+        rows = rng.standard_normal((7, n)) * 10.0 ** rng.integers(-12, 4, (7, 1))
+        for sub in (rows, rows[[1, 4]], rows[3:4]):
+            assert ([float(v) for v in _hminus1_norms(g, sub)]
+                    == [norm_hminus1(Field(g, v)) for v in sub])
+
+    def test_hminus1_norms_reject_inf_and_nan_rows(self):
+        # the triangular solve does not check its input, so the norm does
+        g = GridSpec(length=1.0, n_interior=15)
+        for bad in (np.inf, -np.inf, np.nan):
+            rows = np.ones((3, 15))
+            rows[1, 4] = bad
+            for sub in (rows, rows[1:2]):
+                with pytest.raises(ValueError, match="infs or NaNs"):
+                    _hminus1_norms(g, sub)
+            with pytest.raises(ValueError):
+                norm_hminus1(Field(g, rows[1]))
+
+    @pytest.mark.parametrize("n", [127, 1023])
+    def test_hminus1_norms_match_the_spectral_sum(self, n):
+        # |v|_-1 = sqrt(sum_k (h e_k . v)^2 / lambda_k) over every eigenpair, on random rows
+        # and on the difference of two nearby sweep states, whose low modes dominate
+        g = GridSpec(length=1.0, n_interior=n)
+        es = eigensystem(g, n)
+        rng = np.random.default_rng(n)
+        rows = rng.standard_normal((8, n)) * 10.0 ** rng.integers(-8, 4, (8, 1))
+        noise = synthesize(NoiseSpec(16, PowerLawGammas(), 3, 0.02, 20), eigensystem(g, 16))
+        x0 = Field(g, np.sin(np.pi * g.nodes) + 0.5 * np.sin(3.0 * np.pi * g.nodes))
+        rows_eps = [(noise, 1e-2), (noise, 9e-3)]
+        (a, b), error = _solve_batch(x0, SolverConfig(epsilon=1e-2), rows_eps)
+        assert error is None
+        for sub in (rows, a.y_fields[1:] - b.y_fields[1:]):
+            coefficients = g.h * es.eigenvectors @ sub.T
+            spectral = np.sqrt(np.sum(coefficients**2 / es.eigenvalues[:, None], axis=0))
+            norms = _hminus1_norms(g, sub)
+            assert np.all(norms > 0.0)
+            assert np.max(np.abs(norms / spectral - 1.0)) <= 1e-13
 
     def test_norms_keep_inf_and_nan_rows(self):
         # a non-finite value is no overflow to undo: its row's norm stays inf or NaN

@@ -33,10 +33,11 @@ def results():
 def test_fallback_gives_the_fast_paths_bits(tmp_path, monkeypatch):
     fast = results()
     routines = logdiff._lapack.load(tmp_path / "_flapack.so")  # no extension there
-    assert routines == (public.dgtsv, public.dpbtrf, public.dpbtrs)
+    assert routines == (public.dgtsv, public.dpbtrf, public.dpbtrs, public.dtbtrs)
     monkeypatch.setattr("logdiff.solver.dgtsv", routines[0])
     monkeypatch.setattr("logdiff.grid.dpbtrf", routines[1])
     monkeypatch.setattr("logdiff.grid.dpbtrs", routines[2])
+    monkeypatch.setattr("logdiff.grid.dtbtrs", routines[3])
     try:
         fallback = results()
     finally:

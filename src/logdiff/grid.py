@@ -12,8 +12,9 @@ resolvent (I - mu*Lap_h)^-1 are direct banded Cholesky solves, O(n) per
 right-hand side.  Each matrix is factored once, -Lap_h in closed form
 and the resolvent by LAPACK dpbtrf, and dpbtrs solves, called directly
 with the checks that scipy's cho_solve_banded makes (matching shapes, a
-finite right-hand side, info = 0).  A norm that overflows although the
-values are finite is computed again on the values scaled by their
+finite right-hand side, info = 0).  A norm whose sum of squares overflows,
+or underflows below the normal range, although the values are finite
+and not all zero, is computed again on the values scaled by their
 largest magnitude.  The H^-1 inner product is
 
     <u, v>_-1 = ((-Lap_h)^-1 u, v)_2,
@@ -32,6 +33,7 @@ norm_l2, norm_hminus1 and neg_laplacian_inverse wrap them for Fields.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -205,8 +207,8 @@ def _norm_l2(grid: GridSpec, v: np.ndarray) -> float:
 
 def _norms_l2(grid: GridSpec, rows: np.ndarray) -> np.ndarray:
     """L2 norm of each row of a (m, n) array; np.vecdot gives each row the bits it has alone."""
-    return _unless_overflow(np.sqrt(grid.h * np.vecdot(rows, rows)), rows,
-                            lambda scaled: np.sqrt(grid.h * np.vecdot(scaled, scaled)))
+    return _unless_out_of_range(grid, np.sqrt(grid.h * np.vecdot(rows, rows)), rows,
+                                lambda scaled: np.sqrt(grid.h * np.vecdot(scaled, scaled)))
 
 
 def _hminus1_norms(grid: GridSpec, rows: np.ndarray) -> np.ndarray:
@@ -216,23 +218,27 @@ def _hminus1_norms(grid: GridSpec, rows: np.ndarray) -> np.ndarray:
         cb = _factor(grid.length, grid.n_interior, 0.0, 1.0)
         return _norms_l2(grid, _solve_banded(cb, r.T, half=True).T)
 
-    return _unless_overflow(norms(rows), rows, norms)
+    return _unless_out_of_range(grid, norms(rows), rows, norms)
 
 
-def _unless_overflow(out: np.ndarray, rows: np.ndarray, norms) -> np.ndarray:
-    """out, with each row whose norm overflowed, though its values are finite, redone scaled.
+def _unless_out_of_range(grid: GridSpec, out: np.ndarray, rows: np.ndarray, norms) -> np.ndarray:
+    """out, with each row whose sum of squares left the normal range redone scaled.
 
-    Such a row's norm is m * norms(row / m) with m = max |row|, which is finite
-    while the norm itself is; every other row keeps the bits of out.  norms
-    takes a (k, n) array; rows may also be one row of shape (n,).
+    out holds norms sqrt(h s) of sums of squares s.  A row whose s overflowed, or fell
+    below the smallest normal double (then out < sqrt(h tiny)), although its values
+    are finite and not all zero, gets m * norms(row / m) with m = max |row|; every
+    other row, an all-zero one too, keeps the bits of out.  norms takes a (k, n)
+    array; rows may also be one row of shape (n,).
     """
-    if all(map(math.isfinite, out.ravel().tolist())):  # cheaper than np.isfinite for few rows
+    floor = math.sqrt(grid.h * sys.float_info.min)
+    if all(floor <= v < math.inf for v in out.ravel().tolist()):  # cheaper than numpy for few rows
         return out
     flat_out, flat_rows = np.array(out, ndmin=1), rows.reshape(-1, rows.shape[-1])
-    m = np.max(np.abs(flat_rows), axis=-1)
-    redo = ~np.isfinite(flat_out) & np.isfinite(m)
-    if redo.any():
-        flat_out[redo] = m[redo] * norms(flat_rows[redo] / m[redo, None])
+    check = np.flatnonzero(~((floor <= flat_out) & (flat_out < math.inf)))
+    m = np.max(np.abs(flat_rows[check]), axis=-1)
+    ok = (m > 0) & (m < math.inf)
+    if ok.any():
+        flat_out[check[ok]] = m[ok] * norms(flat_rows[check[ok]] / m[ok, None])
     return flat_out.reshape(np.shape(out))
 
 

@@ -22,19 +22,20 @@ margins are 2*decay - 5 and decay - 7; both must be positive.
 Determinism: each mode draws from its own child stream spawned from the
 master seed, so enlarging k_max leaves the earlier modes' Brownian
 paths bit-identical, and the mode accumulation runs in fixed k order so
-a resynthesis reproduces the field values exactly.  A stored path is
-filled one cache-sized block of time rows at a time; a path whose sup
-norm alone is wanted (:func:`synthesized_sup`) is never stored.  Each
-of its time rows n has the bound
+a resynthesis reproduces the field values exactly.  Every value is
+formed by one kernel, _tiles, one cache-sized tile of nodes at every
+summed time row at a time: a stored path copies each tile into place,
+and a path whose sup norm alone is wanted (:func:`synthesized_sup`)
+reduces each tile to its max and min and is never stored.  Each of its
+time rows n has the bound
 
     |W_Q(t_n)|_inf <= B_n = sum_k |gamma_k beta_k(t_n)| max_j |e_k[j]|,
 
 widened for rounding.  The row with the largest B_n is summed first,
 and of the rest only the rows whose B_n reaches that row's sup are
-summed, one tile of nodes at a time; no other row can hold the sup.
-Blocks and tiles change which values are computed together, never the
-order in which a value's modes are added, so every value is the same
-sum of the same products.
+summed; no other row can hold the sup.  Tiles change which values are
+computed together, never the order in which a value's modes are added,
+so every value is the same sum of the same products.
 """
 
 from __future__ import annotations
@@ -48,8 +49,8 @@ import numpy.random  # noqa: F401  # numpy loads it lazily; import it here, not 
 
 from .grid import EigenSystem, Field, GridSpec
 
-# values per block of time rows in synthesize, per tile of nodes in _rows_sup and per
-# widest window in modulus_of_continuity: 2^15 float64 values (256 KiB) stay in cache
+# values per tile of nodes in _tiles and per widest window in modulus_of_continuity:
+# 2^15 float64 values (256 KiB) stay in cache
 _BLOCK_VALUES = 2**15
 
 
@@ -247,8 +248,8 @@ def synthesize(
     n_steps increments sqrt(dt)*N(0,1), so the Brownian matrix for the
     first K modes does not depend on k_max >= K.  Each value is the sum
     of gamma_k * beta_k(t_n) * e_k[j] over the nonzero amplitudes, added
-    to 0.0 in k order; the blocks of _BLOCK_VALUES values it is filled in
-    do not change that order.  Requires a passing decay report unless
+    to 0.0 in k order, whatever the size of the tiles of nodes _tiles
+    forms it in.  Requires a passing decay report unless
     ``override_decay_check`` is set.
     """
     if override_decay_check:
@@ -256,30 +257,19 @@ def synthesize(
     else:
         _require_decay(spec, eigen)
 
-    n_rows = spec.n_steps + 1
-    brownian = _brownian(spec)
-    gam = spec.gammas.values(spec.k_max)
-    scaled = brownian * gam  # column k holds gam[k] * brownian[:, k]
-    modes = [k for k in range(spec.k_max) if gam[k] != 0.0]
-    n = eigen.grid.n_interior
-    values = np.zeros((n_rows, n))
-    rows = max(1, _BLOCK_VALUES // n)
-    term = np.empty((min(rows, n_rows), n))
-    for r0 in range(0, n_rows, rows):
-        block = values[r0 : r0 + rows]
-        t = term[: len(block)]
-        for k in modes:  # fixed k order keeps resynthesis bit-identical
-            np.multiply(scaled[r0 : r0 + rows, k, None], eigen.eigenvectors[k], out=t)
-            block += t
+    brownian, scaled, modes = _draw(spec)
+    values = np.empty((spec.n_steps + 1, eigen.grid.n_interior))
+    for j0, tile in _tiles(scaled, eigen, modes):
+        values[:, j0 : j0 + len(tile)] = tile.T
     times = np.linspace(0.0, spec.t_final, spec.n_steps + 1)
     for arr in (values, brownian):  # nothing else holds them, so NoisePath need not copy them
         arr.flags.writeable = False
     return NoisePath(spec, eigen.grid, times, values, brownian)
 
 
-def _brownian(spec: NoiseSpec) -> np.ndarray:
-    """brownian[n, k] = beta_{k+1}(t_n): mode k's child stream of SeedSequence(seed) gives its
-    n_steps increments sqrt(dt)*N(0,1), so the first K columns do not depend on k_max >= K."""
+def _draw(spec: NoiseSpec) -> tuple[np.ndarray, np.ndarray, list[int]]:
+    """(brownian, scaled, modes): brownian[n, k] = beta_{k+1}(t_n), drawn as synthesize says,
+    scaled[:, k] = gam[k] * brownian[:, k], and modes the k with gam[k] != 0, in order."""
     sqrt_dt = np.sqrt(spec.dt)
     children = np.random.SeedSequence(spec.seed).spawn(spec.k_max)
     brownian = np.zeros((spec.n_steps + 1, spec.k_max))
@@ -287,7 +277,31 @@ def _brownian(spec: NoiseSpec) -> np.ndarray:
         rng = np.random.default_rng(children[k])
         increments = sqrt_dt * rng.standard_normal(spec.n_steps)
         brownian[1:, k] = np.cumsum(increments)
-    return brownian
+    gam = spec.gammas.values(spec.k_max)
+    return brownian, brownian * gam, [k for k in range(spec.k_max) if gam[k] != 0.0]
+
+
+def _tiles(scaled: np.ndarray, eigen: EigenSystem, modes: list[int]):
+    """Yield (j0, tile) over the nodes, max(1, _BLOCK_VALUES // len(scaled)) at a time.
+
+    tile[i, r] = 0.0 + sum_k fl(scaled[r, k] e_k[j0 + i]), added over modes in their order,
+    is the value at values column j0 + i of the time row whose amplitudes are scaled[r].
+    Each product and sum runs over one node's column of rows.  The tile's memory is
+    reused, so the caller uses each tile up before taking the next.
+    """
+    columns = np.ascontiguousarray(scaled.T)  # row k holds mode k's amplitude per time row
+    n, n_rows = eigen.grid.n_interior, len(scaled)
+    nodes = max(1, _BLOCK_VALUES // n_rows)
+    tile = np.empty((min(nodes, n), n_rows))
+    term = np.empty_like(tile)
+    for j0 in range(0, n, nodes):
+        t = tile[: min(nodes, n - j0)]
+        u = term[: len(t)]
+        t.fill(0.0)
+        for k in modes:  # fixed k order keeps resynthesis bit-identical
+            np.multiply(eigen.eigenvectors[k, j0 : j0 + nodes, None], columns[k], out=u)
+            t += u
+        yield j0, t
 
 
 def synthesized_sup(spec: NoiseSpec, eigen: EigenSystem) -> float:
@@ -300,15 +314,13 @@ def synthesized_sup(spec: NoiseSpec, eigen: EigenSystem) -> float:
     (_row_bounds widens the computed B_n to cover it).  The row with the largest bound is
     summed first; a row whose bound lies below that row's sup holds no value as large,
     so it cannot change the sup and is never summed.  Every other row is summed by
-    _rows_sup, tile by tile, as the same sums in the same k order.  max and min are
-    exact, so the result keeps its bits.  A value that is not finite has an infinite
-    bound, so its row is always summed, and this raises NoiseOverflowError as NoisePath
-    does.  The caller judges the decay check.
+    _rows_sup through synthesize's own kernel, _tiles.  max and min are exact, so the
+    result keeps its bits.  A value that is not finite has an infinite bound, so its row
+    is always summed, and this raises NoiseOverflowError as NoisePath does.  The caller
+    judges the decay check.
     """
     _require_modes(spec, eigen)
-    gam = spec.gammas.values(spec.k_max)
-    scaled = _brownian(spec) * gam  # column k holds gam[k] * beta_{k+1}, as in synthesize
-    modes = [k for k in range(spec.k_max) if gam[k] != 0.0]
+    _, scaled, modes = _draw(spec)
     bound = _row_bounds(scaled, eigen, len(modes))
     top = int(np.argmax(bound))
     best = _rows_sup(scaled[top : top + 1], eigen, modes)
@@ -340,25 +352,12 @@ def _row_bounds(scaled: np.ndarray, eigen: EigenSystem, n_modes: int) -> np.ndar
 def _rows_sup(scaled: np.ndarray, eigen: EigenSystem, modes: list[int]) -> float:
     """max |value| over the time rows whose scaled amplitudes are the rows of scaled.
 
-    The values are the sums synthesize forms, added to 0.0 in its k order, but built
-    one tile of max(1, _BLOCK_VALUES // rows) nodes at every row at a time, so each
-    product and sum runs over one node's column of rows; each tile is reduced to its
+    The values are _tiles' sums, as synthesize stores them; each tile is reduced to its
     max and min and dropped.  Raises NoiseOverflowError if a value is not finite.
     """
-    columns = np.ascontiguousarray(scaled.T)  # row k holds mode k's amplitude per time row
-    n, n_rows = eigen.grid.n_interior, len(scaled)
-    nodes = max(1, _BLOCK_VALUES // n_rows)
-    tile = np.empty((min(nodes, n), n_rows))
-    term = np.empty_like(tile)
     hi, lo = -math.inf, math.inf
-    for j0 in range(0, n, nodes):
-        t = tile[: min(nodes, n - j0)]
-        u = term[: len(t)]
-        t.fill(0.0)
-        for k in modes:  # synthesize's k order, so each value is the same sum
-            np.multiply(eigen.eigenvectors[k, j0 : j0 + nodes, None], columns[k], out=u)
-            t += u
-        t_hi, t_lo = float(t.max()), float(t.min())
+    for _, tile in _tiles(scaled, eigen, modes):
+        t_hi, t_lo = float(tile.max()), float(tile.min())
         if not (math.isfinite(t_hi) and math.isfinite(t_lo)):
             raise NoiseOverflowError("noise values must be finite")
         hi, lo = max(hi, t_hi), min(lo, t_lo)

@@ -229,6 +229,7 @@ def _step_implicit_core(
             fail(rows, rnorm, f"Newton did not reach tol {newton_tol:.3g} in {newton_max_iter} "
                  "iterations (residual {:.3g})")
             break
+        # delta may be a view of work: it is used up before the next call overwrites it
         delta, failed = _newton_directions(
             u, r, rnorm, e, scale, None if work is None else work[:, :rows.size])
         if failed:  # a failed solve fails its row
@@ -286,9 +287,9 @@ def _newton_directions(
     failed maps the position of each row whose dgtsv call failed to its info.  One
     dgtsv call takes the rows' tridiagonal systems stacked, each followed by two
     identity rows, written into work (shape (4, rows, n + 2)) if given, else into a
-    fresh array.  If a row's residual is not finite, or the stacked call reports
-    info != 0 or a non-finite entry, each row gets a dgtsv call of its own instead
-    (module docstring).
+    fresh array, and solved there in place, so delta is a view of that array.  If a
+    row's residual is not finite, or the stacked call reports info != 0 or a
+    non-finite entry, each row gets a dgtsv call of its own instead (module docstring).
     """
     slope = 1.0 / (1.0 + np.abs(u))
     a = 1.0 + eps * slope
@@ -303,7 +304,10 @@ def _newton_directions(
         np.negative(r, out=rhs[:, :n])
         dl[:, n - 1:] = du[:, n - 1:] = rhs[:, n:] = 0.0  # +0 coupling, identity rows
         d[:, n:] = 1.0
-        *_, x, info = dgtsv(dl.ravel()[:-1], d.ravel(), du.ravel()[:-1], rhs.ravel())
+        # in place: f2py would otherwise copy all four operands on every call; every element
+        # of work is written above
+        *_, x, info = dgtsv(dl.ravel()[:-1], d.ravel(), du.ravel()[:-1], rhs.ravel(),
+                            overwrite_dl=1, overwrite_d=1, overwrite_du=1, overwrite_b=1)
         if info == 0 and (np.isfinite(x @ x) or np.isfinite(x).all()):  # x @ x may overflow
             return x.reshape(k, n + 2)[:, :n], {}
     off, diag = -scale * b, a + 2.0 * scale * b

@@ -392,8 +392,8 @@ class TestCliSimulate:
         # batch's rows to one dgtsv call each
         calls = []
         dgtsv = logdiff.solver.dgtsv
-        monkeypatch.setattr("logdiff.solver.dgtsv",
-                            lambda dl, d, du, b: calls.append(d.size) or dgtsv(dl, d, du, b))
+        monkeypatch.setattr("logdiff.solver.dgtsv", lambda dl, d, du, b, **overwrite:
+                            calls.append(d.size) or dgtsv(dl, d, du, b, **overwrite))
         text = ("[grid]\nn_interior = 31\n[initial]\nprofile = bump\namplitude = 1e300\n"
                 "[solver]\nt_final = 0.005\n")
         cfg = write(tmp_path / "c.cfg", text)
@@ -728,17 +728,19 @@ class TestCliOther:
         assert len(calls) <= 1
 
     def test_block_size_does_not_change_noise_check_bytes(self, tmp_path, monkeypatch):
-        first = None
-        # smoke.cfg has 31 nodes and 51 time rows: blocks of 1 or 7 rows, or the default;
-        # the streamed sup norms' tiles hold 1, 1, 4 and all 31 nodes
+        first = {}
+        # smoke.cfg has 31 nodes and 51 time rows: every stored path is summed in tiles of
+        # 1, 1, 4 and all 31 nodes, a streamed sup norm's single row in tiles of 1 and all
+        # 31 nodes, and the continuity windows hold at most 1, 1, 7 and 1057 rows
         for block_values in (1, 31, 7 * 31, logdiff.noise._BLOCK_VALUES):
             monkeypatch.setattr("logdiff.noise._BLOCK_VALUES", block_values)
-            out = tmp_path / f"out{block_values}"
-            assert main(["noise-check", "--config", str(SMOKE), "--out", str(out)]) == 0
-            outputs = {p.name: p.read_bytes() for p in out.iterdir()}
-            assert len(outputs) == 3
-            first = first or outputs
-            assert outputs == first
+            for command, files in (["noise-check"], 3), (["simulate", "--dump-trajectories"], 61):
+                out = tmp_path / f"{command[0]}{block_values}"
+                assert main([*command, "--config", str(SMOKE), "--out", str(out)]) == 0
+                outputs = {p.name: p.read_bytes() for p in out.iterdir()}
+                assert len(outputs) == files
+                first.setdefault(command[0], outputs)
+                assert outputs == first[command[0]]
 
     @pytest.mark.parametrize("command, loads", [
         ("simulate", False), ("sweep-eps", False), ("noise-check", False), ("verify", False),

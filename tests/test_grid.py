@@ -229,6 +229,23 @@ class TestNorms:
             ratio = norm_hminus1(Field(g, big[1])) / norm_hminus1(Field(g, rows[1]))
         assert abs(ratio / 1e300 - 1.0) < 1e-14
 
+    def test_norms_of_tiny_rows_do_not_underflow(self):
+        # at s = 1e-170 every square of s sin(pi x) underflows to 0: the norms are taken on
+        # the row scaled by max |v|, every other row keeps its bits and a zero row stays 0.0
+        g = GridSpec(length=1.0, n_interior=31)
+        sine = np.sin(np.pi * g.nodes)
+        for norm in (norm_l2, norm_hminus1):
+            assert abs(norm(Field(g, 1e-170 * sine)) / 1e-170 / norm(Field(g, sine)) - 1) < 1e-14
+        rows = np.random.default_rng(5).standard_normal((4, 31))
+        tiny = rows.copy()
+        tiny[1] *= 1e-170
+        tiny[2] = 0.0
+        for norms in (lambda r: _norms_l2(g, r), lambda r: _hminus1_norms(g, r)):
+            plain, scaled = norms(rows), norms(tiny)
+            assert np.array_equal(scaled[[0, 3]], plain[[0, 3]])
+            assert abs(scaled[1] / (1e-170 * plain[1]) - 1.0) < 1e-14
+            assert scaled[2].hex() == "0x0.0p+0"
+
     @pytest.mark.parametrize("n", [31, 127, 1023])
     def test_hminus1_row_norms_have_the_bits_of_one_row(self, n):
         # norm_hminus1 is _hminus1_norms on one row, and a batch changes no row's bits

@@ -269,7 +269,9 @@ class TestSynthesis:
         assert again.values is path.values and again.brownian is path.brownian
 
     @pytest.mark.parametrize("n", [31, 127, 1023])
-    @pytest.mark.parametrize("rows", [1, 10, None])  # one row, 10 rows (201 = 20 * 10 + 1), default
+    # _BLOCK_VALUES of 1 or 10 rows, or the default: at 31, 127 and 1023 nodes synthesize
+    # sums its 201 rows in tiles of 1, 1 and 5 nodes, of 1, 6 and 50, or of 31, 127 and 163
+    @pytest.mark.parametrize("rows", [1, 10, None])
     @pytest.mark.parametrize("gammas", [
         PowerLawGammas(gamma0=1.0, decay=8.0),
         ExplicitGammas(gammas=(1.0, 0.0, 0.5, 0.25, 0.0, 0.125, 3.0, 0.0)),
@@ -292,8 +294,8 @@ class TestSynthesis:
         path = synthesize(spec, eigen)
         expected = outer_loop_values(spec, eigen, path.brownian)
         assert np.array_equal(path.values.view(np.int64), expected.view(np.int64))
-        # the streamed sup's tiles of rows * n // 201 nodes (at least 1) sum the same values;
-        # hex() tells the sign of zero apart
+        # the streamed sup sums fewer rows through the same kernel, so in wider tiles, and
+        # reduces them to the same sup; hex() tells the sign of zero apart
         assert synthesized_sup(spec, eigen).hex() == sup_norm_estimate(path).hex()
 
 

@@ -755,6 +755,20 @@ class TestLockstep:
                                                          eps[i:i + 1], scale)
             assert same_bits(delta[i], alone[0])
 
+    def test_stacked_step_is_solved_in_place_in_work(self):
+        # dgtsv overwrites the operands in work, so the step is a view of work with the bits
+        # of a step solved in a fresh array; work's stale NaNs and spare rows are never read
+        rng = np.random.default_rng(7)
+        k, n, scale = 4, 31, 7.0
+        u, r = rng.standard_normal((2, k, n))
+        eps = 10.0 ** -rng.integers(1, 5, (k, 1))
+        rnorm = np.sqrt(np.einsum("ij,ij->i", r, r))
+        work = np.full((4, k + 2, n + 2), np.nan)
+        delta, failed = logdiff.solver._newton_directions(u, r, rnorm, eps, scale, work[:, :k])
+        fresh, _ = logdiff.solver._newton_directions(u, r, rnorm, eps, scale)
+        assert failed == {} and np.shares_memory(delta, work)
+        assert same_bits(delta, fresh)
+
     def test_failing_row_yields_the_rows_before_it_then_its_error(self):
         grid = GridSpec(length=1.0, n_interior=31)
         eigen = eigensystem(grid, 8)
@@ -791,8 +805,8 @@ class TestLockstep:
         cfg = SolverConfig(epsilon=1e-2)
         stacked, alone = [], []
 
-        def faulty(dl, d, du, b):
-            *lu, x, info = DGTSV(dl, d, du, b)
+        def faulty(dl, d, du, b, **overwrite):
+            *lu, x, info = DGTSV(dl, d, du, b, **overwrite)
             if d.size == grid.n_interior:
                 alone.append(1)
                 return (*lu, x, info)

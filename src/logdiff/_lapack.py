@@ -1,13 +1,13 @@
-"""The four LAPACK routines logdiff calls, loaded without scipy.linalg's package init.
+"""The two LAPACK routines logdiff calls, loaded without scipy.linalg's package init.
 
-The solver needs dgtsv, and the banded solves in grid need dpbtrf,
-dpbtrs and dtbtrs.  scipy.linalg's package init loads scipy's
-array-API layer, and with it numpy.f2py, numpy.testing and numpy.ma,
-which costs more than numpy's own import.  So the f2py module that
-holds the routines, scipy/linalg/_flapack, is loaded by its file path.  If that fails, for
-example because a scipy release moved the private module, the routines
-come from scipy.linalg.lapack, the public module that wraps the same
-extension.
+dgtsv solves the solver's Newton systems and grid's resolvent, and dtbtrs
+makes grid's triangular sweeps on the closed-form factor of -Lap_h.
+scipy.linalg's package init loads scipy's array-API layer, and with it
+numpy.f2py, numpy.testing and numpy.ma, which costs more than numpy's own
+import.  So the f2py module that holds the routines, scipy/linalg/_flapack,
+is loaded by its file path.  If that fails, for example because a scipy
+release moved the private module, the routines come from
+scipy.linalg.lapack, the public module that wraps the same extension.
 """
 
 from __future__ import annotations
@@ -20,21 +20,21 @@ import scipy
 
 
 def load(path) -> tuple:
-    """(dgtsv, dpbtrf, dpbtrs, dtbtrs) from the extension at path, else scipy.linalg.lapack."""
+    """(dgtsv, dtbtrs) from the extension at path, else scipy.linalg.lapack."""
     try:
         spec = importlib.util.spec_from_file_location("scipy.linalg._flapack", path)
         if spec is None:
             raise ImportError(f"no extension loader for {path}")
         module = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(module)
-        return module.dgtsv, module.dpbtrf, module.dpbtrs, module.dtbtrs
+        return module.dgtsv, module.dtbtrs
     except (ImportError, AttributeError):
         from scipy.linalg import lapack
 
-        return lapack.dgtsv, lapack.dpbtrf, lapack.dpbtrs, lapack.dtbtrs
+        return lapack.dgtsv, lapack.dtbtrs
 
 
 FLAPACK_PATH = os.path.join(
     os.path.dirname(scipy.__file__), "linalg", "_flapack" + sysconfig.get_config_var("EXT_SUFFIX"))
 
-dgtsv, dpbtrf, dpbtrs, dtbtrs = load(FLAPACK_PATH)
+dgtsv, dtbtrs = load(FLAPACK_PATH)

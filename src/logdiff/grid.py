@@ -7,20 +7,21 @@ h, which makes the discrete sine vectors exactly orthonormal and keeps
 the spectral identities of the 3-point stencil exact to rounding.
 
 The negative Laplacian -Lap_h is the symmetric positive definite
-tridiagonal matrix with stencil (-1, 2, -1)/h^2.  Its inverse and the
-resolvent (I - mu*Lap_h)^-1 are direct banded Cholesky solves, O(n) per
-right-hand side.  Each matrix is factored once, -Lap_h in closed form
-and the resolvent by LAPACK dpbtrf, and dpbtrs solves, called directly
-with the checks that scipy's cho_solve_banded makes (matching shapes, a
-finite right-hand side, info = 0).  A norm whose sum of squares overflows,
-or underflows below the normal range, although the values are finite
-and not all zero, is computed again on the values scaled by their
-largest magnitude.  The H^-1 inner product is
+tridiagonal matrix with stencil (-1, 2, -1)/h^2, with the closed-form
+Cholesky factor -Lap_h = U^T U, U[i,i] = sqrt((i+1)/i)/h and
+U[i-1,i] = -sqrt((i-1)/i)/h.  Its solves are two triangular sweeps on U
+(LAPACK dtbtrs), U^-T and then U^-1, and the resolvent
+(I - mu*Lap_h)^-1 is one LAPACK dgtsv call; each is O(n) per right-hand
+side, and each checks what LAPACK does not (matching rows, a finite
+right-hand side).  A norm whose sum of squares overflows, or underflows
+below the normal range, although the values are finite and not all
+zero, is computed again on the values scaled by their largest
+magnitude.  The H^-1 inner product is
 
     <u, v>_-1 = ((-Lap_h)^-1 u, v)_2,
 
-so |v|_-1 = |U^-T v|_2 with -Lap_h = U^T U, a half solve (LAPACK dtbtrs),
-and |e_k|_-1 = lambda_k^(-1/2) holds exactly for the stencil eigenpairs
+so |v|_-1 = |U^-T v|_2, one sweep, and |e_k|_-1 = lambda_k^(-1/2) holds
+exactly for the stencil eigenpairs
 
     e_k(j)    = sqrt(2/L) * sin(k*pi*j/(n+1)),
     lambda_k  = (4/h^2) * sin(k*pi*h/(2L))^2.
@@ -35,11 +36,10 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from ._lapack import dpbtrf, dpbtrs, dtbtrs
+from ._lapack import dgtsv, dtbtrs
 
 
 @dataclass(frozen=True)
@@ -154,51 +154,45 @@ def _laplacian(v: np.ndarray, h: float) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=64)
-def _factor(length: float, n_interior: int, shift: float, mu: float) -> np.ndarray:
-    """Banded Cholesky factor U of shift*I - mu*Lap_h, in LAPACK's upper band storage.
+def _factor(grid: GridSpec) -> np.ndarray:
+    """U of -Lap_h = U^T U in closed form (module docstring), in LAPACK's upper band storage.
 
-    At shift 0 U is the closed form sqrt(mu)/h * (U[i,i] = sqrt((i+1)/i), U[i-1,i] =
-    -sqrt((i-1)/i)), 1-based i: dpbtrf's pivots drift together, to 5e-13 relative error
+    Its diagonal is positive, so dtbtrs never finds it singular (info stays 0).  The
+    pivots a banded Cholesky elimination computes drift together, to 5e-13 relative error
     in a solve on 1023 nodes.
     """
-    h = length / (n_interior + 1)
-    if shift == 0.0:
-        i = np.arange(1.0, n_interior + 1)
-        return np.asfortranarray([-np.sqrt((i - 1) / i), np.sqrt((i + 1) / i)]) * (mu**0.5 / h)
-    ab = np.zeros((2, n_interior))
-    ab[0, 1:] = -mu / h**2
-    ab[1] = shift + 2.0 * mu / h**2
-    cb, info = dpbtrf(ab, lower=0)
-    _check_info("dpbtrf", info)
-    return cb
+    i = np.arange(1.0, grid.n_interior + 1)
+    return np.asfortranarray([-np.sqrt((i - 1) / i), np.sqrt((i + 1) / i)]) * (1.0 / grid.h)
 
 
-def _check_info(routine: str, info: int) -> None:
-    if info > 0:
-        raise np.linalg.LinAlgError(f"{info}-th leading minor not positive definite")
-    if info < 0:
-        raise ValueError(f"illegal value in {-info}-th argument of internal {routine}")
-
-
-def _solve_banded(cb: np.ndarray, rhs: np.ndarray, half: bool = False) -> np.ndarray:
-    """Solve with the factor cb = U from _factor, or with U^T only if half; rhs (n,) or (n, m)."""
-    if rhs.shape[0] != cb.shape[1]:  # LAPACK would read the first n rows of a longer rhs
-        raise ValueError("shapes of cb and b are not compatible.")
-    if not np.isfinite(rhs).all():  # nor does LAPACK check this
+def _checked(grid: GridSpec, rhs: np.ndarray) -> np.ndarray:
+    """rhs, after the checks LAPACK does not make: n rows (it would read the first n of
+    a longer rhs) and finite values."""
+    if rhs.shape[0] != grid.n_interior:
+        raise ValueError(f"rhs must have {grid.n_interior} rows, got shape {rhs.shape}")
+    if not np.isfinite(rhs).all():
         raise ValueError("array must not contain infs or NaNs")
-    x, info = dtbtrs(cb, rhs, uplo="U", trans="T") if half else dpbtrs(cb, rhs, lower=0)
-    _check_info("dtbtrs" if half else "dpbtrs", info)
-    return x
+    return rhs
 
 
 def _solve_neg_laplacian(grid: GridSpec, rhs: np.ndarray) -> np.ndarray:
-    """Solve (-Lap_h) u = rhs; rhs may be (n,) or (n, m) for m systems."""
-    return _solve_banded(_factor(grid.length, grid.n_interior, 0.0, 1.0), rhs)
+    """Solve (-Lap_h) u = rhs as U^-1 U^-T rhs, two dtbtrs sweeps; rhs (n,) or (n, m)."""
+    cb = _factor(grid)
+    half = dtbtrs(cb, _checked(grid, rhs), uplo="U", trans="T")[0]
+    return dtbtrs(cb, half, uplo="U", trans="N", overwrite_b=1)[0]  # half is ours to overwrite
 
 
 def _solve_resolvent(grid: GridSpec, mu: float, rhs: np.ndarray) -> np.ndarray:
-    return _solve_banded(_factor(grid.length, grid.n_interior, 1.0, mu), rhs)
+    """Solve (I - mu*Lap_h) u = rhs by one dgtsv call; rhs (n,) or (n, m), may be a view.
+
+    The matrix is diagonally dominant, so dgtsv swaps no rows and meets no zero pivot.
+    """
+    n, off = grid.n_interior, -mu / grid.h**2
+    *_, u, info = dgtsv(np.full(n - 1, off), np.full(n, 1.0 - 2.0 * off), np.full(n - 1, off),
+                        _checked(grid, rhs), overwrite_dl=1, overwrite_d=1, overwrite_du=1)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"resolvent solve failed (dgtsv info {info})")
+    return u
 
 
 def _norm_l2(grid: GridSpec, v: np.ndarray) -> float:
@@ -215,31 +209,30 @@ def _hminus1_norms(grid: GridSpec, rows: np.ndarray) -> np.ndarray:
     """H^-1 norm |U^-T v|_2 of each row v of a (m, n) array, each with the bits it has alone."""
 
     def norms(r):
-        cb = _factor(grid.length, grid.n_interior, 0.0, 1.0)
-        return _norms_l2(grid, _solve_banded(cb, r.T, half=True).T)
+        half = dtbtrs(_factor(grid), _checked(grid, r.T), uplo="U", trans="T")[0]
+        return _norms_l2(grid, half.T)
 
     return _unless_out_of_range(grid, norms(rows), rows, norms)
 
 
 def _unless_out_of_range(grid: GridSpec, out: np.ndarray, rows: np.ndarray, norms) -> np.ndarray:
-    """out, with each row whose sum of squares left the normal range redone scaled.
+    """out, with each row whose sum of squares left the normal range redone scaled in place.
 
     out holds norms sqrt(h s) of sums of squares s.  A row whose s overflowed, or fell
     below the smallest normal double (then out < sqrt(h tiny)), although its values
     are finite and not all zero, gets m * norms(row / m) with m = max |row|; every
-    other row, an all-zero one too, keeps the bits of out.  norms takes a (k, n)
-    array; rows may also be one row of shape (n,).
+    other row, an all-zero one too, keeps the bits of out.  rows is (k, n), and norms
+    takes such an array too.
     """
     floor = math.sqrt(grid.h * sys.float_info.min)
-    if all(floor <= v < math.inf for v in out.ravel().tolist()):  # cheaper than numpy for few rows
+    if all(floor <= v < math.inf for v in out.tolist()):  # cheaper than numpy for few rows
         return out
-    flat_out, flat_rows = np.array(out, ndmin=1), rows.reshape(-1, rows.shape[-1])
-    check = np.flatnonzero(~((floor <= flat_out) & (flat_out < math.inf)))
-    m = np.max(np.abs(flat_rows[check]), axis=-1)
+    check = np.flatnonzero(~((floor <= out) & (out < math.inf)))
+    m = np.max(np.abs(rows[check]), axis=1)
     ok = (m > 0) & (m < math.inf)
     if ok.any():
-        flat_out[check[ok]] = m[ok] * norms(flat_rows[check[ok]] / m[ok, None])
-    return flat_out.reshape(np.shape(out))
+        out[check[ok]] = m[ok] * norms(rows[check[ok]] / m[ok, None])
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -140,16 +140,25 @@ class TestLaplacianSolves:
             exact = g.nodes * (1.0 - g.nodes) / 2.0
             assert np.max(np.abs(u.values - exact)) < 1e-12
 
-    @pytest.mark.parametrize("n", [127, 1023])
-    def test_solve_matches_the_spectral_solution(self, n):
-        # u = sum_k (h e_k . f) / lambda_k e_k over every eigenpair; at 1023 nodes a factor
-        # by dpbtrf, whose pivots drift together, misses it by about 5e-13
+    @pytest.mark.parametrize("n, mu, bound", [
+        pytest.param(127, None, 1e-13, id="127"),
+        pytest.param(1023, None, 1e-13, id="1023"),
+        *(pytest.param(n, mu, 3e-13, id=f"resolvent-{n}-{mu}")
+          for n in (511, 1023) for mu in (0.1, 1.0)),
+    ])
+    def test_solve_matches_the_spectral_solution(self, n, mu, bound):
+        # u = sum_k (h e_k . f) / d_k e_k over every eigenpair, with d_k = lambda_k for
+        # -Lap_h and d_k = 1 + mu lambda_k for the resolvent.  At 1023 nodes a banded
+        # Cholesky factor, whose pivots drift together, misses the first by about 5e-13,
+        # and the resolvent by 5.5e-13 at (511, 0.1), 9.4e-13 at (1023, 0.1) and 8.6e-13 at
+        # (1023, 1)
         g = GridSpec(length=1.0, n_interior=n)
         es = eigensystem(g, n)
         rhs = np.random.default_rng(n).standard_normal((n, 4))
-        spectral = es.eigenvectors.T @ ((g.h * es.eigenvectors @ rhs) / es.eigenvalues[:, None])
-        u = _solve_neg_laplacian(g, rhs)
-        assert np.max(np.abs(u - spectral)) <= 1e-13 * np.max(np.abs(spectral))
+        d = es.eigenvalues if mu is None else 1.0 + mu * es.eigenvalues
+        spectral = es.eigenvectors.T @ ((g.h * es.eigenvectors @ rhs) / d[:, None])
+        u = _solve_neg_laplacian(g, rhs) if mu is None else _solve_resolvent(g, mu, rhs)
+        assert np.max(np.abs(u - spectral)) <= bound * np.max(np.abs(spectral))
 
     def test_solve_residual_contract(self):
         rng = np.random.default_rng(3)

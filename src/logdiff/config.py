@@ -87,8 +87,8 @@ class ExperimentConfig:
     verify: VerifyBlock = VerifyBlock()
     output: OutputBlock = OutputBlock()
 
-    def eigen(self, grid: GridSpec) -> EigenSystem:
-        return eigensystem(grid, self.noise.k_max)
+    def eigen(self) -> EigenSystem:
+        return eigensystem(self.grid, self.noise.k_max)
 
     def noise_spec(self) -> NoiseSpec:
         return NoiseSpec(
@@ -106,8 +106,8 @@ class ExperimentConfig:
             newton_max_iter=self.solver.newton_max_iter,
         )
 
-    def initial_datum(self, grid: GridSpec, eigen: Optional[EigenSystem] = None) -> Field:
-        block = self.initial
+    def initial_datum(self, eigen: Optional[EigenSystem] = None) -> Field:
+        block, grid = self.initial, self.grid
         if block.profile == "zero":
             return Field.zeros(grid)
         if block.profile == "bump":
@@ -282,9 +282,11 @@ def _validate(cfg: ExperimentConfig) -> None:
         raise ConfigError("noise continuity_alpha must be positive")
     if cfg.initial.profile == "mode" and not (1 <= cfg.initial.mode_k <= cfg.grid.n_interior):
         raise ConfigError(f"initial mode_k must lie in 1..{cfg.grid.n_interior}")
-    if cfg.initial.profile == "file":
-        # parse the file early so missing/ill-formed data is a config error
-        cfg.initial_datum(cfg.grid)
+    try:  # build the datum early, so missing, ill-formed or overflowing data is a config error
+        with np.errstate(over="ignore", invalid="ignore"):  # Field rejects what overflows
+            cfg.initial_datum()
+    except ValueError as exc:
+        raise ConfigError(f"[initial] {cfg.initial.profile} datum: {exc}") from exc
     if cfg.verify.mu <= 0:
         raise ConfigError("verify mu must be positive")
     if cfg.verify.tol_vi is not None and cfg.verify.tol_vi <= 0:

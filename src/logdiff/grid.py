@@ -26,9 +26,10 @@ exactly for the stencil eigenpairs
     e_k(j)    = sqrt(2/L) * sin(k*pi*j/(n+1)),
     lambda_k  = (4/h^2) * sin(k*pi*h/(2L))^2.
 
-``Field`` is the immutable value type for data and eigenvectors.  The
-operations are the underscore-prefixed array cores on plain arrays;
-norm_l2, norm_hminus1 and neg_laplacian_inverse wrap them for Fields.
+``Field`` is the immutable value type for data and eigenvectors, and
+every record holds its arrays as _frozen says.  The operations are the
+underscore-prefixed array cores on plain arrays; norm_l2, norm_hminus1
+and neg_laplacian_inverse wrap them for Fields.
 """
 
 from __future__ import annotations
@@ -54,6 +55,9 @@ class GridSpec:
             raise ValueError(f"length must be positive and finite, got {self.length}")
         if int(self.n_interior) != self.n_interior or self.n_interior < 2:
             raise ValueError(f"n_interior must be an integer >= 2, got {self.n_interior}")
+        hh = self.h * self.h  # not h**2, which raises OverflowError for h above about 1.3e154
+        if not (0.0 < hh < math.inf and 4.0 / hh < math.inf):
+            raise ValueError(f"length {self.length} puts h^2 or 4/h^2 outside the float range")
 
     @property
     def h(self) -> float:
@@ -65,27 +69,46 @@ class GridSpec:
         return self.h * np.arange(1, self.n_interior + 1)
 
 
+def _frozen(arr, dtype=float) -> np.ndarray:
+    """arr as a read-only array of dtype; copied unless it is one already and owns its memory.
+
+    The one way a record holds an array, so it never freezes its caller's array and no
+    later write reaches it.  A producer hands a fresh array over read-only to skip the copy.
+    """
+    if type(arr) is np.ndarray and arr.dtype == dtype and arr.base is None \
+            and not arr.flags.writeable:
+        return arr
+    out = np.array(arr, dtype=dtype, copy=True)
+    out.flags.writeable = False
+    return out
+
+
+def _hold(record, *names: str, dtype=float) -> None:
+    """Replace each named array field of a frozen dataclass record by _frozen of it."""
+    for name in names:
+        object.__setattr__(record, name, _frozen(getattr(record, name), dtype))
+
+
 @dataclass(frozen=True, eq=False)
 class Field:
     """Nodal values at the interior nodes of a grid; boundary is zero.
 
-    Values are copied on construction and frozen, so a Field can be
-    shared freely across threads and processes.
+    Values are held as _frozen says, so a Field can be shared freely
+    across threads and processes.
     """
 
     grid: GridSpec
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        v = np.array(self.values, dtype=float, copy=True)
+        _hold(self, "values")
+        v = self.values
         if v.ndim != 1 or v.shape[0] != self.grid.n_interior:
             raise ValueError(
                 f"values must be a 1-d array of length {self.grid.n_interior}, got shape {v.shape}"
             )
         if not np.all(np.isfinite(v)):
             raise ValueError("field values must be finite")
-        v.flags.writeable = False
-        object.__setattr__(self, "values", v)
 
     @classmethod
     def zeros(cls, grid: GridSpec) -> "Field":
@@ -105,16 +128,12 @@ class EigenSystem:
     eigenvectors: np.ndarray
 
     def __post_init__(self) -> None:
-        lam = np.array(self.eigenvalues, dtype=float, copy=True)
-        vec = np.array(self.eigenvectors, dtype=float, copy=True)
+        _hold(self, "eigenvalues", "eigenvectors")
+        lam, vec = self.eigenvalues, self.eigenvectors
         if lam.ndim != 1 or vec.shape != (lam.shape[0], self.grid.n_interior):
             raise ValueError("inconsistent eigensystem shapes")
         if not np.all(np.diff(lam) > 0):
             raise ValueError("eigenvalues must be strictly increasing")
-        lam.flags.writeable = False
-        vec.flags.writeable = False
-        object.__setattr__(self, "eigenvalues", lam)
-        object.__setattr__(self, "eigenvectors", vec)
 
     @property
     def k_max(self) -> int:

@@ -47,7 +47,7 @@ from typing import Optional, Union
 import numpy as np
 import numpy.random  # noqa: F401  # numpy loads it lazily; import it here, not in synthesize's first call
 
-from .grid import EigenSystem, Field, GridSpec
+from .grid import EigenSystem, Field, GridSpec, _hold
 
 # values per tile of nodes in _tiles and per widest window in modulus_of_continuity:
 # 2^15 float64 values (256 KiB) stay in cache
@@ -132,8 +132,7 @@ class NoisePath:
 
     values[n, j] is the field at time index n and node j+1; row 0 is
     identically zero.  brownian[n, k] holds beta_{k+1}(t_n).  The arrays
-    are read-only copies, except that a read-only float64 array owning
-    its memory, as synthesize builds them, is taken as it is.
+    are held as grid._frozen says: synthesize hands its own over uncopied.
     """
 
     spec: NoiseSpec
@@ -143,8 +142,8 @@ class NoisePath:
     brownian: np.ndarray
 
     def __post_init__(self) -> None:
-        t = _frozen(self.times)
-        v = _frozen(self.values)
+        _hold(self, "times", "values", "brownian")
+        t, v, b = self.times, self.values, self.brownian
         n_rows = self.spec.n_steps + 1
         if t.shape != (n_rows,):
             raise ValueError(f"times must have shape ({n_rows},), got {t.shape}")
@@ -156,11 +155,8 @@ class NoisePath:
             raise NoiseOverflowError("noise values must be finite")
         if np.any(v[0] != 0.0):
             raise ValueError("noise must vanish at t = 0")
-        b = _frozen(self.brownian)
         if b.shape != (n_rows, self.spec.k_max):
             raise ValueError("brownian matrix shape mismatch")
-        for name, arr in (("times", t), ("values", v), ("brownian", b)):
-            object.__setattr__(self, name, arr)
 
     def __reduce__(self):  # unpickle through __init__, so the arrays are read-only again
         return NoisePath, tuple(getattr(self, f.name) for f in fields(self))
@@ -171,16 +167,6 @@ class NoisePath:
 
     def field_at(self, n: int) -> Field:
         return Field(self.grid, self.values[n])
-
-
-def _frozen(arr) -> np.ndarray:
-    """arr as a read-only float64 array; copied unless it is one already and owns its memory."""
-    if type(arr) is np.ndarray and arr.dtype == np.float64 and arr.base is None \
-            and not arr.flags.writeable:
-        return arr
-    out = np.array(arr, dtype=float, copy=True)
-    out.flags.writeable = False
-    return out
 
 
 @dataclass(frozen=True)

@@ -73,7 +73,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from ._lapack import dgtsv
-from .grid import EigenSystem, Field, GridSpec, _hminus1_norms, _laplacian, _norms_l2
+from .grid import EigenSystem, Field, GridSpec, _hminus1_norms, _hold, _laplacian, _norms_l2
 from .noise import NoisePath, NoiseSpec, _require_decay, synthesize
 from .nonlinearity import _check_eps, _signed_log, yosida_derivative, yosida_shifted
 
@@ -128,10 +128,8 @@ class Trajectory:
     newton_residuals: np.ndarray
 
     def __post_init__(self) -> None:
-        for name in ("y_fields", "newton_iters", "newton_residuals"):
-            arr = np.asarray(getattr(self, name))
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+        _hold(self, "y_fields", "newton_residuals")
+        _hold(self, "newton_iters", dtype=int)
 
     def __reduce__(self):  # unpickle through __init__, so the arrays are read-only again
         return Trajectory, tuple(getattr(self, f.name) for f in fields(self))
@@ -378,6 +376,8 @@ def _solve_batch(
             ys[i][n + 1] = y[i]
         if not live:
             break
+    for y_row in ys:  # nothing else holds them, so Trajectory need not copy them
+        y_row.flags.writeable = False
     trajs = [Trajectory(config=replace(cfg, epsilon=e), noise=path, y_fields=ys[i],
                         newton_iters=iters[i], newton_residuals=resids[i])
              for i, (path, e) in enumerate(rows[:live])]
@@ -508,10 +508,7 @@ class EpsilonSweepReport:
     pairwise: np.ndarray
 
     def __post_init__(self) -> None:
-        for name in ("epsilons", "pairwise"):
-            arr = np.asarray(getattr(self, name))
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+        _hold(self, "epsilons", "pairwise")
 
     @property
     def consecutive(self) -> np.ndarray:

@@ -23,13 +23,14 @@ the tolerance used.  The checks:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
 from .grid import (
-    GridSpec, _hminus1_norms, _norms_l2, _solve_neg_laplacian, _solve_resolvent, eigensystem,
+    GridSpec, _hminus1_norms, _hold, _norms_l2, _solve_neg_laplacian, _solve_resolvent,
+    eigensystem,
 )
 from .nonlinearity import potential, yosida
 from .solver import Trajectory
@@ -64,35 +65,23 @@ class Flag:
 
 @dataclass
 class Report:
-    """Named scalars, per-time curves, and pass/fail flags of one check."""
+    """Pass/fail flags, named scalars and the one curve lhs(t) <= rhs(t) of one check."""
 
     name: str
-    flags: list[Flag] = field(default_factory=list)
-    scalars: dict[str, float] = field(default_factory=dict)
-    curves: dict[str, np.ndarray] = field(default_factory=dict)
+    flags: list[Flag]
+    scalars: dict[str, float]
+    t: np.ndarray
+    lhs: np.ndarray
+    rhs: np.ndarray
 
     @property
     def passed(self) -> bool:
         return all(f.passed for f in self.flags)
 
     def rows(self) -> list[tuple]:
-        """CSV rows (check_name, t, lhs, rhs, margin, pass)."""
-        out: list[tuple] = []
-        if "t" in self.curves and "lhs" in self.curves and "rhs" in self.curves:
-            t = self.curves["t"]
-            lhs = self.curves["lhs"]
-            rhs = self.curves["rhs"]
-            for i in range(len(t)):
-                out.append(
-                    (
-                        self.name,
-                        float(t[i]),
-                        float(lhs[i]),
-                        float(rhs[i]),
-                        float(rhs[i] - lhs[i]),
-                        bool(lhs[i] <= rhs[i]),
-                    )
-                )
+        """CSV rows (check_name, t, lhs, rhs, margin, pass): the curve's, then the flags'."""
+        out: list[tuple] = [(self.name, float(t), float(lhs), float(rhs), float(rhs - lhs),
+                             bool(lhs <= rhs)) for t, lhs, rhs in zip(self.t, self.lhs, self.rhs)]
         for f in self.flags:
             out.append((f"{self.name}:{f.name}", "", f.lhs, f.rhs, f.margin, f.passed))
         return out
@@ -128,10 +117,7 @@ class TestProcess:
     admissibility: dict[str, float]
 
     def __post_init__(self) -> None:
-        for name in ("z_fields", "z_prime"):
-            arr = np.asarray(getattr(self, name))
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+        _hold(self, "z_fields", "z_prime")
 
 
 def _cumulative_trapezoid(values: np.ndarray, dx: float) -> np.ndarray:
@@ -181,7 +167,7 @@ def build_test_process(traj: Trajectory, mu: float) -> TestProcess:
 
 def self_test_process(traj: Trajectory) -> TestProcess:
     """Z = Y itself; the variational residual must vanish to rounding."""
-    return _test_process(traj, traj.y_fields.copy())
+    return _test_process(traj, traj.y_fields)  # read-only, so Z can share Y's array
 
 
 def _test_process(traj: Trajectory, z: np.ndarray) -> TestProcess:
@@ -262,11 +248,9 @@ def variational_residual(z: TestProcess, tol_vi: Optional[float] = None) -> Repo
             "start_half_dual_sq": float(start),
             "final_potential_z": float(g_z_cum[-1]),
         },
-        curves={
-            "t": traj.times.copy(),
-            "lhs": residual,
-            "rhs": np.full_like(residual, float(tol_vi)),
-        },
+        t=traj.times,
+        lhs=residual,
+        rhs=np.full_like(residual, float(tol_vi)),
     )
 
 
@@ -342,7 +326,9 @@ def mean_square_bound(trajectories: Iterable[Trajectory]) -> Report:
             "l4_sup_mean": float(np.mean(l4_sup)),
             "l4_sup_max": float(np.max(l4_sup)),
         },
-        curves={"t": times.copy(), "lhs": mean, "rhs": rhs, "stderr": se, "bound": bound},
+        t=times,
+        lhs=mean,
+        rhs=rhs,
     )
 
 
@@ -420,5 +406,7 @@ def spread_report(name: str, eps_list: Sequence[float], values: Sequence[float],
         name=name,
         flags=[flag],
         scalars={f"value_at_eps_{e:g}": float(v) for e, v in zip(eps_list, arr)},
-        curves={"t": np.asarray(eps_list, dtype=float), "lhs": arr, "rhs": np.full_like(arr, top)},
+        t=np.asarray(eps_list, dtype=float),
+        lhs=arr,
+        rhs=np.full_like(arr, top),
     )

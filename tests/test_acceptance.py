@@ -361,7 +361,7 @@ def test_criterion_9_degenerate_cases():
     z = self_test_process(traj)  # Z = 0 for the zero trajectory
     process_zero = bool(np.all(z.z_fields == 0.0))
     rep = variational_residual(z)
-    vi_zero = bool(np.all(rep.curves["lhs"] == 0.0))
+    vi_zero = bool(np.all(rep.lhs == 0.0))
     tv_zero = total_variation(traj) == 0.0
     sup_zero = hminus1_sup(traj) == 0.0
 

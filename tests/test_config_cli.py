@@ -180,24 +180,22 @@ class TestParseConfig:
 
 class TestInitialProfiles:
     def test_zero(self, tmp_path):
-        cfg = parse_config(write(tmp_path / "c.cfg", "[initial]\nprofile = zero\n"))
-        g = GridSpec(length=1.0, n_interior=15)
-        assert np.all(cfg.initial_datum(g).values == 0.0)
+        cfg = parse_config(write(tmp_path / "c.cfg",
+                                 "[grid]\nn_interior = 15\n[initial]\nprofile = zero\n"))
+        assert np.all(cfg.initial_datum().values == 0.0)
 
     def test_bump(self, tmp_path):
-        text = "[initial]\nprofile = bump\namplitude = 2.0\n"
+        text = "[grid]\nn_interior = 15\n[initial]\nprofile = bump\namplitude = 2.0\n"
         cfg = parse_config(write(tmp_path / "c.cfg", text))
-        g = GridSpec(length=1.0, n_interior=15)
-        datum = cfg.initial_datum(g)
-        xi = g.nodes
+        datum = cfg.initial_datum()
+        xi = cfg.grid.nodes
         assert np.allclose(datum.values, 2.0 * xi * (1.0 - xi))
 
     def test_mode(self, tmp_path):
-        text = "[initial]\nprofile = mode\nmode_k = 3\namplitude = 0.5\n"
+        text = "[grid]\nn_interior = 15\n[initial]\nprofile = mode\nmode_k = 3\namplitude = 0.5\n"
         cfg = parse_config(write(tmp_path / "c.cfg", text))
-        g = GridSpec(length=1.0, n_interior=15)
-        es = eigensystem(g, 8)
-        datum = cfg.initial_datum(g, es)
+        es = cfg.eigen()
+        datum = cfg.initial_datum(es)
         assert np.allclose(datum.values, 0.5 * es.vector(3).values)
 
     def test_file(self, tmp_path):
@@ -212,7 +210,7 @@ class TestInitialProfiles:
             f"[initial]\nprofile = file\npath = {datum_file}\n"
         )
         cfg = parse_config(write(tmp_path / "c.cfg", text))
-        assert np.allclose(cfg.initial_datum(cfg.grid).values, [0.1, 0.2, 0.3, 0.4, 0.5])
+        assert np.allclose(cfg.initial_datum().values, [0.1, 0.2, 0.3, 0.4, 0.5])
 
     def test_file_incomplete_rejected_at_parse_time(self, tmp_path):
         datum_file = tmp_path / "datum.csv"
@@ -355,6 +353,15 @@ class TestCliSimulate:
             cfg = write(tmp_path / "dt.cfg", f"[solver]\n{solver}\n")
             assert main(["simulate", "--config", cfg, "--out", str(out)]) == 2
             assert capsys.readouterr().err.startswith("config error: [solver] dt")
+            assert not out.exists()
+        # a grid length outside the float range, or a datum that overflows, is a config error
+        for text in ("[grid]\nlength = 1e-200\nn_interior = 31\n",
+                     "[grid]\nlength = 1e200\nn_interior = 31\n",
+                     "[initial]\nprofile = mode\namplitude = 1.5e308\n"):
+            capsys.readouterr()
+            cfg = write(tmp_path / "range.cfg", text)
+            assert main(["simulate", "--config", cfg, "--out", str(out)]) == 2
+            assert capsys.readouterr().err.startswith("config error: ")
             assert not out.exists()
         # the last seed itself is fine: noise-check's one path at --paths 0 runs
         assert main(["noise-check", "--config", top_cfg, "--out", str(out), "--paths", "0"]) == 0

@@ -47,6 +47,10 @@ class TestGridSpec:
             GridSpec(length=-1.0, n_interior=15)
         with pytest.raises(ValueError):
             GridSpec(length=1.0, n_interior=0)
+        # h * h underflows to 0 or overflows, or 4 / (h * h) overflows, at 31 nodes
+        for length in (1e-200, 1e-160, 1e160, 1e200):
+            with pytest.raises(ValueError, match="float range"):
+                GridSpec(length=length, n_interior=31)
 
     def test_nodes_mutation_does_not_stick(self):
         g = GridSpec(length=1.0, n_interior=7)

@@ -1,6 +1,7 @@
 """Checks over finished trajectories: bounds, the solution inequality, diagnostics."""
 
 import weakref
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +18,8 @@ from logdiff.grid import (
     norm_l2,
 )
 from logdiff.noise import ExplicitGammas, NoiseSpec, PowerLawGammas, restrict, synthesize
-from logdiff.solver import SolverConfig, run_ensemble, solve_path
+import logdiff.verifier
+from logdiff.solver import SolverConfig, epsilon_sweep, run_ensemble, solve_path
 from logdiff.verifier import (
     Flag,
     Report,
@@ -144,6 +146,41 @@ class TestTestProcess:
             build_test_process(traj, -1.0)
 
 
+class TestRecordOwnership:
+    def records(self):
+        traj, x0 = make_traj(n_steps=10)
+        return {
+            "Trajectory": traj,
+            "EpsilonSweepReport": epsilon_sweep(x0, traj.noise, traj.config, [1e-1, 1e-2]),
+            # a Test* name imported into this module would be collected as a test class
+            "TestProcess": logdiff.verifier.build_test_process(traj, 1e-2),
+        }
+
+    @pytest.mark.parametrize("kind", ["Trajectory", "EpsilonSweepReport", "TestProcess"])
+    def test_record_copies_what_a_caller_still_owns(self, kind):
+        # the caller's arrays stay writable, and a later write to one, or to the base of
+        # a view passed in, leaves the record as it was built
+        record = self.records()[kind]
+        names = [f.name for f in fields(record) if isinstance(getattr(record, f.name), np.ndarray)]
+        given = {name: getattr(record, name).copy() for name in names}
+        base = np.stack([given[names[0]]] * 2)
+        given[names[0]] = base[1]  # writable, but a view of base
+        built = replace(record, **given)
+        for name in names:
+            assert given[name].flags.writeable
+            assert not getattr(built, name).flags.writeable
+            given[name][...] = 7
+        base[...] = 7
+        for name in names:
+            assert np.array_equal(getattr(built, name), getattr(record, name))
+
+    def test_producers_hand_over_what_they_build(self):
+        # a solve's Y is taken without a copy, and the self test's Z = Y shares it
+        traj, _ = make_traj(n_steps=10)
+        assert traj.y_fields.base is None and not traj.y_fields.flags.writeable
+        assert self_test_process(traj).z_fields is traj.y_fields
+
+
 class TestVariationalResidual:
     def test_cumulative_trapezoid_is_scipys_bitwise(self):
         rng = np.random.default_rng(11)
@@ -165,7 +202,7 @@ class TestVariationalResidual:
         z = self_test_process(traj)  # Z = 0 here since Y = 0
         rep = variational_residual(z)
         assert rep.scalars["max_residual"] == 0.0
-        assert np.all(rep.curves["lhs"] == 0.0)
+        assert np.all(rep.lhs == 0.0)
 
     def test_resolvent_process_passes_default_tolerance(self):
         traj, _ = make_traj(n_steps=250)

@@ -173,6 +173,7 @@ def self_test_process(traj: Trajectory) -> TestProcess:
 def _test_process(traj: Trajectory, z: np.ndarray) -> TestProcess:
     dt = traj.noise.dt
     zp = np.gradient(z, dt, axis=0)
+    zp.flags.writeable = False  # nothing else holds it, so TestProcess need not copy it
     return TestProcess(
         trajectory=traj,
         z_fields=z,

@@ -14,7 +14,11 @@ A run matches when its exit code, stdout, stderr (with the run's own
 paths replaced by placeholders) and the bytes of every output file are
 equal.  Prints one line per differing run and exits 1 on any difference.
 A differing CSV file of unchanged shape is listed with the largest
-relative difference |x - y| / max(|x|, |y|) over its numeric cells.
+relative difference |x - y| / max(|x|, |y|) over its numeric cells and
+the largest absolute difference |x - y|, each with the column (header
+name) it is in.  A value at the rounding floor, such as a Newton
+residual, can move by a large relative amount while the state moves in
+its last digits, so the column tells the two apart.
 """
 
 from __future__ import annotations
@@ -88,23 +92,28 @@ def finish(run) -> tuple:
     return proc.returncode, normalise(stdout), normalise(stderr), files
 
 
-def largest_relative_difference(a: bytes, b: bytes) -> float | None:
-    """Over the numeric cells of two CSV files of one shape; None if the shapes differ."""
+def largest_differences(a: bytes, b: bytes) -> str | None:
+    """The largest relative and absolute differences over the numeric cells of two CSV
+    files of one shape, each with its column; None if the shapes differ."""
     rows_a, rows_b = (list(csv.reader(io.StringIO(text.decode()))) for text in (a, b))
     if [len(row) for row in rows_a] != [len(row) for row in rows_b]:
         return None
-    largest = 0.0
-    for x, y in zip((c for row in rows_a for c in row), (c for row in rows_b for c in row)):
-        if x == y:
-            continue
-        try:
-            fx, fy = float(x), float(y)
-        except ValueError:
-            continue
-        if not (math.isfinite(fx) and math.isfinite(fy)):
-            return math.inf
-        largest = max(largest, abs(fx - fy) / max(abs(fx), abs(fy)))
-    return largest
+    header = rows_a[0] if rows_a else []
+    relative, absolute = (0.0, ""), (0.0, "")
+    for row_a, row_b in zip(rows_a[1:], rows_b[1:]):
+        for column, x, y in zip(header, row_a, row_b):
+            if x == y:
+                continue
+            try:
+                fx, fy = float(x), float(y)
+            except ValueError:
+                continue
+            if not (math.isfinite(fx) and math.isfinite(fy)):
+                return f"non-finite against a different value in column {column}"
+            relative = max(relative, (abs(fx - fy) / max(abs(fx), abs(fy)), column))
+            absolute = max(absolute, (abs(fx - fy), column))
+    return (f"largest relative {relative[0]:.2e} in {relative[1]}, "
+            f"largest absolute {absolute[0]:.2e} in {absolute[1]}")
 
 
 def differences(a: tuple, b: tuple) -> list[str]:
@@ -115,9 +124,9 @@ def differences(a: tuple, b: tuple) -> list[str]:
         found.append(f"file names {sorted(files_a.keys() ^ files_b.keys())}")
     for name in sorted(files_a.keys() & files_b.keys()):
         if files_a[name] != files_b[name]:
-            largest = (largest_relative_difference(files_a[name], files_b[name])
+            largest = (largest_differences(files_a[name], files_b[name])
                        if name.endswith(".csv") else None)
-            found.append(name if largest is None else f"{name} (largest relative {largest:.2e})")
+            found.append(name if largest is None else f"{name} ({largest})")
     return found
 
 

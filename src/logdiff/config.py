@@ -20,7 +20,7 @@ import numpy as np
 
 from .grid import EigenSystem, Field, GridSpec, eigensystem
 from .noise import NoiseSpec, PowerLawGammas
-from .solver import SolverConfig
+from .solver import SolverConfig, _check_step_range
 
 SCHEMA_VERSION = "1"
 
@@ -301,3 +301,12 @@ def _validate(cfg: ExperimentConfig) -> None:
         raise ConfigError("solver epsilon_list must be positive")
     if cfg.output.workers < 1:
         raise ConfigError("output workers must be >= 1")
+    # each eps a command may solve at; positive, as checked above
+    for key, values in (("[solver] epsilon", (cfg.solver.epsilon,)),
+                        ("[solver] epsilon_list", cfg.solver.epsilon_list),
+                        ("[verify] diag_epsilons", cfg.verify.diag_epsilons)):
+        for e in values:
+            try:
+                _check_step_range(cfg.grid, dt, e)
+            except ValueError as exc:
+                raise ConfigError(f"{key}: {exc}") from exc

@@ -23,7 +23,13 @@ Newton step from a point left of the root of a concave increasing g
 moves right and, by concavity, lands again left of the root, so the
 iterates rise monotonically to it.  The iteration stops once an iterate
 no longer rises, which in rounding arithmetic happens within a few ulps
-of the root, after 2-5 steps for eps <= 1; J takes the sign of x.
+of the root, after 2-5 steps for eps <= 1; J takes the sign of x.  Below
+the normal range that iteration cannot move by less than a subnormal
+step, so a root there is rounded in exact rational arithmetic from
+q = |x|/(1 + eps): the root exceeds q by a relative O(q), far less than
+the gap from q to any rounding midpoint it is not on, so it rounds as q
+does, except that a q on a midpoint rounds up (resolvent(1, 5e-324) is
+5e-324, not 0).
 yosida and yosida_shifted are then evaluated as signed_log(J) (+ eps*x),
 which avoids the cancellation in (x - J)/eps.  The solver's implicit step
 needs no resolvent, because it takes u = J_eps(x) as its unknown and
@@ -31,6 +37,9 @@ evaluates the flux as signed_log(u) + eps*x with x = u + eps*signed_log(u).
 """
 
 from __future__ import annotations
+
+import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -69,6 +78,9 @@ def potential(x):
     return _output((a + 1.0) * np.log1p(a) - a, scalar)
 
 
+_SMALLEST_NORMAL = 2.0**-1022
+
+
 def _resolvent(eps, arr: np.ndarray) -> np.ndarray:
     """J_eps by Newton on |J| from |x|/(1 + eps), rising to a fixed point (module docstring)."""
     a = np.abs(arr)
@@ -78,8 +90,24 @@ def _resolvent(eps, arr: np.ndarray) -> np.ndarray:
         y_next = y + step
         rising = y_next > y
         if not rising.any():
-            return np.copysign(y, arr)
+            break
         y = np.where(rising, y_next, y)
+    tiny = (y < _SMALLEST_NORMAL) & (a > 0)
+    if tiny.any():
+        y = np.array(y)
+        eps_tiny, a_tiny = (np.broadcast_to(v, y.shape)[tiny].tolist() for v in (eps, a))
+        y[tiny] = [_subnormal_root(e, v) for e, v in zip(eps_tiny, a_tiny)]
+    return np.copysign(y, arr)
+
+
+def _subnormal_root(eps: float, a: float) -> float:
+    """J_eps(a) for a > 0 whose root lies below the normal range, rounded correctly.
+
+    Rounds q = a/(1 + eps) to a multiple of 2^-1074, a midpoint upwards (module docstring).
+    """
+    units = Fraction(a) / (1 + Fraction(eps)) * 2**1074
+    whole = math.floor(units)
+    return math.ldexp(whole + (units - whole >= Fraction(1, 2)), -1074)
 
 
 def _via_resolvent(eps, x, formula):

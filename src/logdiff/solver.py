@@ -17,18 +17,25 @@ W_{n+1}).  Since F_eps = signed_log(J_eps) + eps*id, with s = signed_log(u)
 
 so no scalar root solve runs inside a step.  Newton starts at
 u = Y_n + W_{n+1} and stops once the residual in Y is at most newton_tol
-(a NaN residual never is); its Jacobian diag(a) - dt * Lap_h diag(b),
-with a = 1 + eps/(1+|u|) and b = 1/(1+|u|) + eps*a, is tridiagonal and,
-as a > 0, strictly diagonally dominant in its columns.  The residual
-cannot fall below its rounding floor
+(a NaN residual never is).  Its Jacobian is
+
+    J = diag(a) + (dt/h^2) * T * diag(b),   T = tridiag(-1, 2, -1),
+
+with a = 1 + eps/(1+|u|) and b = 1/(1+|u|) + eps*a, both positive; with
+z = b*delta the system J delta = -r is (diag(a/b) + (dt/h^2)*T) z = -r,
+symmetric positive definite and tridiagonal, so LAPACK dptsv solves it
+without pivoting, and delta = z/b.  The residual cannot fall below its
+rounding floor
 
     16 * macheps * | |Y_{n+1}| + |Y_n| + 4*(dt/h^2)*|F_eps| |_2,
 
 so when a Newton step fails to halve the residual, or damping finds no
 decrease, Newton also stops if the residual is finite and below that
-floor.  Explicit Euler (noise at the left endpoint), marched by
-solve_explicit, is an independent cross-check; a step refuses to run
-outside its stability bound
+floor.  An eps whose largest Jacobian entry, 4*(dt/h^2)*(1 + eps + eps^2)
+at u = 0, overflows cannot be solved in u; _solve_batch refuses it
+(_check_step_range).  Explicit Euler (noise at the left endpoint),
+marched by solve_explicit, is an independent cross-check; a step refuses
+to run outside its stability bound
 
     dt * (4/h^2) * max_j F_eps'(Y_n + W_n) <= 1.
 
@@ -39,32 +46,37 @@ residual, the Jacobian diagonals and the damping are vectorised over
 rows, and per-row L2 norms use np.vecdot, which runs the same BLAS dot
 per row as np.dot does on one row.  Only rows still above tolerance
 iterate; damping, the rounding-floor stop and the iteration budget act
-per row.  Each Newton iteration makes one LAPACK dgtsv call: the rows'
-tridiagonal systems are stacked, each followed by two identity rows with
-zero coupling.  For finite input this gives every row the bits of its
-own dgtsv call: column dominance means dgtsv never swaps rows, so each
-block is eliminated as if alone; the multipliers into and out of the
-identity rows are +0, the identity rows solve to +0, and subtracting +0
-changes no value, not even the sign of a zero.  A non-finite value
-breaks this, since 0*inf carries a NaN across every block boundary, and
-dgtsv's info counts across the whole stack.  So an iteration in which
-a row's residual is not finite, or whose stacked call returns info != 0
-or a non-finite entry, solves its rows with one dgtsv call each.  A
-batch of one row (solve_path) makes that plain call.
+per row.  Each Newton iteration makes one dptsv call: the rows'
+symmetrised systems are stacked, each followed by one pad row (diagonal
+1, coupling +0 on both sides, right-hand side +0).  For finite input
+this gives every row the bits of its own dptsv call.  dptsv factors
+L D L^T and sweeps forward and back; at a block boundary the multiplier
+is 0/d = +0, so the next diagonal loses +0*0 = +0 and keeps its value,
+the pad row solves to +0 in both sweeps, and each row next to a pad
+subtracts +0*(+0) = +0, which changes no value, not even the sign of a
+zero, a right-hand side of -0.0 included.  A non-finite value breaks
+this, since 0*inf carries a NaN across every block boundary, and dptsv's
+info counts across the whole stack.  So an iteration in which a row's
+residual is not finite, or whose stacked call returns info != 0 or a
+non-finite step, solves its rows with one dptsv call each.  A batch of
+one row (solve_path) makes that plain call.
 
-When a row's step fails (a failed dgtsv, a non-finite residual, Newton's
+When a row's step fails (a failed dptsv, a non-finite residual, Newton's
 iteration budget) the row stops, and so do the rows after it: the batch
 returns the trajectories of the rows before it and the StepFailureError,
 with the step index, that solving that row alone raises.  solve_rows
 (and so run_ensemble) cuts its rows into batches of at most
-_BATCH_VALUES state values each; epsilon_sweep keeps all its rows' Y
-anyway, so it solves them as one batch.  The noise path owns the
-space-time grid: every step has size dt = noise.dt on the noise's own
-time grid.  Trajectory.x_fields computes X_n = Y_n + W_n anew.
+_BATCH_VALUES state values each; epsilon_sweep needs all its rows' Y
+anyway, so it solves them as one batch, and it measures its H^-1
+distances on Z = U^-T Y (see grid), one sweep per eps.  The noise path
+owns the space-time grid: every step has size dt = noise.dt on the
+noise's own time grid.  Trajectory.x_fields computes X_n = Y_n + W_n
+anew.
 """
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass, fields, replace
 from functools import partial
@@ -72,8 +84,8 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from ._lapack import dgtsv
-from .grid import EigenSystem, Field, GridSpec, _hminus1_norms, _hold, _laplacian, _norms_l2
+from ._lapack import dptsv
+from .grid import EigenSystem, Field, GridSpec, _half_solve, _hold, _laplacian, _norms_l2
 from .noise import NoisePath, NoiseSpec, _require_decay, synthesize
 from .nonlinearity import _check_eps, _signed_log, yosida_derivative, yosida_shifted
 
@@ -164,11 +176,30 @@ class Trajectory:
         return Field(self.grid, self.y_fields[n] + self.noise.values[n])
 
 
+def _check_step_range(grid: GridSpec, dt: float, eps: float) -> None:
+    """Refuse an eps whose implicit step leaves the float range on this grid and time step.
+
+    The Newton matrix's largest entry, 4*(dt/h^2)*b with b = 1 + eps + eps^2 at u = 0
+    (module docstring), must be finite; on 31 nodes at dt = 1e-3 that admits eps = 1e150
+    and refuses 1e200, where Newton would meet inf - inf.
+    """
+    if not 4.0 * (dt / (grid.h * grid.h)) * (1.0 + eps * (1.0 + eps)) < math.inf:
+        raise ValueError(f"eps = {eps:g} puts the implicit step outside the float range at "
+                         f"dt = {dt:g} and h = {grid.h:g}: 4*(dt/h^2)*(1 + eps + eps^2) overflows")
+
+
 def _state_and_flux(u: np.ndarray, eps, w_next: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Y = u + eps*s - W and F_eps(Y + W) = s + eps*(u + eps*s), with s = signed_log(u)."""
+    """Y = u + eps*s - W and F_eps(Y + W) = s + eps*(u + eps*s), with s = signed_log(u).
+
+    In place on fresh arrays; each value has the bits of those formulas.
+    """
     s = _signed_log(u)
-    x = u + eps * s  # Y + W
-    return x - w_next, s + eps * x
+    x = eps * s
+    x += u  # Y + W
+    flux = eps * x
+    flux += s
+    x -= w_next
+    return x, flux
 
 
 def _step_implicit_core(
@@ -183,7 +214,8 @@ def _step_implicit_core(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict[int, StepFailureError]]:
     """One damped-Newton implicit Euler step in u = J_eps(Y + W) for each row of (P, n) arrays.
 
-    eps is a (P, 1) column; work, if given, is _newton_directions' (4, P, n + 2) workspace.
+    eps is (P, n), or a (P, 1) column; work, if given, is _newton_directions' (3, P, n + 1)
+    workspace.
     Returns (y, iters, residuals, failures): failures maps the position of each row whose
     Newton failed to its error, and that row's y, iters and residual mean nothing.
     """
@@ -193,9 +225,12 @@ def _step_implicit_core(
     res_out = np.zeros(len(y_prev))
     failures: dict[int, StepFailureError] = {}
 
-    def residual(u, e, w, yp):
+    def residual(u, e, w, yp):  # r = y - dt*Lap_h(flux) - yp, in place
         y, flux = _state_and_flux(u, e, w)
-        r = y - dt * _laplacian(flux, h) - yp
+        r = _laplacian(flux, h)
+        r *= dt
+        np.subtract(y, r, out=r)
+        r -= yp
         return y, r, _norms_l2(grid, r)
 
     def at_floor(u, rnorm, e, w, yp):
@@ -233,7 +268,7 @@ def _step_implicit_core(
         if failed:  # a failed solve fails its row
             for i, info in failed.items():
                 failures[rows[i]] = StepFailureError(
-                    f"tridiagonal solve failed (dgtsv info {info})", residual=float(rnorm[i]))
+                    f"tridiagonal solve failed (dptsv info {info})", residual=float(rnorm[i]))
             keep = np.ones(rows.size, dtype=bool)
             keep[list(failed)] = False
             rows, u, y, r, rnorm, e, w, yp, delta = (
@@ -282,36 +317,41 @@ def _newton_directions(
 ) -> tuple[np.ndarray, dict[int, int]]:
     """Solve each row's Jacobian system for its Newton step; returns (delta, failed).
 
-    failed maps the position of each row whose dgtsv call failed to its info.  One
-    dgtsv call takes the rows' tridiagonal systems stacked, each followed by two
-    identity rows, written into work (shape (4, rows, n + 2)) if given, else into a
-    fresh array, and solved there in place, so delta is a view of that array.  If a
-    row's residual is not finite, or the stacked call reports info != 0 or a
-    non-finite entry, each row gets a dgtsv call of its own instead (module docstring).
+    J = diag(a) + scale*T*diag(b) with T = tridiag(-1, 2, -1), so J delta = -r is
+    (diag(a/b) + scale*T) z = -r with z = b*delta: symmetric positive definite, for dptsv.
+    failed maps the position of each row whose dptsv call failed to its info.  One dptsv
+    call takes the rows' systems stacked, each followed by one pad row, written into work
+    (shape (3, rows, n + 1)) if given, else into a fresh array, and solved there in place,
+    so delta is a view of that array.  If a row's residual is not finite, or the stacked
+    call reports info != 0 or a non-finite entry, each row gets a dptsv call of its own
+    instead (module docstring).
     """
     slope = 1.0 / (1.0 + np.abs(u))
     a = 1.0 + eps * slope
     b = slope + eps * a
     k, n = u.shape
     if k > 1 and np.isfinite(rnorm).all():
-        dl, du, d, rhs = np.empty((4, k, n + 2)) if work is None else work
-        np.multiply(-scale, b[:, :-1], out=dl[:, :n - 1])
-        np.multiply(-scale, b[:, 1:], out=du[:, :n - 1])
-        np.multiply(2.0 * scale, b, out=d[:, :n])
-        d[:, :n] += a
+        d, e, rhs = np.empty((3, k, n + 1)) if work is None else work
+        np.divide(a, b, out=d[:, :n])
+        d[:, :n] += 2.0 * scale
+        e[:, :n - 1] = -scale
+        e[:, n - 1:] = 0.0  # +0 coupling into and out of each pad row
+        d[:, n] = 1.0
         np.negative(r, out=rhs[:, :n])
-        dl[:, n - 1:] = du[:, n - 1:] = rhs[:, n:] = 0.0  # +0 coupling, identity rows
-        d[:, n:] = 1.0
-        # in place: f2py would otherwise copy all four operands on every call; every element
-        # of work is written above
-        *_, x, info = dgtsv(dl.ravel()[:-1], d.ravel(), du.ravel()[:-1], rhs.ravel(),
-                            overwrite_dl=1, overwrite_d=1, overwrite_du=1, overwrite_b=1)
-        if info == 0 and (np.isfinite(x @ x) or np.isfinite(x).all()):  # x @ x may overflow
-            return x.reshape(k, n + 2)[:, :n], {}
-    off, diag = -scale * b, a + 2.0 * scale * b
-    solved = [dgtsv(off[i, :-1], diag[i], off[i, 1:], -r[i])[3:] for i in range(k)]
+        rhs[:, n] = 0.0
+        # in place: f2py would otherwise copy all three operands on every call; every
+        # element of work is written above, and the last coupling is not an operand
+        *_, z, info = dptsv(d.ravel(), e.ravel()[:-1], rhs.ravel(),
+                            overwrite_d=1, overwrite_e=1, overwrite_b=1)
+        if info == 0:
+            delta = z.reshape(k, n + 1)[:, :n]
+            delta /= b
+            if np.isfinite(z @ z) or np.isfinite(z).all():  # z @ z may overflow
+                return delta, {}
+    diag, off = a / b + 2.0 * scale, np.full(n - 1, -scale)
+    solved = [dptsv(diag[i], off, -r[i])[2:] for i in range(k)]
     failed = {i: info for i, (_, info) in enumerate(solved) if info != 0}
-    return np.array([x for x, _ in solved]), failed
+    return np.array([z for z, _ in solved]) / b, failed
 
 
 def _rounding_floor(
@@ -346,6 +386,8 @@ def _solve_batch(
     if any(path.grid != grid for path, _ in rows):
         raise ValueError("noise path lives on a different grid")
     n_steps, dt = rows[0][0].spec.n_steps, rows[0][0].dt
+    for _, e in rows:
+        _check_step_range(grid, dt, e)
     ys = [np.empty((n_steps + 1, grid.n_interior)) for _ in rows]
     iters = np.zeros((len(rows), n_steps), dtype=int)
     resids = np.zeros((len(rows), n_steps))
@@ -353,12 +395,14 @@ def _solve_batch(
     y[:] = x0.values
     for y_row in ys:
         y_row[0] = x0.values
-    eps = np.array([[e] for _, e in rows])
+    # a full array: numpy multiplies by it about three times as fast as by a (P, 1) column
+    eps = np.empty_like(y)
+    eps[:] = [[e] for _, e in rows]
     w = np.empty_like(y)
-    # one workspace for every Newton iteration's stacked dgtsv operands: a fresh one per
-    # iteration (197 KB at 6 rows of 1023 nodes) passes glibc's mmap threshold, so each
+    # one workspace for every Newton iteration's stacked dptsv operands: a fresh one per
+    # iteration (147 KB at 6 rows of 1023 nodes) passes glibc's mmap threshold, so each
     # would be mapped and page-faulted anew
-    work = np.empty((4, len(rows), grid.n_interior + 2))
+    work = np.empty((3, len(rows), grid.n_interior + 1))
     values = [path.values for path, _ in rows]
     live, error = len(rows), None  # rows after a failed row are dropped: the live rows are a prefix
     for n in range(n_steps):
@@ -538,15 +582,19 @@ def epsilon_sweep(
     if np.any(np.diff(eps) > 0):
         raise ValueError("eps_list must be non-increasing")
 
-    # one batch: the pairwise table keeps every row's Y, so cutting the rows saves no memory
+    # one batch: the pairwise table needs every row's Y
     trajs, error = _solve_batch(x0, cfg, [(noise, float(e)) for e in eps])
     if error is not None:
         raise error
 
-    m, diff = eps.size, np.empty_like(trajs[0].y_fields)
+    # |Y_i - Y_j|_-1 = |Z_i - Z_j|_2 with Z = U^-T Y, so each Y takes one sweep; popped,
+    # each Y is freed once it is transformed.  Z_i is (n, steps + 1), one column a time
+    trajs.reverse()
+    z = [_half_solve(x0.grid, trajs.pop().y_fields.T) for _ in range(len(trajs))]
+    m, diff = eps.size, np.empty_like(z[0])
     pairwise = np.zeros((m, m))
     for i in range(m):
         for j in range(i + 1, m):
-            np.subtract(trajs[i].y_fields, trajs[j].y_fields, out=diff)
-            pairwise[i, j] = pairwise[j, i] = float(np.max(_hminus1_norms(x0.grid, diff)))
+            np.subtract(z[i], z[j], out=diff)
+            pairwise[i, j] = pairwise[j, i] = float(np.max(_norms_l2(x0.grid, diff.T)))
     return EpsilonSweepReport(eps, pairwise)

@@ -56,7 +56,7 @@ class Flag:
 
     @property
     def passed(self) -> bool:
-        return self.lhs <= self.rhs
+        return self.margin >= 0  # lhs <= rhs, except that a NaN margin (inf <= inf) fails
 
     @property
     def margin(self) -> float:
@@ -79,9 +79,13 @@ class Report:
         return all(f.passed for f in self.flags)
 
     def rows(self) -> list[tuple]:
-        """CSV rows (check_name, t, lhs, rhs, margin, pass): the curve's, then the flags'."""
-        out: list[tuple] = [(self.name, float(t), float(lhs), float(rhs), float(rhs - lhs),
-                             bool(lhs <= rhs)) for t, lhs, rhs in zip(self.t, self.lhs, self.rhs)]
+        """CSV rows (check_name, t, lhs, rhs, margin, pass): the curve's, then the flags'.
+
+        A row passes as a Flag does: when its margin is a number >= 0.
+        """
+        out: list[tuple] = [(self.name, t, lhs, rhs, rhs - lhs, rhs - lhs >= 0)
+                            for t, lhs, rhs in zip(self.t.tolist(), self.lhs.tolist(),
+                                                   self.rhs.tolist())]
         for f in self.flags:
             out.append((f"{self.name}:{f.name}", "", f.lhs, f.rhs, f.margin, f.passed))
         return out
@@ -393,19 +397,27 @@ def hminus1_sup(traj: Trajectory) -> float:
 
 def spread_report(name: str, eps_list: Sequence[float], values: Sequence[float],
                   ratio_max: float) -> Report:
-    """A diagnostic per eps passes when its max/min ratio is at most ratio_max."""
+    """A diagnostic per eps passes when its max/min ratio is at most ratio_max.
+
+    A value outside the float range (inf or NaN) cannot be judged: the flag
+    values_in_float_range, lhs the number of such values and rhs 0, fails, and
+    spread_bounded fails with an infinite ratio.
+    """
     arr = np.asarray(values, dtype=float)
     top, bottom = float(np.max(arr)), float(np.min(arr))
-    ratio = 1.0 if top == 0.0 else np.inf if bottom == 0.0 else top / bottom
-    flag = Flag(
+    outside = int(np.count_nonzero(~np.isfinite(arr)))
+    ratio = np.inf if outside else 1.0 if top == 0.0 else np.inf if bottom == 0.0 else top / bottom
+    flags = [Flag(name="values_in_float_range", lhs=float(outside), rhs=0.0, tolerance=0.0)
+             ] if outside else []
+    flags.append(Flag(
         name="spread_bounded",
         lhs=ratio,
         rhs=float(ratio_max),
         tolerance=float(ratio_max),
-    )
+    ))
     return Report(
         name=name,
-        flags=[flag],
+        flags=flags,
         scalars={f"value_at_eps_{e:g}": float(v) for e, v in zip(eps_list, arr)},
         t=np.asarray(eps_list, dtype=float),
         lhs=arr,

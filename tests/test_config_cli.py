@@ -374,8 +374,26 @@ class TestCliSimulate:
         assert main(["simulate", "--config", cfg, "--out", str(out), "--paths", "1"]) == 3
         assert "solver failure: step 0 failed: Newton did not reach tol" in capsys.readouterr().err
 
+    def test_eps_whose_step_overflows_is_a_config_error(self, tmp_path, capsys):
+        # on 31 nodes at dt = 1e-3 the Newton matrix's largest entry, 4 (dt/h^2)(1 + eps +
+        # eps^2), overflows at eps = 1e200 and not at 1e150, which solves
+        out = tmp_path / "out"
+        for key, text, command in (
+                ("[solver] epsilon", "[solver]\nepsilon = 1e200\n", "simulate"),
+                ("[solver] epsilon_list", "[solver]\nepsilon_list = 1e200, 1e-2\n", "sweep-eps"),
+                ("[verify] diag_epsilons", "[verify]\ndiag_epsilons = 1e200, 1e-2\n", "verify")):
+            cfg = write(tmp_path / "eps.cfg", "[grid]\nn_interior = 31\n" + text)
+            assert main([command, "--config", cfg, "--out", str(out)]) == 2
+            assert capsys.readouterr().err.startswith(
+                f"config error: {key}: eps = 1e+200 puts the implicit step outside the float range")
+            assert not out.exists()
+        cfg = write(tmp_path / "ok.cfg",
+                    "[grid]\nn_interior = 31\n[solver]\nepsilon = 1e150\nt_final = 0.01\n")
+        assert main(["simulate", "--config", cfg, "--out", str(out), "--paths", "2"]) == 0
+        assert capsys.readouterr().err == ""
+
     def test_failed_tridiagonal_solve_exit_3(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setattr("logdiff.solver.dgtsv", lambda dl, d, du, b: (dl, d, du, b, 1))
+        monkeypatch.setattr("logdiff.solver.dptsv", lambda d, e, b: (d, e, b, 1))
         cfg = write(tmp_path / "c.cfg", BASE)
         out = tmp_path / "out"
         assert main(["simulate", "--config", cfg, "--out", str(out), "--paths", "1"]) == 3
@@ -395,19 +413,19 @@ class TestCliSimulate:
     def test_bump_of_amplitude_1e300_solves(self, tmp_path, monkeypatch, capsys):
         # every value is finite, so the norms are too: they scale by max |v| where the plain
         # sum of squares overflows, and numpy's overflow warnings stay off stderr.  The
-        # stacked Newton solution's x @ x overflows too, which alone must not send the
-        # batch's rows to one dgtsv call each
+        # stacked Newton solution's z @ z overflows too, which alone must not send the
+        # batch's rows to one dptsv call each
         calls = []
-        dgtsv = logdiff.solver.dgtsv
-        monkeypatch.setattr("logdiff.solver.dgtsv", lambda dl, d, du, b, **overwrite:
-                            calls.append(d.size) or dgtsv(dl, d, du, b, **overwrite))
+        dptsv = logdiff.solver.dptsv
+        monkeypatch.setattr("logdiff.solver.dptsv", lambda d, e, b, **overwrite:
+                            calls.append(d.size) or dptsv(d, e, b, **overwrite))
         text = ("[grid]\nn_interior = 31\n[initial]\nprofile = bump\namplitude = 1e300\n"
                 "[solver]\nt_final = 0.005\n")
         cfg = write(tmp_path / "c.cfg", text)
         out = tmp_path / "out"
         assert main(["simulate", "--config", cfg, "--out", str(out), "--paths", "3"]) == 0
         assert capsys.readouterr().err == ""
-        assert calls and set(calls) == {3 * (31 + 2)}
+        assert calls and set(calls) == {3 * (31 + 1)}
         with open(out / "summary.csv", newline="") as fh:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 3
@@ -490,7 +508,7 @@ class TestCliSimulate:
         def singular(*args, **kwargs):
             raise np.linalg.LinAlgError("singular matrix")
 
-        monkeypatch.setattr("logdiff.solver.dgtsv", singular)
+        monkeypatch.setattr("logdiff.solver.dptsv", singular)
         cfg = write(tmp_path / "c.cfg", BASE)
         with pytest.raises(np.linalg.LinAlgError):
             main(["simulate", "--config", cfg, "--out", str(tmp_path / "out"), "--paths", "1"])

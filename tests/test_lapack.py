@@ -33,9 +33,9 @@ def results():
 def test_fallback_gives_the_fast_paths_bits(tmp_path, monkeypatch):
     fast = results()
     routines = logdiff._lapack.load(tmp_path / "_flapack.so")  # no extension there
-    assert routines == (public.dgtsv, public.dtbtrs)
-    monkeypatch.setattr("logdiff.solver.dgtsv", routines[0])
-    monkeypatch.setattr("logdiff.grid.dgtsv", routines[0])
+    assert routines == (public.dptsv, public.dtbtrs)
+    monkeypatch.setattr("logdiff.solver.dptsv", routines[0])
+    monkeypatch.setattr("logdiff.grid.dptsv", routines[0])
     monkeypatch.setattr("logdiff.grid.dtbtrs", routines[1])
     fallback = results()
     for a, b in zip(fast, fallback):

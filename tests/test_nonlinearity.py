@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
@@ -118,6 +118,8 @@ class TestResolvent:
             assert abs(y - oracle) < 1e-12 * max(1.0, abs(x))
 
     @given(eps_range, finite_x)
+    @example(eps=1.0, x=5e-324)
+    @example(eps=1.0, x=-5e-324)
     def test_residual_sign_and_contraction(self, eps, x):
         y = resolvent(eps, x)
         assert abs(y + eps * signed_log(y) - x) <= 1e-12 * max(1.0, abs(x))
@@ -127,6 +129,19 @@ class TestResolvent:
     @given(eps_range, finite_x, finite_x)
     def test_nonexpansive(self, eps, a, b):
         assert abs(resolvent(eps, a) - resolvent(eps, b)) <= abs(a - b) + 1e-12
+
+    def test_subnormal_roots_are_rounded_correctly(self):
+        # the root exceeds q = x/(1 + eps) by a relative O(q): it rounds as q does, and
+        # a q halfway between two subnormals rounds up (ties to even would give 0 and 2)
+        tiny = 2.0**-1074
+        cases = [(1.0, 1, 1), (1.0, 5, 3), (1.0, 7, 4), (0.5, 1, 1), (3.0, 1, 0), (3.0, 2, 1),
+                 (1e-3, 2**40 + 1, 1098413214562)]  # the last q is 1098413214562.44 units
+        for eps, units, want in cases:
+            assert resolvent(eps, units * tiny) == want * tiny
+            assert resolvent(eps, -units * tiny) == -want * tiny
+            assert np.signbit(resolvent(eps, -units * tiny))
+        x = np.array([5.0, -7.0, 2.0**60, 1.0]) * tiny  # 2^60 units: a normal root, Newton's
+        assert np.array_equal(resolvent(1.0, x), np.array([3.0, -4.0, 2.0**59, 1.0]) * tiny)
 
     def test_rejects_bad_eps_and_nonfinite(self):
         with pytest.raises(ValueError):

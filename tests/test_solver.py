@@ -5,14 +5,17 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy.linalg import solve_banded
-from scipy.linalg.lapack import dgtsv as DGTSV
+from scipy.linalg import solveh_banded
+from scipy.linalg.lapack import dptsv as DPTSV
+from scipy.linalg.lapack import dtbtrs as DTBTRS
 
 import logdiff.nonlinearity
 import logdiff.solver
 from logdiff.grid import (
     Field,
     GridSpec,
+    _factor,
+    _hminus1_norms,
     _laplacian,
     _norm_l2,
     eigensystem,
@@ -61,15 +64,15 @@ def default_noise(grid, eigen, seed=42, t_final=0.5, n_steps=200):
     return synthesize(spec, eigen)
 
 
-def spy_dgtsv(monkeypatch):
-    """Record copies of (dl, d, du, b) for each dgtsv call the solver makes."""
+def spy_dptsv(monkeypatch):
+    """Record copies of (d, e, b) for each dptsv call the solver makes."""
     calls = []
 
-    def spy(dl, d, du, b):
-        calls.append(tuple(np.array(v) for v in (dl, d, du, b)))
-        return DGTSV(dl, d, du, b)
+    def spy(d, e, b):
+        calls.append(tuple(np.array(v) for v in (d, e, b)))
+        return DPTSV(d, e, b)
 
-    monkeypatch.setattr("logdiff.solver.dgtsv", spy)
+    monkeypatch.setattr("logdiff.solver.dptsv", spy)
     return calls
 
 
@@ -286,38 +289,43 @@ class TestSolvePath:
         assert np.all(traj.substeps == 1)
 
     def test_newton_matrix_is_the_tridiagonal_jacobian(self, monkeypatch):
-        calls = spy_dgtsv(monkeypatch)
+        # dptsv gets the symmetrised matrix S with S diag(b) = J, and the step is z / b
+        calls = spy_dptsv(monkeypatch)
         eps, n = 1e-2, G127.n_interior
         noise, traj = sine_run(G127, eps)
-        for dl, d, du, _ in calls:
-            assert (dl.shape, d.shape, du.shape) == ((n - 1,), (n,), (n - 1,))
-            assert np.all(np.isfinite(dl)) and np.all(np.isfinite(d)) and np.all(np.isfinite(du))
+        for d, e, _ in calls:
+            assert (d.shape, e.shape) == ((n,), (n - 1,))
+            assert np.all(np.isfinite(d)) and np.all(d > 0) and np.all(np.isfinite(e))
         # each step's first Newton iteration linearizes at u = Y_n + W_{n+1}
         lap = (np.eye(n, k=-1) - 2.0 * np.eye(n) + np.eye(n, k=1)) / G127.h**2
         first = np.concatenate([[0], np.cumsum(traj.newton_iters)[:-1]])
         for step, call in enumerate(first):
             slope = 1.0 / (1.0 + np.abs(traj.y_fields[step] + noise.values[step + 1]))
             a = 1.0 + eps * slope
-            jac = np.diag(a) - noise.dt * lap @ np.diag(slope + eps * a)
-            dl, d, du, _ = calls[call]
-            for k, diagonal in ((-1, dl), (0, d), (1, du)):
-                np.testing.assert_allclose(diagonal, np.diag(jac, k), rtol=1e-14, atol=0)
+            b = slope + eps * a
+            jac = np.diag(a) - noise.dt * lap @ np.diag(b)
+            d, e, _ = calls[call]
+            sym = np.diag(d) + np.diag(e, -1) + np.diag(e, 1)
+            assert np.array_equal(sym, sym.T)
+            for k in (-1, 0, 1):
+                np.testing.assert_allclose(np.diag(sym @ np.diag(b), k), np.diag(jac, k),
+                                           rtol=1e-14, atol=0)
 
     @pytest.mark.parametrize("eps", [1e-1, 1e-4])
     @pytest.mark.parametrize("n", [31, 127, 1023])
-    def test_dgtsv_is_bitwise_solve_banded(self, monkeypatch, n, eps):
-        calls = spy_dgtsv(monkeypatch)
+    def test_dptsv_is_bitwise_solveh_banded(self, monkeypatch, n, eps):
+        calls = spy_dptsv(monkeypatch)
         sine_run(GridSpec(length=1.0, n_interior=n), eps, t_final=5e-3, n_steps=5)
         assert calls
-        for dl, d, du, rhs in calls:
-            ab = np.zeros((3, n))
-            ab[0, 1:], ab[1], ab[2, :-1] = du, d, dl
-            *_, x, info = DGTSV(dl, d, du, rhs)
+        for d, e, rhs in calls:
+            ab = np.zeros((2, n))
+            ab[0, 1:], ab[1] = e, d
+            *_, x, info = DPTSV(d, e, rhs)
             assert info == 0
-            assert np.array_equal(x, solve_banded((1, 1), ab, rhs))
+            assert np.array_equal(x, solveh_banded(ab, rhs))
 
     def test_one_lapack_call_per_newton_iteration(self, monkeypatch):
-        calls = spy_dgtsv(monkeypatch)
+        calls = spy_dptsv(monkeypatch)
         _, traj = sine_run(G127, 1e-2)
         assert len(calls) == traj.newton_iters.sum() > traj.n_steps
 
@@ -332,8 +340,8 @@ class TestSolvePath:
         assert prepared == []
 
     def test_failed_tridiagonal_solve_fails_its_step(self, monkeypatch):
-        monkeypatch.setattr("logdiff.solver.dgtsv", lambda dl, d, du, b: (dl, d, du, b, 1))
-        with pytest.raises(StepFailureError, match="dgtsv info 1") as err:
+        monkeypatch.setattr("logdiff.solver.dptsv", lambda d, e, b: (d, e, b, 1))
+        with pytest.raises(StepFailureError, match="dptsv info 1") as err:
             sine_run(G127, 1e-2)
         assert err.value.step == 0
 
@@ -354,6 +362,18 @@ class TestSolvePath:
                 solve_path(x0, noise, SolverConfig(epsilon=1e-2))
         assert err.value.step == 0
         assert err.value.residual == np.inf
+
+    def test_eps_whose_step_overflows_is_refused(self):
+        # 4 (dt/h^2)(1 + eps + eps^2) on 31 nodes at dt = 1e-3: finite at 1e150, not at 1e200
+        grid = GridSpec(length=1.0, n_interior=31)
+        noise = default_noise(grid, eigensystem(grid, 8), t_final=5e-3, n_steps=5)
+        x0 = Field(grid, np.sin(np.pi * grid.nodes))
+        with np.errstate(over="ignore"):  # sums of squares overflow and are redone scaled
+            traj = solve_path(x0, noise, SolverConfig(epsilon=1e150))
+        assert np.all(traj.newton_residuals <= traj.config.newton_tol)
+        for eps in (1e200, 1.4e154):
+            with pytest.raises(ValueError, match="outside the float range"):
+                solve_path(x0, noise, SolverConfig(epsilon=eps))
 
     def test_grid_mismatch_rejected(self):
         noise = default_noise(G127, E127)
@@ -512,9 +532,10 @@ class TestEpsilonSweep:
         calls = []
         solve_batch = logdiff.solver._solve_batch
 
-        def spy(x0, cfg, rows):
-            calls.append((rows, solve_batch(x0, cfg, rows)))
-            return calls[-1][1]
+        def spy(x0, cfg, rows):  # epsilon_sweep pops the list it gets; the spy keeps a copy
+            trajs, error = solve_batch(x0, cfg, rows)
+            calls.append((rows, (list(trajs), error)))
+            return trajs, error
 
         monkeypatch.setattr("logdiff.solver._solve_batch", spy)
         monkeypatch.setattr("logdiff.solver._BATCH_VALUES", 1)
@@ -526,10 +547,19 @@ class TestEpsilonSweep:
         (rows, (trajs, error)), = calls
         assert rows == [(noise, e) for e in eps] and error is None
         assert_rows_alone(x0, cfg, rows, trajs)
+        # each Y takes one sweep Z = U^-T Y, and a distance is max_n |Z_i - Z_j|_2.  It
+        # agrees with max_n |Y_i - Y_j|_-1, one sweep per difference, to rounding of the
+        # runs' own size: the difference cancels, so its relative error grows (1.5e-13 at
+        # eps 6e-3 against 1.25e-2, 0.5 macheps of the runs' size)
+        z = [DTBTRS(_factor(G15), t.y_fields.T, uplo="U", trans="T")[0].T for t in trajs]
         for i, j in [(0, 1), (2, 5), (4, 3)]:
-            dist = max(norm_hminus1(Field(G15, a - b))
-                       for a, b in zip(trajs[i].y_fields, trajs[j].y_fields))
+            dist = max(_norm_l2(G15, a - b) for a, b in zip(z[i], z[j]))
             assert rep.pairwise[i, j] == dist
+            by_difference = max(norm_hminus1(Field(G15, a - b))
+                                for a, b in zip(trajs[i].y_fields, trajs[j].y_fields))
+            size = max(np.max(_hminus1_norms(G15, trajs[k].y_fields)) for k in (i, j))
+            assert abs(dist - by_difference) <= 4.0 * np.finfo(float).eps * size
+            assert abs(dist - by_difference) <= 1e-12 * by_difference
 
     def test_raises_the_first_rows_error(self):
         grid = GridSpec(length=1.0, n_interior=31)
@@ -713,7 +743,7 @@ class TestLockstep:
         assert_rows_alone(x0, cfg, rows, trajs)
 
     def test_failed_solve_leaves_the_next_rows_own_state_at_the_floor(self, monkeypatch):
-        # row 0's dgtsv fails and row 1 gets a zero step, so row 1 stalls and stops at the
+        # row 0's dptsv fails and row 1 gets a zero step, so row 1 stalls and stops at the
         # (patched) rounding floor in the same iteration, with its own state
         rng = np.random.default_rng(3)
         y_prev, w = rng.normal(0, 0.5, (2, 15)), rng.normal(0, 0.2, (2, 15))
@@ -726,7 +756,7 @@ class TestLockstep:
         monkeypatch.setattr("logdiff.solver._newton_directions", directions)
         y, iters, res, failures = _step_implicit_core(y_prev, w, G15, eps, dt, 1e-10, 50)
         alone = _step_implicit_core(y_prev[1:], w[1:], G15, eps[1:], dt, 1e-10, 50)
-        assert list(failures) == [0] and "dgtsv info 1" in str(failures[0])
+        assert list(failures) == [0] and "dptsv info 1" in str(failures[0])
         assert alone[3] == {} and res[1] > 1e-10
         assert same_bits(y[1], alone[0][0])
         assert iters[1] == alone[1][0] == 0 and res[1] == alone[2][0]
@@ -752,15 +782,38 @@ class TestLockstep:
                                                          eps[i:i + 1], scale)
             assert same_bits(delta[i], alone[0])
 
+    def test_stacked_rows_keep_their_bits_when_a_block_starts_with_minus_zero(self):
+        # each block's right-hand side -r starts with -0.0 after a block that ends in a value
+        # of either sign; the pad row's +0 is subtracted from it in the forward sweep and
+        # from its solution in the back sweep, and rows whose right-hand side is all -0.0
+        # solve to -0.0 throughout, as they do alone
+        rng = np.random.default_rng(11)
+        k, n, scale = 6, 15, 3.0
+        u = rng.standard_normal((k, n))
+        r = rng.standard_normal((k, n))
+        r[:, 0] = 0.0
+        r[:, -1] = [5.0, -5.0, 0.0, -5.0, 5.0, -0.0]
+        r[2] = 0.0
+        r[5] = 0.0
+        eps = 10.0 ** -rng.integers(1, 5, (k, 1))
+        rnorm = np.sqrt(np.einsum("ij,ij->i", r, r))
+        delta, failed = logdiff.solver._newton_directions(u, r, rnorm, eps, scale)
+        assert failed == {}
+        assert np.all(np.signbit(delta[[2, 5]])) and np.all(delta[[2, 5]] == 0.0)
+        for i in range(k):
+            alone, _ = logdiff.solver._newton_directions(u[i:i + 1], r[i:i + 1], rnorm[i:i + 1],
+                                                         eps[i:i + 1], scale)
+            assert same_bits(delta[i], alone[0])
+
     def test_stacked_step_is_solved_in_place_in_work(self):
-        # dgtsv overwrites the operands in work, so the step is a view of work with the bits
+        # dptsv overwrites the operands in work, so the step is a view of work with the bits
         # of a step solved in a fresh array; work's stale NaNs and spare rows are never read
         rng = np.random.default_rng(7)
         k, n, scale = 4, 31, 7.0
         u, r = rng.standard_normal((2, k, n))
         eps = 10.0 ** -rng.integers(1, 5, (k, 1))
         rnorm = np.sqrt(np.einsum("ij,ij->i", r, r))
-        work = np.full((4, k + 2, n + 2), np.nan)
+        work = np.full((3, k + 2, n + 1), np.nan)
         delta, failed = logdiff.solver._newton_directions(u, r, rnorm, eps, scale, work[:, :k])
         fresh, _ = logdiff.solver._newton_directions(u, r, rnorm, eps, scale)
         assert failed == {} and np.shares_memory(delta, work)
@@ -802,22 +855,22 @@ class TestLockstep:
         cfg = SolverConfig(epsilon=1e-2)
         stacked, alone = [], []
 
-        def faulty(dl, d, du, b, **overwrite):
-            *lu, x, info = DGTSV(dl, d, du, b, **overwrite)
+        def faulty(d, e, b, **overwrite):
+            *ldl, x, info = DPTSV(d, e, b, **overwrite)
             if d.size == grid.n_interior:
                 alone.append(1)
-                return (*lu, x, info)
+                return (*ldl, x, info)
             stacked.append(1)
             if fault == "info":
-                return (*lu, x, 2)
+                return (*ldl, x, 2)
             x = x.copy()
-            x[grid.n_interior + 2 + 5] = np.nan  # one entry of the second row's block
-            return (*lu, x, info)
+            x[grid.n_interior + 1 + 5] = np.nan  # one entry of the second row's block
+            return (*ldl, x, info)
 
-        monkeypatch.setattr("logdiff.solver.dgtsv", faulty)
+        monkeypatch.setattr("logdiff.solver.dptsv", faulty)
         trajs, error = logdiff.solver._solve_batch(x0, cfg, rows)
         assert error is None and stacked and alone
-        monkeypatch.setattr("logdiff.solver.dgtsv", DGTSV)
+        monkeypatch.setattr("logdiff.solver.dptsv", DPTSV)
         assert_rows_alone(x0, cfg, rows, trajs)
 
     def test_batching_rule(self, monkeypatch):

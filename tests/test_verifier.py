@@ -29,6 +29,7 @@ from logdiff.verifier import (
     hminus1_sup,
     mean_square_bound,
     self_test_process,
+    spread_report,
     total_variation,
     uniqueness_distance,
     variational_residual,
@@ -88,6 +89,31 @@ class TestReportShape:
     def test_flag_margin(self):
         f = Flag(name="x", lhs=1.0, rhs=3.0, tolerance=0.1)
         assert f.margin == 2.0
+        # a comparison passes when its margin is a number >= 0: inf <= inf cannot be judged
+        assert Flag(name="x", lhs=2.0, rhs=2.0, tolerance=0.0).passed
+        assert not Flag(name="x", lhs=np.inf, rhs=np.inf, tolerance=0.0).passed
+
+    def test_spread_of_finite_values(self):
+        rep = spread_report("d", [1e-1, 1e-2, 1e-3], [2.0, 4.0, 3.0], 10.0)
+        assert rep.passed and [f.name for f in rep.flags] == ["spread_bounded"]
+        assert rep.flags[0].lhs == 2.0
+        assert all(row[5] for row in rep.rows())
+        assert not spread_report("d", [1e-1, 1e-2], [0.0, 1.0], 10.0).passed
+        assert spread_report("d", [1e-1, 1e-2], [0.0, 0.0], 10.0).passed
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_spread_outside_the_float_range_fails(self, bad):
+        # no row reads true against a NaN margin, and the failing flag names the float range
+        for values in ([bad, bad, bad], [1.0, bad, 2.0]):
+            rep = spread_report("d", [1e-1, 1e-2, 1e-3], values, 10.0)
+            assert not rep.passed
+            range_flag, spread_flag = rep.flags
+            assert (range_flag.name, range_flag.passed) == ("values_in_float_range", False)
+            assert range_flag.lhs == values.count(bad) and range_flag.rhs == 0.0
+            assert spread_flag.lhs == np.inf and not spread_flag.passed
+            for *_, margin, passed in rep.rows():
+                assert not (passed and np.isnan(margin))
+            assert "[FAIL] values_in_float_range" in rep.summary()
 
 
 class TestTestProcess:

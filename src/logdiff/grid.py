@@ -171,8 +171,9 @@ def _laplacian(v: np.ndarray, h: float) -> np.ndarray:
     ends.  A C-contiguous (m, n) v of at least 4096 values takes the shifted adds over all
     its values at once, which adds the neighbouring rows' end values into each row's two
     end columns; those two columns are then computed anew, in the same order of
-    operations.  There, the adds row by row took 1.4-1.8 times as long (6 x 1023 to
-    201 x 1023, 2-core x86-64, numpy 2.4); below 4096 values they were the faster ones.
+    operations.  Row by row, the adds took 1.4-1.8 times as long from 4092 values up
+    (4 x 1023 to 201 x 1023, 2-core x86-64, numpy 2.4) and were the faster ones up to
+    3069 values.
     """
     out = -2.0 * v
     if v.ndim == 2 and v.size >= 4096 and v.flags.c_contiguous:  # then so is out

@@ -588,7 +588,7 @@ def epsilon_sweep(
         raise error
 
     # |Y_i - Y_j|_-1 = |Z_i - Z_j|_2 with Z = U^-T Y, so each Y takes one sweep; popped,
-    # each Y is freed once it is transformed.  Z_i is (n, steps + 1), one column a time
+    # each Y is freed once it is transformed.  Z_i is (n, steps + 1), one column per time
     trajs.reverse()
     z = [_half_solve(x0.grid, trajs.pop().y_fields.T) for _ in range(len(trajs))]
     m, diff = eps.size, np.empty_like(z[0])

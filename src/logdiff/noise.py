@@ -20,11 +20,12 @@ For the power rule on a 1-d interval lambda_k ~ k^2, so the exponent
 margins are 2*decay - 5 and decay - 7; both must be positive.
 
 Determinism: each mode draws from its own child stream spawned from the
-master seed, so enlarging k_max leaves the earlier modes' Brownian
-paths bit-identical, and the mode accumulation runs in fixed k order so
-a resynthesis reproduces the field values exactly.  Every value is
-formed by one kernel, _tiles, one cache-sized tile of nodes at every
-summed time row at a time: a stored path copies each tile into place,
+master seed, into its own row of a mode-major array, so enlarging k_max
+leaves the earlier modes' Brownian paths bit-identical, and the mode
+accumulation runs in fixed k order so a resynthesis reproduces the
+field values exactly.  Every value is formed by one kernel, _tiles, one
+cache-sized tile of nodes at every summed time row at a time, from the
+modes' scaled rows: a stored path copies each tile into place,
 and a path whose sup norm alone is wanted (:func:`synthesized_sup`)
 reduces each tile to its max and min and is never stored.  Each of its
 time rows n has the bound
@@ -35,7 +36,9 @@ widened for rounding.  The row with the largest B_n is summed first,
 and of the rest only the rows whose B_n reaches that row's sup are
 summed; no other row can hold the sup.  Tiles change which values are
 computed together, never the order in which a value's modes are added,
-so every value is the same sum of the same products.
+so every value is the same sum of the same products.  The continuity
+partition grows and bisects blocks of time rows by their exact max and
+min, so it cuts where a row-by-row scan does.
 """
 
 from __future__ import annotations
@@ -243,9 +246,9 @@ def synthesize(
     else:
         _require_decay(spec, eigen)
 
-    brownian, scaled, modes = _draw(spec)
+    brownian, columns, modes = _draw(spec)
     values = np.empty((spec.n_steps + 1, eigen.grid.n_interior))
-    for j0, tile in _tiles(scaled, eigen, modes):
+    for j0, tile in _tiles(columns, eigen, modes):
         values[:, j0 : j0 + len(tile)] = tile.T
     times = np.linspace(0.0, spec.t_final, spec.n_steps + 1)
     for arr in (values, brownian):  # nothing else holds them, so NoisePath need not copy them
@@ -254,31 +257,31 @@ def synthesize(
 
 
 def _draw(spec: NoiseSpec) -> tuple[np.ndarray, np.ndarray, list[int]]:
-    """(brownian, scaled, modes): brownian[n, k] = beta_{k+1}(t_n), drawn as synthesize says,
-    scaled[:, k] = gam[k] * brownian[:, k], and modes the k with gam[k] != 0, in order."""
-    sqrt_dt = np.sqrt(spec.dt)
-    children = np.random.SeedSequence(spec.seed).spawn(spec.k_max)
-    brownian = np.zeros((spec.n_steps + 1, spec.k_max))
-    for k in range(spec.k_max):
-        rng = np.random.default_rng(children[k])
-        increments = sqrt_dt * rng.standard_normal(spec.n_steps)
-        brownian[1:, k] = np.cumsum(increments)
+    """(brownian, columns, modes): brownian[n, k] = beta_{k+1}(t_n), drawn as synthesize says,
+    columns[k, n] = gam[k] * brownian[n, k], and modes the k with gam[k] != 0, in order.
+    brownian is Fortran-ordered, so each mode's generator fills a contiguous row of its
+    transpose, and one cumsum along those rows adds each mode's increments in time order,
+    as a cumsum per mode does."""
+    brownian = np.zeros((spec.n_steps + 1, spec.k_max), order="F")
+    steps = brownian.T[:, 1:]  # row k holds mode k's increments
+    for row, child in zip(steps, np.random.SeedSequence(spec.seed).spawn(spec.k_max)):
+        np.random.default_rng(child).standard_normal(out=row)
+    np.multiply(np.sqrt(spec.dt), steps, out=steps)
+    np.cumsum(steps, axis=1, out=steps)
     gam = spec.gammas.values(spec.k_max)
-    return brownian, brownian * gam, [k for k in range(spec.k_max) if gam[k] != 0.0]
+    return brownian, brownian.T * gam[:, None], [k for k in range(spec.k_max) if gam[k] != 0.0]
 
 
-def _tiles(scaled: np.ndarray, eigen: EigenSystem, modes: list[int]):
-    """Yield (j0, tile) over the nodes, max(1, _BLOCK_VALUES // len(scaled)) at a time.
+def _tiles(columns: np.ndarray, eigen: EigenSystem, modes: list[int]):
+    """Yield (j0, tile) over the nodes, max(1, _BLOCK_VALUES // columns.shape[1]) at a time.
 
-    tile[i, r] = 0.0 + sum_k fl(scaled[r, k] e_k[j0 + i]), added over modes in their order,
-    is the value at values column j0 + i of the time row whose amplitudes are scaled[r].
+    tile[i, r] = 0.0 + sum_k fl(columns[k, r] e_k[j0 + i]), added over modes in their order,
+    is the value at values column j0 + i of the time row whose amplitudes are columns[:, r].
     Each product and sum runs over one node's column of rows.  The tile's memory is
     reused, so the caller uses each tile up before taking the next.
     """
-    columns = np.ascontiguousarray(scaled.T)  # row k holds mode k's amplitude per time row
-    n, n_rows = eigen.grid.n_interior, len(scaled)
-    nodes = max(1, _BLOCK_VALUES // n_rows)
-    tile = np.empty((min(nodes, n), n_rows))
+    n, nodes = eigen.grid.n_interior, max(1, _BLOCK_VALUES // columns.shape[1])
+    tile = np.empty((min(nodes, n), columns.shape[1]))
     term = np.empty_like(tile)
     for j0 in range(0, n, nodes):
         t = tile[: min(nodes, n - j0)]
@@ -306,43 +309,43 @@ def synthesized_sup(spec: NoiseSpec, eigen: EigenSystem) -> float:
     judges the decay check.
     """
     _require_modes(spec, eigen)
-    _, scaled, modes = _draw(spec)
-    bound = _row_bounds(scaled, eigen, len(modes))
+    _, columns, modes = _draw(spec)
+    bound = _row_bounds(columns, eigen, len(modes))
     top = int(np.argmax(bound))
-    best = _rows_sup(scaled[top : top + 1], eigen, modes)
+    best = _rows_sup(columns[:, top : top + 1], eigen, modes)
     # ~(bound < best), not bound >= best: a row whose bound is inf or NaN is summed
-    sup = _rows_sup(scaled[~(bound < best)], eigen, modes)
+    sup = _rows_sup(columns.compress(~(bound < best), axis=1), eigen, modes)
     return sup + 0.0  # adding 0.0 turns the -0.0 of an all-zero path into 0.0
 
 
-def _row_bounds(scaled: np.ndarray, eigen: EigenSystem, n_modes: int) -> np.ndarray:
+def _row_bounds(columns: np.ndarray, eigen: EigenSystem, n_modes: int) -> np.ndarray:
     """Per time row, a bound on |value| over the row's nodes, widened for rounding.
 
     With u = 2^-53, a product fl(c e) is within u|c e| of c e, or within 2^-1075 when
     it is subnormal; the K - 1 additions to 0.0 + fl(c_1 e_1) each add at most u
     relative error (a subnormal sum is exact).  So |v_j| <= (1+u)^K B_n + 2K 2^-1075
-    to first order.  The computed B_n (one product over nonnegative terms, in any
+    to first order.  The computed B_n (peak @ |columns|: nonnegative terms summed in any
     order, with or without fused multiply-adds) is at least (1-u)^(2K) B_n - K 2^-1075.
     Multiplying by 1 + 4(K+2) eps = 1 + 8(K+2)u and adding (K+2) 2^-1074 covers both,
     with room for the widening's own two roundings.  Zero modes add exact zeros.  A
     bound may overflow to inf where every value is finite; that row is then summed.
     """
-    peak = np.abs(eigen.eigenvectors[: scaled.shape[1]]).max(axis=1)
+    peak = np.abs(eigen.eigenvectors[: len(columns)]).max(axis=1)
     with np.errstate(over="ignore"):  # an infinite bound is not an overflowing value
-        bound = np.abs(scaled) @ peak
+        bound = peak @ np.abs(columns)
         bound *= 1.0 + 4 * (n_modes + 2) * np.finfo(float).eps
     bound += (n_modes + 2) * 2.0**-1074
     return bound
 
 
-def _rows_sup(scaled: np.ndarray, eigen: EigenSystem, modes: list[int]) -> float:
-    """max |value| over the time rows whose scaled amplitudes are the rows of scaled.
+def _rows_sup(columns: np.ndarray, eigen: EigenSystem, modes: list[int]) -> float:
+    """max |value| over the time rows whose scaled amplitudes are the columns of columns.
 
     The values are _tiles' sums, as synthesize stores them; each tile is reduced to its
     max and min and dropped.  Raises NoiseOverflowError if a value is not finite.
     """
     hi, lo = -math.inf, math.inf
-    for _, tile in _tiles(scaled, eigen, modes):
+    for _, tile in _tiles(columns, eigen, modes):
         t_hi, t_lo = float(tile.max()), float(tile.min())
         if not (math.isfinite(t_hi) and math.isfinite(t_lo)):
             raise NoiseOverflowError("noise values must be finite")
@@ -380,35 +383,32 @@ def modulus_of_continuity(path: NoisePath, alpha: float) -> np.ndarray:
     is < alpha.  Raises OscillationError if some single step already
     oscillates by >= alpha (the grid is then too coarse for this alpha).
 
-    Each cell is found by scanning windows of rows past its start: the
-    running max and min over the window give the oscillation of every
-    candidate end at once, and the window doubles (up to _BLOCK_VALUES
-    values) until some end reaches alpha or the path ends.  max and min
-    are exact, so the cuts are those of a row-by-row scan.
+    Each cell grows by blocks of rows, the first as long as the previous
+    cell, then doubling up to _BLOCK_VALUES values.  A block's max and min
+    over time, with the cell's running ones, give the oscillation of the
+    cell grown by the whole block; below alpha, the block joins.  The
+    first block that reaches alpha holds the cut, and bisection on its
+    prefixes, by the same reductions, finds it.  max and min are exact and
+    the oscillation never falls as a cell grows, so the cuts, and the step
+    an OscillationError names, are those of a row-by-row scan.
     """
     if not alpha > 0:
         raise ValueError(f"alpha must be positive, got {alpha}")
-    values = path.values
-    n_steps = path.spec.n_steps
+    values, n_steps = path.values, path.spec.n_steps
     widest = max(1, _BLOCK_VALUES // values.shape[1])
-    cuts = [0]
-    start, width = 0, 1
+    cuts, start, width = [0], 0, 1
     while start < n_steps:
-        run_max = run_min = values[start]
-        end = start
-        while end < n_steps:
-            window = values[end + 1 : min(end + width, n_steps) + 1]
-            hi = np.maximum.accumulate(window)
-            np.maximum(hi, run_max, out=hi)
-            lo = np.minimum.accumulate(window)
-            np.minimum(lo, run_min, out=lo)
-            # the oscillation never falls as the cell grows, so this counts the ends below alpha
-            below = int(np.searchsorted(np.max(hi - lo, axis=1), alpha))
-            end += below
-            if below < len(window):
-                break
-            run_max, run_min = hi[-1], lo[-1]
-            width = min(2 * width, widest)
+        hi = lo = values[start]
+        end, limit = start, n_steps + 1  # rows start..end join; rows up to limit reach alpha
+        while limit - end > 1:
+            stop = min(end + width, n_steps) if limit > n_steps else (end + limit) // 2
+            block = values[end + 1 : stop + 1]
+            grown_hi = np.maximum(hi, block.max(axis=0))
+            grown_lo = np.minimum(lo, block.min(axis=0))
+            if np.max(grown_hi - grown_lo) < alpha:  # width is read only until limit is set
+                hi, lo, end, width = grown_hi, grown_lo, stop, min(2 * width, widest)
+            else:
+                limit = stop
         if end == start:
             one_step = float(np.max(np.abs(values[start + 1] - values[start])))
             raise OscillationError(start, one_step, alpha)

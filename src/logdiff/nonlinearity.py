@@ -111,11 +111,12 @@ def _subnormal_root(eps: float, a: float) -> float:
 
 
 def _via_resolvent(eps, x, formula):
-    """Validate eps and x, then return formula(eps, x, J_eps(x)) shaped like x."""
+    """Validate eps and x, then return formula(eps, x, J_eps(x)) broadcast over both:
+    a float when eps and x are both scalars, else an array."""
     _check_eps(eps)
     e = np.asarray(eps, dtype=float)
     arr, scalar = _prepare(x)
-    return _output(formula(e, arr, _resolvent(e, arr)), scalar)
+    return _output(formula(e, arr, _resolvent(e, arr)), scalar and e.ndim == 0)
 
 
 def _envelope(e, x, j):

@@ -268,6 +268,27 @@ class TestSynthesis:
         again = NoisePath(path.spec, GRID, path.times, path.values, path.brownian)
         assert again.values is path.values and again.brownian is path.brownian
 
+    @pytest.mark.parametrize("gammas", [
+        PowerLawGammas(gamma0=1.0, decay=8.0),
+        ExplicitGammas(gammas=(1.0, 0.0, 0.5, 0.25, 0.0, 0.125, 3.0, 0.0)),
+    ], ids=["power", "explicit-with-zeros"])
+    @pytest.mark.parametrize("k_max", [1, 8, 31])
+    def test_brownian_is_each_modes_cumsum(self, gammas, k_max):
+        # mode k's path is its own stream's sqrt(dt) * N(0, 1) increments summed by cumsum,
+        # whatever the layout the modes are drawn in
+        eigen = eigensystem(GridSpec(length=1.0, n_interior=31), 31)
+        if isinstance(gammas, ExplicitGammas):
+            gammas = ExplicitGammas(gammas=(gammas.gammas * 4)[:k_max])
+        spec = NoiseSpec(k_max=k_max, gammas=gammas, seed=9, t_final=0.3, n_steps=250)
+        brownian = synthesize(spec, eigen, override_decay_check=True).brownian
+        assert brownian.shape == (251, k_max) and not brownian.flags.writeable
+        children = np.random.SeedSequence(9).spawn(k_max)
+        expected = np.zeros((251, k_max))
+        for k in range(k_max):
+            normals = np.random.default_rng(children[k]).standard_normal(250)
+            expected[1:, k] = np.cumsum(np.sqrt(spec.dt) * normals)
+        assert np.array_equal(brownian.view(np.int64), expected.view(np.int64))
+
     @pytest.mark.parametrize("n", [31, 127, 1023])
     # _BLOCK_VALUES of 1 or 10 rows, or the default: at 31, 127 and 1023 nodes synthesize
     # sums its 201 rows in tiles of 1, 1 and 5 nodes, of 1, 6 and 50, or of 31, 127 and 163
@@ -300,12 +321,18 @@ class TestSynthesis:
 
 
 def spy_rows_summed(monkeypatch):
-    """Record the number of time rows each _rows_sup call sums."""
+    """Record the number of time rows each _rows_sup call sums: its columns' count, since
+    _rows_sup takes one column of mode amplitudes per time row."""
     counts = []
     rows_sup = logdiff.noise._rows_sup
-    monkeypatch.setattr("logdiff.noise._rows_sup",
-                        lambda scaled, *args: counts.append(len(scaled)) or rows_sup(scaled, *args))
+    monkeypatch.setattr("logdiff.noise._rows_sup", lambda columns, *args:
+                        counts.append(columns.shape[1]) or rows_sup(columns, *args))
     return counts
+
+
+def mode_columns(path):
+    """_draw's columns of path: row k is gamma_k times mode k's Brownian path."""
+    return path.spec.gammas.values(path.spec.k_max)[:, None] * path.brownian.T
 
 
 class TestRowBounds:
@@ -318,6 +345,7 @@ class TestRowBounds:
             counts.clear()
             spec = power_spec(seed=seed, n_steps=10**4)
             sup = synthesized_sup(spec, eigen)
+            assert counts[0] == 1  # the row with the largest bound, alone
             assert sum(counts) <= (spec.n_steps + 1) // 100
             assert sup.hex() == sup_norm_estimate(synthesize(spec, eigen)).hex()
 
@@ -325,7 +353,7 @@ class TestRowBounds:
         spec = NoiseSpec(k_max=8, gammas=ExplicitGammas(gammas=(1.0, 0.0) * 4), seed=3,
                          t_final=1.0, n_steps=500)
         path = synthesize(spec, EIGEN, override_decay_check=True)
-        bound = logdiff.noise._row_bounds(path.brownian * spec.gammas.values(8), EIGEN, 4)
+        bound = logdiff.noise._row_bounds(mode_columns(path), EIGEN, 4)
         assert np.all(np.abs(path.values).max(axis=1) < bound)
 
     def test_row_whose_bound_overflows_is_summed(self, monkeypatch):
@@ -337,7 +365,7 @@ class TestRowBounds:
         g = np.finfo(float).max / sup_norm_estimate(synthesize(unit, eigen)) / 1.001
         spec = replace(unit, gammas=ExplicitGammas(gammas=(g, g)))
         path = synthesize(spec, eigen, override_decay_check=True)
-        bound = logdiff.noise._row_bounds(path.brownian * spec.gammas.values(2), eigen, 2)
+        bound = logdiff.noise._row_bounds(mode_columns(path), eigen, 2)
         sup_row = int(np.argmax(np.abs(path.values).max(axis=1)))
         assert np.isinf(bound[sup_row]) and sup_row != np.argmax(bound)
         counts = spy_rows_summed(monkeypatch)
@@ -467,6 +495,37 @@ class TestModulusOfContinuity:
         expected = partition_or_error(greedy_cuts, path, 5.5)
         assert expected[0] == 20
         assert partition_or_error(modulus_of_continuity, path, 5.5) == expected
+
+    @pytest.mark.parametrize("rows", [1, 3, None])
+    @pytest.mark.parametrize("where", ["first", "last", "past"])
+    def test_ramp_cut_on_a_block_edge_keeps_the_greedy_cuts(self, monkeypatch, rows, where):
+        # alpha = L + 1/2 gives ramp cells of L steps.  The first cell grows by blocks of
+        # 1, 2, 4, ... rows up to the widest; L puts its cut on a block's first row, on its
+        # last row, or one row past it, the first row of the next block
+        widest = rows if rows is not None else logdiff.noise._BLOCK_VALUES // 2
+        if rows is not None:
+            monkeypatch.setattr("logdiff.noise._BLOCK_VALUES", rows * 2)
+        n_steps, ends, width = 100, [0], 1
+        while ends[-1] < n_steps:
+            ends.append(min(ends[-1] + width, n_steps))
+            width = min(2 * width, widest)
+        steps = np.arange(n_steps + 1, dtype=float)
+        path = path_of(np.column_stack([steps, -0.5 * steps]))
+        for before, last in zip(ends[:-2], ends[1:-1]):
+            length = {"first": before + 1, "last": last, "past": last + 1}[where]
+            cuts = modulus_of_continuity(path, length + 0.5)
+            assert cuts[1] == length
+            assert list(cuts) == greedy_cuts(path, length + 0.5)
+
+    @pytest.mark.parametrize("rows", [1, 3, None])
+    def test_hundreds_of_cells_keep_the_greedy_cuts(self, monkeypatch, rows):
+        if rows is not None:
+            monkeypatch.setattr("logdiff.noise._BLOCK_VALUES", rows * 31)
+        path = synthesize(power_spec(seed=7, t_final=0.1, n_steps=4000),
+                          eigensystem(GridSpec(1.0, 31), 8))
+        cuts = modulus_of_continuity(path, 0.03)
+        assert len(cuts) > 300
+        assert list(cuts) == greedy_cuts(path, 0.03)
 
 
 class TestRestrict:

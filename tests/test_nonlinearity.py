@@ -157,6 +157,21 @@ class TestResolvent:
         assert y.shape == x.shape
         assert np.max(np.abs(y + 0.1 * signed_log(y) - x)) < 1e-12 * 50
 
+    @pytest.mark.parametrize("f", [resolvent, yosida, yosida_shifted, moreau_envelope,
+                                   potential_shifted, yosida_derivative])
+    @pytest.mark.parametrize("eps, x", [
+        (np.array([1.0, 0.5, 1e-3]), 2.0),
+        (np.array([[1.0], [0.1]]), np.array([-3.0, 0.0, 5e-324])),
+        (0.25, np.array([-1.5, 40.0])),
+    ], ids=["array-eps", "broadcast", "array-x"])
+    def test_array_eps_broadcasts_like_the_scalar_calls(self, f, eps, x):
+        e, a = np.broadcast_arrays(eps, x)
+        out = f(eps, x)
+        assert isinstance(out, np.ndarray) and out.shape == e.shape
+        expected = np.array([f(float(ei), float(ai)) for ei, ai in zip(e.flat, a.flat)])
+        assert np.array_equal(out.ravel().view(np.int64), expected.view(np.int64))
+        assert isinstance(f(0.5, 2.0), float)
+
 
 class TestYosida:
     def test_known_values(self):

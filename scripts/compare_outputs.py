@@ -2,14 +2,14 @@
 
     python3 scripts/compare_outputs.py PARENT_CHECKOUT
 
-Both checkouts make the same 132 runs: simulate, simulate --paths 2
+Both checkouts make the same 144 runs: simulate, simulate --paths 2
 --dump-trajectories, sweep-eps, verify, noise-check and noise-check
 --paths 0 (its one-path edge case), on every scripts/configs/*.cfg
 (each checkout its own file), on the four benchmark workload configs
 at seed 1 (written by bench/workloads.py of this checkout) and on
-SHALLOW, MANY_CELLS and STEP_FAILS, defined here, each at [output]
-workers 1 and 2.  Every run is a fresh interpreter with one BLAS
-thread and the checkout's src on PYTHONPATH.
+SHALLOW, MANY_MODES, MANY_CELLS and STEP_FAILS, defined here, each at
+[output] workers 1 and 2.  Every run is a fresh interpreter with one
+BLAS thread and the checkout's src on PYTHONPATH.
 A run matches when its exit code, stdout, stderr (with the run's own
 paths replaced by placeholders) and the bytes of every output file are
 equal.  Prints one line per differing run and exits 1 on any difference.
@@ -42,6 +42,10 @@ WORKERS = (1, 2)
 SHALLOW = {"grid": {"n_interior": "31"},
            "noise": {"k_max": "31", "gamma_decay": "7.01", "n_paths": "30"},
            "solver": {"dt": "1e-3", "t_final": "1.0"}}
+# 64 modes of the same shallow spectrum on 255 nodes: each noise value sums 64 products
+MANY_MODES = {"grid": {"n_interior": "255"},
+              "noise": {"k_max": "64", "gamma_decay": "7.01", "n_paths": "3"},
+              "solver": {"dt": "1e-3", "t_final": "0.2"}}
 # noise-check partitions its first path (4000 steps on 31 nodes) into 329 cells
 MANY_CELLS = {"grid": {"n_interior": "31"},
               "noise": {"seed": "7", "n_paths": "3", "continuity_alpha": "0.03"},
@@ -146,8 +150,8 @@ def main(argv: list[str]) -> int:
     names = [path.name for path in sorted((HERE / "scripts" / "configs").glob("*.cfg"))]
     workloads = workload_configs()
     sides = {root: {**{name: file_sections(root / "scripts" / "configs" / name) for name in names},
-                    **workloads, "shallow_decay": SHALLOW, "many_cells": MANY_CELLS,
-                    "step_fails": STEP_FAILS}
+                    **workloads, "shallow_decay": SHALLOW, "many_modes": MANY_MODES,
+                    "many_cells": MANY_CELLS, "step_fails": STEP_FAILS}
              for root in (HERE, other)}
     runs = differing = n_files = 0
     with tempfile.TemporaryDirectory() as scratch:

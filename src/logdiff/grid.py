@@ -243,12 +243,14 @@ def _norms_l2(grid: GridSpec, rows: np.ndarray) -> np.ndarray:
                                 lambda scaled: np.sqrt(grid.h * np.vecdot(scaled, scaled)))
 
 
-def _half_solve(grid: GridSpec, rhs: np.ndarray) -> np.ndarray:
-    """U^-T rhs, one dtbtrs sweep, in a fresh array; rhs (n,) or (n, m).
+def _half_solve(grid: GridSpec, rhs: np.ndarray, overwrite: bool = False) -> np.ndarray:
+    """U^-T rhs, one dtbtrs sweep; rhs (n,) or (n, m).
 
-    |v|_-1 = |U^-T v|_2, so the H^-1 distances of many pairs of rows need one sweep per row.
+    The result is a fresh array, or with overwrite rhs itself when it is a writable
+    Fortran-ordered float64 array.  |v|_-1 = |U^-T v|_2, so the H^-1 distances of many
+    pairs of rows need one sweep per row.
     """
-    return dtbtrs(_factor(grid), _checked(grid, rhs), uplo="U", trans="T")[0]
+    return dtbtrs(_factor(grid), _checked(grid, rhs), uplo="U", trans="T", overwrite_b=overwrite)[0]
 
 
 def _hminus1_norms(grid: GridSpec, rows: np.ndarray) -> np.ndarray:

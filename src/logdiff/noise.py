@@ -23,19 +23,20 @@ Determinism: each mode draws from its own child stream spawned from the
 master seed, into its own row of a mode-major array, so enlarging k_max
 leaves the earlier modes' Brownian paths bit-identical, and the mode
 accumulation runs in fixed k order so a resynthesis reproduces the
-field values exactly.  Every value is formed by one kernel, _tiles, one
-cache-sized tile of nodes at every summed time row at a time, from the
-modes' scaled rows: a stored path copies each tile into place,
-and a path whose sup norm alone is wanted (:func:`synthesized_sup`)
-reduces each tile to its max and min and is never stored.  Each of its
-time rows n has the bound
+field values exactly.  Every value is formed by one kernel, _sums, a
+single einsum over the nonzero modes whose compiled loop adds each
+product to an output that starts at 0.0, in k order.  A stored path is
+one call, and a path whose sup norm alone is wanted
+(:func:`synthesized_sup`) is summed in blocks of time rows, each
+reduced to its max and min and never stored.  Each of its time rows n
+has the bound
 
     |W_Q(t_n)|_inf <= B_n = sum_k |gamma_k beta_k(t_n)| max_j |e_k[j]|,
 
 widened for rounding.  The row with the largest B_n is summed first,
 and of the rest only the rows whose B_n reaches that row's sup are
-summed; no other row can hold the sup.  Tiles change which values are
-computed together, never the order in which a value's modes are added,
+summed; no other row can hold the sup.  Blocks change which rows are
+summed together, never the order in which a value's modes are added,
 so every value is the same sum of the same products.  The continuity
 partition grows and bisects blocks of time rows by their exact max and
 min, so it cuts where a row-by-row scan does.
@@ -52,8 +53,8 @@ import numpy.random  # noqa: F401  # numpy loads it lazily; import it here, not 
 
 from .grid import EigenSystem, Field, GridSpec, _hold
 
-# values per tile of nodes in _tiles and per widest window in modulus_of_continuity:
-# 2^15 float64 values (256 KiB) stay in cache
+# values per row block of _rows_sup and per widest window in modulus_of_continuity:
+# 2^15 float64 values (256 KiB) stay in cache, and bound the memory of a streamed sup
 _BLOCK_VALUES = 2**15
 
 
@@ -237,9 +238,8 @@ def synthesize(
     n_steps increments sqrt(dt)*N(0,1), so the Brownian matrix for the
     first K modes does not depend on k_max >= K.  Each value is the sum
     of gamma_k * beta_k(t_n) * e_k[j] over the nonzero amplitudes, added
-    to 0.0 in k order, whatever the size of the tiles of nodes _tiles
-    forms it in.  Requires a passing decay report unless
-    ``override_decay_check`` is set.
+    to 0.0 in k order by _sums in one call.  Requires a passing decay
+    report unless ``override_decay_check`` is set.
     """
     if override_decay_check:
         _require_modes(spec, eigen)
@@ -247,21 +247,19 @@ def synthesize(
         _require_decay(spec, eigen)
 
     brownian, columns, modes = _draw(spec)
-    values = np.empty((spec.n_steps + 1, eigen.grid.n_interior))
-    for j0, tile in _tiles(columns, eigen, modes):
-        values[:, j0 : j0 + len(tile)] = tile.T
+    values = _sums(columns, eigen.eigenvectors[modes])
     times = np.linspace(0.0, spec.t_final, spec.n_steps + 1)
     for arr in (values, brownian):  # nothing else holds them, so NoisePath need not copy them
         arr.flags.writeable = False
     return NoisePath(spec, eigen.grid, times, values, brownian)
 
 
-def _draw(spec: NoiseSpec) -> tuple[np.ndarray, np.ndarray, list[int]]:
+def _draw(spec: NoiseSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(brownian, columns, modes): brownian[n, k] = beta_{k+1}(t_n), drawn as synthesize says,
-    columns[k, n] = gam[k] * brownian[n, k], and modes the k with gam[k] != 0, in order.
-    brownian is Fortran-ordered, so each mode's generator fills a contiguous row of its
-    transpose, and one cumsum along those rows adds each mode's increments in time order,
-    as a cumsum per mode does."""
+    modes the k with gam[k] != 0, in order, and columns[i, n] = gam[k] * brownian[n, k] for
+    k = modes[i].  brownian is Fortran-ordered, so each mode's generator fills a contiguous
+    row of its transpose, and one cumsum along those rows adds each mode's increments in
+    time order, as a cumsum per mode does."""
     brownian = np.zeros((spec.n_steps + 1, spec.k_max), order="F")
     steps = brownian.T[:, 1:]  # row k holds mode k's increments
     for row, child in zip(steps, np.random.SeedSequence(spec.seed).spawn(spec.k_max)):
@@ -269,28 +267,21 @@ def _draw(spec: NoiseSpec) -> tuple[np.ndarray, np.ndarray, list[int]]:
     np.multiply(np.sqrt(spec.dt), steps, out=steps)
     np.cumsum(steps, axis=1, out=steps)
     gam = spec.gammas.values(spec.k_max)
-    return brownian, brownian.T * gam[:, None], [k for k in range(spec.k_max) if gam[k] != 0.0]
+    modes = np.flatnonzero(gam)
+    columns = brownian.T[modes]  # a fresh array, scaled in place
+    columns *= gam[modes, None]
+    return brownian, columns, modes
 
 
-def _tiles(columns: np.ndarray, eigen: EigenSystem, modes: list[int]):
-    """Yield (j0, tile) over the nodes, max(1, _BLOCK_VALUES // columns.shape[1]) at a time.
+def _sums(columns: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """values[r, j] = 0.0 + sum_i fl(columns[i, r] vectors[i, j]), added in i order.
 
-    tile[i, r] = 0.0 + sum_k fl(columns[k, r] e_k[j0 + i]), added over modes in their order,
-    is the value at values column j0 + i of the time row whose amplitudes are columns[:, r].
-    Each product and sum runs over one node's column of rows.  The tile's memory is
-    reused, so the caller uses each tile up before taking the next.
+    One einsum without optimize: numpy's compiled two-operand loop runs over i outermost
+    and j innermost, adding each product to an output that starts at 0.0, so every value
+    is the sum of the same products in the same order, whichever rows are summed together.
+    BLAS (@, np.dot, optimize=True) would fuse multiply-adds and move the bits.
     """
-    n, nodes = eigen.grid.n_interior, max(1, _BLOCK_VALUES // columns.shape[1])
-    tile = np.empty((min(nodes, n), columns.shape[1]))
-    term = np.empty_like(tile)
-    for j0 in range(0, n, nodes):
-        t = tile[: min(nodes, n - j0)]
-        u = term[: len(t)]
-        t.fill(0.0)
-        for k in modes:  # fixed k order keeps resynthesis bit-identical
-            np.multiply(eigen.eigenvectors[k, j0 : j0 + nodes, None], columns[k], out=u)
-            t += u
-        yield j0, t
+    return np.einsum("it,ij->tj", columns, vectors, optimize=False)
 
 
 def synthesized_sup(spec: NoiseSpec, eigen: EigenSystem) -> float:
@@ -303,34 +294,36 @@ def synthesized_sup(spec: NoiseSpec, eigen: EigenSystem) -> float:
     (_row_bounds widens the computed B_n to cover it).  The row with the largest bound is
     summed first; a row whose bound lies below that row's sup holds no value as large,
     so it cannot change the sup and is never summed.  Every other row is summed by
-    _rows_sup through synthesize's own kernel, _tiles.  max and min are exact, so the
+    _rows_sup through synthesize's own kernel, _sums.  max and min are exact, so the
     result keeps its bits.  A value that is not finite has an infinite bound, so its row
     is always summed, and this raises NoiseOverflowError as NoisePath does.  The caller
     judges the decay check.
     """
     _require_modes(spec, eigen)
     _, columns, modes = _draw(spec)
-    bound = _row_bounds(columns, eigen, len(modes))
+    vectors = eigen.eigenvectors[modes]
+    bound = _row_bounds(columns, vectors)
     top = int(np.argmax(bound))
-    best = _rows_sup(columns[:, top : top + 1], eigen, modes)
+    best = _rows_sup(columns[:, top : top + 1], vectors)
     # ~(bound < best), not bound >= best: a row whose bound is inf or NaN is summed
-    sup = _rows_sup(columns.compress(~(bound < best), axis=1), eigen, modes)
+    sup = _rows_sup(columns.compress(~(bound < best), axis=1), vectors)
     return sup + 0.0  # adding 0.0 turns the -0.0 of an all-zero path into 0.0
 
 
-def _row_bounds(columns: np.ndarray, eigen: EigenSystem, n_modes: int) -> np.ndarray:
+def _row_bounds(columns: np.ndarray, vectors: np.ndarray) -> np.ndarray:
     """Per time row, a bound on |value| over the row's nodes, widened for rounding.
 
-    With u = 2^-53, a product fl(c e) is within u|c e| of c e, or within 2^-1075 when
-    it is subnormal; the K - 1 additions to 0.0 + fl(c_1 e_1) each add at most u
-    relative error (a subnormal sum is exact).  So |v_j| <= (1+u)^K B_n + 2K 2^-1075
-    to first order.  The computed B_n (peak @ |columns|: nonnegative terms summed in any
-    order, with or without fused multiply-adds) is at least (1-u)^(2K) B_n - K 2^-1075.
-    Multiplying by 1 + 4(K+2) eps = 1 + 8(K+2)u and adding (K+2) 2^-1074 covers both,
-    with room for the widening's own two roundings.  Zero modes add exact zeros.  A
-    bound may overflow to inf where every value is finite; that row is then summed.
+    columns and vectors are _sums' operands, over K modes.  With u = 2^-53, a product
+    fl(c e) is within u|c e| of c e, or within 2^-1075 when it is subnormal; the K - 1
+    additions to 0.0 + fl(c_1 e_1) each add at most u relative error (a subnormal sum is
+    exact).  So |v_j| <= (1+u)^K B_n + 2K 2^-1075 to first order.  The computed B_n
+    (peak @ |columns|: nonnegative terms summed in any order, with or without fused
+    multiply-adds) is at least (1-u)^(2K) B_n - K 2^-1075.  Multiplying by
+    1 + 4(K+2) eps = 1 + 8(K+2)u and adding (K+2) 2^-1074 covers both, with room for the
+    widening's own two roundings.  A bound may overflow to inf where every value is
+    finite; that row is then summed.
     """
-    peak = np.abs(eigen.eigenvectors[: len(columns)]).max(axis=1)
+    n_modes, peak = len(vectors), np.abs(vectors).max(axis=1)
     with np.errstate(over="ignore"):  # an infinite bound is not an overflowing value
         bound = peak @ np.abs(columns)
         bound *= 1.0 + 4 * (n_modes + 2) * np.finfo(float).eps
@@ -338,18 +331,22 @@ def _row_bounds(columns: np.ndarray, eigen: EigenSystem, n_modes: int) -> np.nda
     return bound
 
 
-def _rows_sup(columns: np.ndarray, eigen: EigenSystem, modes: list[int]) -> float:
+def _rows_sup(columns: np.ndarray, vectors: np.ndarray) -> float:
     """max |value| over the time rows whose scaled amplitudes are the columns of columns.
 
-    The values are _tiles' sums, as synthesize stores them; each tile is reduced to its
-    max and min and dropped.  Raises NoiseOverflowError if a value is not finite.
+    The values are _sums' sums, as synthesize stores them, formed max(1, _BLOCK_VALUES // n)
+    rows at a time; each block is reduced to its max and min and dropped.  Raises
+    NoiseOverflowError if a value is not finite.
     """
     hi, lo = -math.inf, math.inf
-    for _, tile in _tiles(columns, eigen, modes):
-        t_hi, t_lo = float(tile.max()), float(tile.min())
-        if not (math.isfinite(t_hi) and math.isfinite(t_lo)):
+    rows = max(1, _BLOCK_VALUES // vectors.shape[1])
+    for r0 in range(0, columns.shape[1], rows):
+        block = _sums(columns[:, r0 : r0 + rows], vectors)
+        b_hi, b_lo = float(block.max()), float(block.min())
+        del block  # before the next block is summed, so one block is held at a time
+        if not (math.isfinite(b_hi) and math.isfinite(b_lo)):
             raise NoiseOverflowError("noise values must be finite")
-        hi, lo = max(hi, t_hi), min(lo, t_lo)
+        hi, lo = max(hi, b_hi), min(lo, b_lo)
     return max(hi, -lo)
 
 

@@ -587,10 +587,12 @@ def epsilon_sweep(
     if error is not None:
         raise error
 
-    # |Y_i - Y_j|_-1 = |Z_i - Z_j|_2 with Z = U^-T Y, so each Y takes one sweep; popped,
-    # each Y is freed once it is transformed.  Z_i is (n, steps + 1), one column per time
-    trajs.reverse()
-    z = [_half_solve(x0.grid, trajs.pop().y_fields.T) for _ in range(len(trajs))]
+    # |Y_i - Y_j|_-1 = |Z_i - Z_j|_2 with Z = U^-T Y, so each Y takes one sweep, made in
+    # Y's own store: the batch owns it, and nothing reads these trajectories after the
+    # sweep.  Z_i is (n, steps + 1), one column per time
+    for traj in trajs:
+        traj.y_fields.flags.writeable = True
+    z = [_half_solve(x0.grid, traj.y_fields.T, overwrite=True) for traj in trajs]
     m, diff = eps.size, np.empty_like(z[0])
     pairwise = np.zeros((m, m))
     for i in range(m):

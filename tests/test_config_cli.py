@@ -754,9 +754,8 @@ class TestCliOther:
 
     def test_block_size_does_not_change_noise_check_bytes(self, tmp_path, monkeypatch):
         first = {}
-        # smoke.cfg has 31 nodes and 51 time rows: every stored path is summed in tiles of
-        # 1, 1, 4 and all 31 nodes, a streamed sup norm's single row in tiles of 1 and all
-        # 31 nodes, and the continuity windows hold at most 1, 1, 7 and 1057 rows
+        # smoke.cfg has 31 nodes and 51 time rows: a streamed sup norm sums blocks of, and
+        # the continuity windows hold, at most 1, 1, 7 and 1057 rows; a stored path is one sum
         for block_values in (1, 31, 7 * 31, logdiff.noise._BLOCK_VALUES):
             monkeypatch.setattr("logdiff.noise._BLOCK_VALUES", block_values)
             for command, files in (["noise-check"], 3), (["simulate", "--dump-trajectories"], 61):

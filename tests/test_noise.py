@@ -1,6 +1,7 @@
 """Forcing synthesis: mode decay checks, reproducibility, continuity proxies."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -290,8 +291,8 @@ class TestSynthesis:
         assert np.array_equal(brownian.view(np.int64), expected.view(np.int64))
 
     @pytest.mark.parametrize("n", [31, 127, 1023])
-    # _BLOCK_VALUES of 1 or 10 rows, or the default: at 31, 127 and 1023 nodes synthesize
-    # sums its 201 rows in tiles of 1, 1 and 5 nodes, of 1, 6 and 50, or of 31, 127 and 163
+    # _BLOCK_VALUES of 1 or 10 rows, or the default: at 31, 127 and 1023 nodes the streamed
+    # sup sums blocks of 1 or 10 rows, or of 1057, 258 and 32; synthesize sums all 201 at once
     @pytest.mark.parametrize("rows", [1, 10, None])
     @pytest.mark.parametrize("gammas", [
         PowerLawGammas(gamma0=1.0, decay=8.0),
@@ -315,8 +316,8 @@ class TestSynthesis:
         path = synthesize(spec, eigen)
         expected = outer_loop_values(spec, eigen, path.brownian)
         assert np.array_equal(path.values.view(np.int64), expected.view(np.int64))
-        # the streamed sup sums fewer rows through the same kernel, so in wider tiles, and
-        # reduces them to the same sup; hex() tells the sign of zero apart
+        # the streamed sup sums fewer rows through the same kernel, in blocks, and reduces
+        # them to the same sup; hex() tells the sign of zero apart
         assert synthesized_sup(spec, eigen).hex() == sup_norm_estimate(path).hex()
 
 
@@ -330,9 +331,12 @@ def spy_rows_summed(monkeypatch):
     return counts
 
 
-def mode_columns(path):
-    """_draw's columns of path: row k is gamma_k times mode k's Brownian path."""
-    return path.spec.gammas.values(path.spec.k_max)[:, None] * path.brownian.T
+def mode_operands(path, eigen):
+    """_draw's columns of path and their eigenvectors, over the modes with gamma_k != 0:
+    column row i is gamma_k times mode k's Brownian path, vector row i is e_k."""
+    gam = path.spec.gammas.values(path.spec.k_max)
+    modes = np.flatnonzero(gam)
+    return gam[modes, None] * path.brownian.T[modes], eigen.eigenvectors[modes]
 
 
 class TestRowBounds:
@@ -353,7 +357,7 @@ class TestRowBounds:
         spec = NoiseSpec(k_max=8, gammas=ExplicitGammas(gammas=(1.0, 0.0) * 4), seed=3,
                          t_final=1.0, n_steps=500)
         path = synthesize(spec, EIGEN, override_decay_check=True)
-        bound = logdiff.noise._row_bounds(mode_columns(path), EIGEN, 4)
+        bound = logdiff.noise._row_bounds(*mode_operands(path, EIGEN))
         assert np.all(np.abs(path.values).max(axis=1) < bound)
 
     def test_row_whose_bound_overflows_is_summed(self, monkeypatch):
@@ -365,12 +369,70 @@ class TestRowBounds:
         g = np.finfo(float).max / sup_norm_estimate(synthesize(unit, eigen)) / 1.001
         spec = replace(unit, gammas=ExplicitGammas(gammas=(g, g)))
         path = synthesize(spec, eigen, override_decay_check=True)
-        bound = logdiff.noise._row_bounds(mode_columns(path), eigen, 2)
+        bound = logdiff.noise._row_bounds(*mode_operands(path, eigen))
         sup_row = int(np.argmax(np.abs(path.values).max(axis=1)))
         assert np.isinf(bound[sup_row]) and sup_row != np.argmax(bound)
         counts = spy_rows_summed(monkeypatch)
         assert synthesized_sup(spec, eigen).hex() == sup_norm_estimate(path).hex()
         assert counts[-1] >= np.count_nonzero(np.isinf(bound))
+
+
+class TestKernel:
+    """_sums against the outer-loop rule, bit for bit.  A numpy whose einsum fuses the
+    multiply-adds, or adds a value's products out of k order, fails here."""
+
+    SPEC = power_spec(seed=11, n_steps=10**4)  # the noise workload's shape: 127 nodes, decay 8
+
+    def test_workload_shape_keeps_the_outer_loop_bits(self):
+        path = synthesize(self.SPEC, EIGEN)
+        expected = outer_loop_values(self.SPEC, EIGEN, path.brownian)
+        assert np.array_equal(path.values.view(np.int64), expected.view(np.int64))
+
+    def test_one_row_keeps_its_bits(self):
+        path = synthesize(self.SPEC, EIGEN)
+        expected = outer_loop_values(self.SPEC, EIGEN, path.brownian)
+        columns, vectors = mode_operands(path, EIGEN)
+        for r in (1, 4321, 10**4):
+            row = logdiff.noise._sums(columns[:, r : r + 1], vectors)
+            assert np.array_equal(row.view(np.int64), expected[r : r + 1].view(np.int64))
+
+    def test_unpruned_flat_64_mode_sup(self, monkeypatch):
+        eigen = eigensystem(GRID, 64)
+        spec = NoiseSpec(k_max=64, gammas=ExplicitGammas(gammas=(1.0,) * 64), seed=5,
+                         t_final=1.0, n_steps=2000)
+        counts = spy_rows_summed(monkeypatch)
+        sup = synthesized_sup(spec, eigen)
+        assert sum(counts) > spec.n_steps // 4  # flat amplitudes: the bounds prune few rows
+        expected = outer_loop_values(spec, eigen, synthesize(spec, eigen,
+                                                             override_decay_check=True).brownian)
+        assert sup.hex() == (float(np.max(np.abs(expected))) + 0.0).hex()
+
+
+class TestKernelMemory:
+    """Memory traced by tracemalloc: the stored path and its operands, and no node copy."""
+
+    def traced_peak(self, call):
+        call()  # the first call pays for one-time imports and caches
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            call()
+            return tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+
+    def test_synthesize_holds_the_path_its_operands_and_at_most_one_block(self):
+        spec, rows = power_spec(seed=3, n_steps=10**4), 10**4 + 1
+        peak = self.traced_peak(lambda: synthesize(spec, EIGEN))
+        values, brownian, columns = 8 * rows * 127, 8 * rows * 8, 8 * rows * 8
+        mask = values // 8  # NoisePath's finiteness check: one bool per value
+        assert peak <= values + mask + brownian + columns + 8 * logdiff.noise._BLOCK_VALUES
+
+    def test_rows_sup_holds_one_block(self):
+        path = synthesize(power_spec(seed=3, n_steps=10**4), EIGEN)
+        columns, vectors = mode_operands(path, EIGEN)
+        peak = self.traced_peak(lambda: logdiff.noise._rows_sup(columns, vectors))
+        assert peak <= 8 * logdiff.noise._BLOCK_VALUES + 4096  # 4 KiB: the blocks' headers
 
 
 class TestSupNorm:

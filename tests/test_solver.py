@@ -532,9 +532,9 @@ class TestEpsilonSweep:
         calls = []
         solve_batch = logdiff.solver._solve_batch
 
-        def spy(x0, cfg, rows):  # epsilon_sweep pops the list it gets; the spy keeps a copy
+        def spy(x0, cfg, rows):  # epsilon_sweep turns each Y into Z; the spy keeps copies
             trajs, error = solve_batch(x0, cfg, rows)
-            calls.append((rows, (list(trajs), error)))
+            calls.append((rows, ([replace(t, y_fields=t.y_fields.copy()) for t in trajs], error)))
             return trajs, error
 
         monkeypatch.setattr("logdiff.solver._solve_batch", spy)
@@ -560,6 +560,27 @@ class TestEpsilonSweep:
             size = max(np.max(_hminus1_norms(G15, trajs[k].y_fields)) for k in (i, j))
             assert abs(dist - by_difference) <= 4.0 * np.finfo(float).eps * size
             assert abs(dist - by_difference) <= 1e-12 * by_difference
+
+    def test_each_z_is_made_in_its_y_store(self, monkeypatch):
+        # the batch's Y arrays are swept in place, so the sweep copies no trajectory
+        stores, results = [], []
+        solve_batch, half_solve = logdiff.solver._solve_batch, logdiff.solver._half_solve
+
+        def spy_batch(x0, cfg, rows):
+            trajs, error = solve_batch(x0, cfg, rows)
+            stores.extend(t.y_fields for t in trajs)
+            return trajs, error
+
+        monkeypatch.setattr("logdiff.solver._solve_batch", spy_batch)
+        monkeypatch.setattr("logdiff.solver._half_solve",
+                            lambda *args, **kw: results.append(half_solve(*args, **kw))
+                            or results[-1])
+        noise = default_noise(G15, E15, t_final=0.02, n_steps=10)
+        x0 = Field(G15, np.sin(np.pi * G15.nodes))
+        epsilon_sweep(x0, noise, SolverConfig(epsilon=1e-2), [1e-1, 1e-2, 1e-3])
+        assert len(stores) == len(results) == 3
+        for y, z in zip(stores, results):
+            assert z.shape == (15, 11) and np.shares_memory(z, y)
 
     def test_raises_the_first_rows_error(self):
         grid = GridSpec(length=1.0, n_interior=31)

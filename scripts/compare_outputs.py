@@ -2,14 +2,14 @@
 
     python3 scripts/compare_outputs.py PARENT_CHECKOUT
 
-Both checkouts make the same 144 runs: simulate, simulate --paths 2
+Both checkouts make the same 156 runs: simulate, simulate --paths 2
 --dump-trajectories, sweep-eps, verify, noise-check and noise-check
 --paths 0 (its one-path edge case), on every scripts/configs/*.cfg
 (each checkout its own file), on the four benchmark workload configs
 at seed 1 (written by bench/workloads.py of this checkout) and on
-SHALLOW, MANY_MODES, MANY_CELLS and STEP_FAILS, defined here, each at
-[output] workers 1 and 2.  Every run is a fresh interpreter with one
-BLAS thread and the checkout's src on PYTHONPATH.
+SHALLOW, MANY_MODES, MANY_CELLS, STEP_FAILS and SHARED_ROWS, defined
+here, each at [output] workers 1 and 2.  Every run is a fresh
+interpreter with one BLAS thread and the checkout's src on PYTHONPATH.
 A run matches when its exit code, stdout, stderr (with the run's own
 paths replaced by placeholders) and the bytes of every output file are
 equal.  Prints one line per differing run and exits 1 on any difference.
@@ -54,6 +54,13 @@ MANY_CELLS = {"grid": {"n_interior": "31"},
 STEP_FAILS = {"grid": {"n_interior": "31"},
               "noise": {"seed": "7", "n_paths": "3", "continuity_alpha": "0.1"},
               "solver": {"dt": "1e-3", "t_final": "0.1"}}
+
+# verify's rows shared between checks: the base row (seed, 1e-2) is a diag row held for
+# variational, and the repeated diag eps 1e-3 is one row read twice
+SHARED_ROWS = {"grid": {"n_interior": "15"},
+               "noise": {"n_paths": "30"},
+               "verify": {"checks": "flux_l1, variational",
+                          "diag_epsilons": "1e-1, 1e-2, 1e-3, 1e-3"}}
 
 
 def workload_configs() -> dict[str, dict]:
@@ -151,7 +158,8 @@ def main(argv: list[str]) -> int:
     workloads = workload_configs()
     sides = {root: {**{name: file_sections(root / "scripts" / "configs" / name) for name in names},
                     **workloads, "shallow_decay": SHALLOW, "many_modes": MANY_MODES,
-                    "many_cells": MANY_CELLS, "step_fails": STEP_FAILS}
+                    "many_cells": MANY_CELLS, "step_fails": STEP_FAILS,
+                    "shared_rows": SHARED_ROWS}
              for root in (HERE, other)}
     runs = differing = n_files = 0
     with tempfile.TemporaryDirectory() as scratch:

@@ -12,6 +12,7 @@ import argparse
 import csv
 import os
 import sys
+from collections import Counter
 from dataclasses import astuple, fields, replace
 
 import numpy as np
@@ -152,41 +153,32 @@ def cmd_verify(cfg: ExperimentConfig, eigen: EigenSystem, out_dir: str, n_paths:
     spec, solver_cfg = cfg.noise_spec(), cfg.solver_config()
     eps = solver_cfg.epsilon
     checks = cfg.verify.checks
-    diagnostics = ("flux_l1", "total_variation", "hminus1_sup")
-    diag_eps = cfg.verify.diag_epsilons if any(c in checks for c in diagnostics) else ()
-    # every (seed, eps) row, in the order the checks read them; the base row (seed, eps)
-    # is ensemble path 0, the diagnostic solve at that eps and the variational trajectory
-    base_row = (spec.seed, eps)
-    rows = [(spec.seed + i, eps) for i in range(n_paths)] if "mean_square" in checks else []
-    for e in diag_eps:
-        if e != eps or base_row not in rows:
-            rows.append((spec.seed, e))
-    if "variational" in checks and base_row not in rows:
-        rows.append(base_row)
-    solved = solve_rows(x0, eigen, spec, solver_cfg, rows, workers=cfg.output.workers,
+    diagnostics = {name: value for name, value in (
+        ("flux_l1", flux_l1_integral), ("total_variation", total_variation),
+        ("hminus1_sup", hminus1_sup)) if name in checks}
+    # each check's rows (seed, eps), in the order it reads them
+    ensemble = [(spec.seed + i, eps) for i in range(n_paths)] if "mean_square" in checks else []
+    diag = [(spec.seed, e) for e in cfg.verify.diag_epsilons] if diagnostics else []
+    base = [(spec.seed, eps)] if "variational" in checks else []
+    # each row is solved once, in the order it is first read; the checks read in that order
+    readers = Counter(ensemble + diag + base)
+    solved = solve_rows(x0, eigen, spec, solver_cfg, list(readers), workers=cfg.output.workers,
                         override_decay_check=cfg.noise.override_decay_check)
-    kept = {}
+    held = {}
 
-    def trajectory(row):  # the next solved row; the base row's is kept and solved once
-        if row not in kept:
-            traj = next(solved)
-            if row != base_row:
-                return traj
-            kept[row] = traj
-        return kept[row]
+    def read(row):  # a row's trajectory is held only while it has reads left
+        traj = held.pop(row) if row in held else next(solved)
+        readers[row] -= 1
+        if readers[row]:
+            held[row] = traj
+        return traj
 
-    reports = []
-    if "mean_square" in checks:
-        reports.append(mean_square_bound(trajectory((spec.seed + i, eps)) for i in range(n_paths)))
-    values = []
-    for e in diag_eps:
-        traj = trajectory((spec.seed, e))
-        values.append((flux_l1_integral(traj), total_variation(traj), hminus1_sup(traj)))
-    reports += [spread_report(name, diag_eps, column, cfg.verify.ratio_max)
-                for name, column in zip(diagnostics, zip(*values)) if name in checks]
-    if "variational" in checks:
-        base = trajectory(base_row)
-        z, self_z = build_test_process(base, cfg.verify.mu), self_test_process(base)
+    reports = [mean_square_bound(map(read, ensemble))] if ensemble else []
+    values = [[value(traj) for value in diagnostics.values()] for traj in map(read, diag)]
+    reports += [spread_report(name, cfg.verify.diag_epsilons, column, cfg.verify.ratio_max)
+                for name, column in zip(diagnostics, zip(*values))]
+    for traj in map(read, base):
+        z, self_z = build_test_process(traj, cfg.verify.mu), self_test_process(traj)
         reports.append(variational_residual(z, tol_vi=cfg.verify.tol_vi))
         self_rep = variational_residual(self_z, tol_vi=1e-9)
         reports[-1].flags.append(replace(self_rep.flags[0], name="self_test_residual"))
@@ -280,13 +272,14 @@ def main(argv=None) -> int:
         n_paths = cfg.noise.n_paths if paths is None else paths
         if n_paths < 0:
             raise ConfigError("--paths must be >= 0")
+        mean_square = args.command == "verify" and "mean_square" in cfg.verify.checks
         # path i uses seed + i; parse_config range-checked the seed itself
-        if args.command != "sweep-eps" and cfg.noise.seed + n_paths > 2**64:
+        if ((mean_square or args.command in ("simulate", "noise-check"))
+                and cfg.noise.seed + n_paths > 2**64):
             raise ConfigError(f"seeds {cfg.noise.seed} + i for {n_paths} paths pass 2^64 - 1")
         if args.command == "sweep-eps" and len(cfg.solver.epsilon_list) < 2:
             raise ConfigError("sweep-eps needs at least two entries in solver.epsilon_list")
-        if (args.command == "verify" and "mean_square" in cfg.verify.checks
-                and n_paths < MEAN_SQUARE_MIN_PATHS):
+        if mean_square and n_paths < MEAN_SQUARE_MIN_PATHS:
             raise ConfigError(f"mean_square needs >= {MEAN_SQUARE_MIN_PATHS} paths, got {n_paths}")
         eigen = cfg.eigen()  # carries the grid; every command shares it
         # a sum of squares that overflows is redone scaled or judged; numpy need not warn of it

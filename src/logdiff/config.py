@@ -24,7 +24,7 @@ from .solver import SolverConfig, _check_step_range
 
 SCHEMA_VERSION = "1"
 
-CHECK_NAMES = ("mean_square", "flux_l1", "variational", "total_variation", "hminus1_sup")
+CHECK_NAMES = ("mean_square", "flux_l1", "total_variation", "hminus1_sup", "variational")
 Profile = Literal["zero", "bump", "mode", "file"]
 PROFILES = get_args(Profile)
 

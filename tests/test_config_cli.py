@@ -15,7 +15,7 @@ import logdiff.cli
 import logdiff.noise
 import logdiff.solver
 from logdiff.cli import main
-from logdiff.config import ConfigError, ExperimentConfig, parse_config
+from logdiff.config import CHECK_NAMES, ConfigError, ExperimentConfig, parse_config
 from logdiff.grid import Field, GridSpec, eigensystem
 from logdiff.noise import NoiseSpec, PowerLawGammas, synthesize
 from logdiff.solver import SolverConfig, solve_path
@@ -346,6 +346,9 @@ class TestCliSimulate:
             assert main(argv + ["--out", str(out)]) == 2
             assert "config error" in capsys.readouterr().err
             assert not out.exists()
+        # verify reads paths seed + i only for mean_square; variational solves the seed alone
+        variational = write(tmp_path / "var.cfg", top + "[verify]\nchecks = variational\n")
+        assert main(["verify", "--config", variational, "--out", str(tmp_path / "var")]) == 0
         # a time grid of t_final / dt steps needs a positive dt that divides t_final finitely
         for solver in ("dt = 0", "dt = -1e-3", "dt = 1e-300\nt_final = 1e300",
                        "dt = 3e-4\nt_final = 0.1", "t_final = 0"):
@@ -592,23 +595,44 @@ class TestCliOther:
             assert len(set(solved)) == len(solved)  # each row once
             return {p.name: p.read_bytes() for p in out.iterdir()}, list(solved)
 
+        def alone(name, block, diag):
+            # each check run alone solves for itself, as every check did before sharing;
+            # the files all checks at once must write: its reports and the summaries joined
+            # in CHECK_NAMES order, which is the order verify writes its reports in
+            files, summaries = {}, []
+            for check in CHECK_NAMES:
+                check_files, solves = verify(f"{name}_{check}",
+                                             BASE + f"\n[verify]\n{block}checks = {check}\n")
+                assert solves == {"mean_square": [(42 + i, 1e-2) for i in range(30)],
+                                  "variational": [(42, 1e-2)]}.get(check, [(42, e) for e in diag])
+                summary = check_files.pop("verify_summary.txt").decode()
+                summaries.append(summary.removesuffix("\n\noverall: PASS\n"))
+                files.update(check_files)
+            files["verify_summary.txt"] = ("\n\n".join(summaries) + "\n\noverall: PASS\n").encode()
+            return files
+
         # the base row (42, 1e-2) is ensemble path 0, one of the diag eps and the
         # variational check's trajectory, and it is solved once; all rows form one batch
         everything, solves = verify("all", BASE)
         assert solves == [(42 + i, 1e-2) for i in range(30)] + [(42, 1e-1), (42, 1e-3), (42, 1e-4)]
         assert batches == [33]
-        # each check run alone solves for itself, as every check did before sharing
-        alone = {}
-        for check in ("mean_square", "flux_l1", "total_variation", "hminus1_sup", "variational"):
-            files, solves = verify(check, BASE + f"\n[verify]\nchecks = {check}\n")
-            assert solves == {"mean_square": [(42 + i, 1e-2) for i in range(30)],
-                              "variational": [(42, 1e-2)]}.get(
-                check, [(42, 1e-1), (42, 1e-2), (42, 1e-3), (42, 1e-4)])
-            summary = files.pop("verify_summary.txt").decode()
-            alone[check] = (files, summary.removesuffix("\n\noverall: PASS\n"))
-        assert everything.pop("verify_summary.txt").decode() == "\n\n".join(
-            summary for _, summary in alone.values()) + "\n\noverall: PASS\n"
-        assert everything == {k: v for files, _ in alone.values() for k, v in files.items()}
+        assert everything == alone("all", "", [1e-1, 1e-2, 1e-3, 1e-4])
+        # a repeated diag eps is one row, solved once and read twice
+        repeated = "diag_epsilons = 1e-1, 1e-3, 1e-3\n"
+        everything, solves = verify("repeated", BASE + f"\n[verify]\n{repeated}")
+        assert solves == [(42 + i, 1e-2) for i in range(30)] + [(42, 1e-1), (42, 1e-3)]
+        assert everything == alone("repeated", repeated, [1e-1, 1e-3])
+        # only the selected diagnostics are computed; the CLI looks each one up by its name
+        calls = []
+
+        def spy(name):
+            value = getattr(logdiff.cli, name)
+            monkeypatch.setattr(logdiff.cli, name, lambda traj: calls.append(name) or value(traj))
+
+        for name in ("flux_l1_integral", "total_variation", "hminus1_sup"):
+            spy(name)
+        verify("flux_only", BASE + "\n[verify]\nchecks = flux_l1\n")
+        assert calls == ["flux_l1_integral"] * 4
         # a configured eps outside the diag list gets a solve of its own
         off_list = BASE.replace("epsilon = 1e-2", "epsilon = 5e-3")
         for i, (checks, expected) in enumerate((

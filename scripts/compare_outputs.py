@@ -2,14 +2,15 @@
 
     python3 scripts/compare_outputs.py PARENT_CHECKOUT
 
-Both checkouts make the same 156 runs: simulate, simulate --paths 2
+Both checkouts make the same 168 runs: simulate, simulate --paths 2
 --dump-trajectories, sweep-eps, verify, noise-check and noise-check
 --paths 0 (its one-path edge case), on every scripts/configs/*.cfg
 (each checkout its own file), on the four benchmark workload configs
 at seed 1 (written by bench/workloads.py of this checkout) and on
-SHALLOW, MANY_MODES, MANY_CELLS, STEP_FAILS and SHARED_ROWS, defined
-here, each at [output] workers 1 and 2.  Every run is a fresh
-interpreter with one BLAS thread and the checkout's src on PYTHONPATH.
+SHALLOW, MANY_MODES, MANY_CELLS, STEP_FAILS, SHARED_ROWS and
+UNDERFLOW, defined here, each at [output] workers 1 and 2.  Every run
+is a fresh interpreter with one BLAS thread and the checkout's src on
+PYTHONPATH.
 A run matches when its exit code, stdout, stderr (with the run's own
 paths replaced by placeholders) and the bytes of every output file are
 equal.  Prints one line per differing run and exits 1 on any difference.
@@ -61,6 +62,11 @@ SHARED_ROWS = {"grid": {"n_interior": "15"},
                "noise": {"n_paths": "30"},
                "verify": {"checks": "flux_l1, variational",
                           "diag_epsilons": "1e-1, 1e-2, 1e-3, 1e-3"}}
+# amplitudes k^-400: mode 6 is subnormal and modes 7 and 8 underflow to 0.0, so the noise
+# skips modes that draw nothing
+UNDERFLOW = {"grid": {"n_interior": "31"},
+             "noise": {"k_max": "8", "gamma_decay": "400", "n_paths": "30"},
+             "solver": {"dt": "2e-3", "t_final": "0.1"}}
 
 
 def workload_configs() -> dict[str, dict]:
@@ -159,7 +165,7 @@ def main(argv: list[str]) -> int:
     sides = {root: {**{name: file_sections(root / "scripts" / "configs" / name) for name in names},
                     **workloads, "shallow_decay": SHALLOW, "many_modes": MANY_MODES,
                     "many_cells": MANY_CELLS, "step_fails": STEP_FAILS,
-                    "shared_rows": SHARED_ROWS}
+                    "shared_rows": SHARED_ROWS, "underflow": UNDERFLOW}
              for root in (HERE, other)}
     runs = differing = n_files = 0
     with tempfile.TemporaryDirectory() as scratch:

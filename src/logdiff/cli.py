@@ -152,13 +152,13 @@ def cmd_verify(cfg: ExperimentConfig, eigen: EigenSystem, out_dir: str, n_paths:
     x0 = cfg.initial_datum(eigen)
     spec, solver_cfg = cfg.noise_spec(), cfg.solver_config()
     eps = solver_cfg.epsilon
-    checks = cfg.verify.checks
+    checks, diag_eps = cfg.verify.checks, cfg.verify.diag_epsilons
     diagnostics = {name: value for name, value in (
         ("flux_l1", flux_l1_integral), ("total_variation", total_variation),
         ("hminus1_sup", hminus1_sup)) if name in checks}
     # each check's rows (seed, eps), in the order it reads them
     ensemble = [(spec.seed + i, eps) for i in range(n_paths)] if "mean_square" in checks else []
-    diag = [(spec.seed, e) for e in cfg.verify.diag_epsilons] if diagnostics else []
+    diag = [(spec.seed, e) for e in dict.fromkeys(diag_eps)] if diagnostics else []
     base = [(spec.seed, eps)] if "variational" in checks else []
     # each row is solved once, in the order it is first read; the checks read in that order
     readers = Counter(ensemble + diag + base)
@@ -174,9 +174,11 @@ def cmd_verify(cfg: ExperimentConfig, eigen: EigenSystem, out_dir: str, n_paths:
         return traj
 
     reports = [mean_square_bound(map(read, ensemble))] if ensemble else []
-    values = [[value(traj) for value in diagnostics.values()] for traj in map(read, diag)]
-    reports += [spread_report(name, cfg.verify.diag_epsilons, column, cfg.verify.ratio_max)
-                for name, column in zip(diagnostics, zip(*values))]
+    if diagnostics:  # computed once per row; each diag_epsilons entry reads its row's values
+        per_eps = {e: [value(traj) for value in diagnostics.values()]
+                   for (_, e), traj in zip(diag, map(read, diag))}
+        reports += [spread_report(name, diag_eps, column, cfg.verify.ratio_max)
+                    for name, column in zip(diagnostics, zip(*map(per_eps.get, diag_eps)))]
     for traj in map(read, base):
         z, self_z = build_test_process(traj, cfg.verify.mu), self_test_process(traj)
         reports.append(variational_residual(z, tol_vi=cfg.verify.tol_vi))

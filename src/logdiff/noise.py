@@ -19,16 +19,18 @@ are reported; note the second sum carries a single power of gamma_k.
 For the power rule on a 1-d interval lambda_k ~ k^2, so the exponent
 margins are 2*decay - 5 and decay - 7; both must be positive.
 
-Determinism: each mode draws from its own child stream spawned from the
-master seed, into its own row of a mode-major array, so enlarging k_max
-leaves the earlier modes' Brownian paths bit-identical, and the mode
-accumulation runs in fixed k order so a resynthesis reproduces the
-field values exactly.  Every value is formed by one kernel, _sums, a
-single einsum over the nonzero modes whose compiled loop adds each
-product to an output that starts at 0.0, in k order.  A stored path is
-one call, and a path whose sup norm alone is wanted
-(:func:`synthesized_sup`) is summed in blocks of time rows, each
-reduced to its max and min and never stored.  Each of its time rows n
+A path holds its times and values only.  Each nonzero mode's Brownian
+motion is drawn straight into its row of the one mode-major array the
+sums read, then scaled by gamma_k; a mode with gamma_k = 0 draws
+nothing.  Determinism: mode k always draws from child stream k of the
+master seed, so enlarging k_max leaves the earlier modes' Brownian
+paths bit-identical, and the mode accumulation runs in fixed k order so
+a resynthesis reproduces the field values exactly.  Every value is
+formed by one kernel, _sums, a single einsum over the nonzero modes
+whose compiled loop adds each product to an output that starts at 0.0,
+in k order.  A stored path is one call, and a path whose sup norm
+alone is wanted (:func:`synthesized_sup`) is summed in blocks of time
+rows, each reduced to its max and min and never stored.  Each of its time rows n
 has the bound
 
     |W_Q(t_n)|_inf <= B_n = sum_k |gamma_k beta_k(t_n)| max_j |e_k[j]|,
@@ -134,20 +136,19 @@ class NoiseOverflowError(ValueError):
 class NoisePath:
     """One realized path of the spectral noise on a space-time grid.
 
-    values[n, j] is the field at time index n and node j+1; row 0 is
-    identically zero.  brownian[n, k] holds beta_{k+1}(t_n).  The arrays
-    are held as grid._frozen says: synthesize hands its own over uncopied.
+    A path holds its times and values, not the Brownian motions they were summed from.
+    values[n, j] is the field at time index n and node j+1; row 0 is identically zero.
+    The arrays are held as grid._frozen says: synthesize hands its values over uncopied.
     """
 
     spec: NoiseSpec
     grid: GridSpec
     times: np.ndarray
     values: np.ndarray
-    brownian: np.ndarray
 
     def __post_init__(self) -> None:
-        _hold(self, "times", "values", "brownian")
-        t, v, b = self.times, self.values, self.brownian
+        _hold(self, "times", "values")
+        t, v = self.times, self.values
         n_rows = self.spec.n_steps + 1
         if t.shape != (n_rows,):
             raise ValueError(f"times must have shape ({n_rows},), got {t.shape}")
@@ -159,8 +160,6 @@ class NoisePath:
             raise NoiseOverflowError("noise values must be finite")
         if np.any(v[0] != 0.0):
             raise ValueError("noise must vanish at t = 0")
-        if b.shape != (n_rows, self.spec.k_max):
-            raise ValueError("brownian matrix shape mismatch")
 
     def __reduce__(self):  # unpickle through __init__, so the arrays are read-only again
         return NoisePath, tuple(getattr(self, f.name) for f in fields(self))
@@ -234,9 +233,9 @@ def synthesize(
 ) -> NoisePath:
     """Draw one noise path on eigen.grid; bit-identical for identical (spec, eigen).
 
-    Each mode k spawns child stream k of SeedSequence(seed) and takes
-    n_steps increments sqrt(dt)*N(0,1), so the Brownian matrix for the
-    first K modes does not depend on k_max >= K.  Each value is the sum
+    Each nonzero mode k draws n_steps increments sqrt(dt)*N(0,1) from
+    child stream k of SeedSequence(seed), so the Brownian motions of the
+    first K modes do not depend on k_max >= K.  Each value is the sum
     of gamma_k * beta_k(t_n) * e_k[j] over the nonzero amplitudes, added
     to 0.0 in k order by _sums in one call.  Requires a passing decay
     report unless ``override_decay_check`` is set.
@@ -246,31 +245,30 @@ def synthesize(
     else:
         _require_decay(spec, eigen)
 
-    brownian, columns, modes = _draw(spec)
+    columns, modes = _draw(spec)
     values = _sums(columns, eigen.eigenvectors[modes])
+    values.flags.writeable = False  # nothing else holds it, so NoisePath need not copy it
     times = np.linspace(0.0, spec.t_final, spec.n_steps + 1)
-    for arr in (values, brownian):  # nothing else holds them, so NoisePath need not copy them
-        arr.flags.writeable = False
-    return NoisePath(spec, eigen.grid, times, values, brownian)
+    return NoisePath(spec, eigen.grid, times, values)
 
 
-def _draw(spec: NoiseSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(brownian, columns, modes): brownian[n, k] = beta_{k+1}(t_n), drawn as synthesize says,
-    modes the k with gam[k] != 0, in order, and columns[i, n] = gam[k] * brownian[n, k] for
-    k = modes[i].  brownian is Fortran-ordered, so each mode's generator fills a contiguous
-    row of its transpose, and one cumsum along those rows adds each mode's increments in
-    time order, as a cumsum per mode does."""
-    brownian = np.zeros((spec.n_steps + 1, spec.k_max), order="F")
-    steps = brownian.T[:, 1:]  # row k holds mode k's increments
-    for row, child in zip(steps, np.random.SeedSequence(spec.seed).spawn(spec.k_max)):
-        np.random.default_rng(child).standard_normal(out=row)
-    np.multiply(np.sqrt(spec.dt), steps, out=steps)
-    np.cumsum(steps, axis=1, out=steps)
+def _draw(spec: NoiseSpec) -> tuple[np.ndarray, np.ndarray]:
+    """(columns, modes): modes the k with gam[k] != 0, in order, and columns[i, n] =
+    gam[k] * beta_{k+1}(t_n) for k = modes[i], drawn as synthesize says, in one array.
+    Mode k's generator, child stream k, fills columns[i, 1:], and one cumsum along the rows
+    adds each mode's increments in time order, as a cumsum per mode does.  A zero mode has
+    no row and draws nothing, but its child is still spawned, so no other stream moves."""
     gam = spec.gammas.values(spec.k_max)
     modes = np.flatnonzero(gam)
-    columns = brownian.T[modes]  # a fresh array, scaled in place
+    children = np.random.SeedSequence(spec.seed).spawn(spec.k_max)
+    columns = np.zeros((len(modes), spec.n_steps + 1))
+    steps = columns[:, 1:]  # row i holds mode modes[i]'s increments
+    for row, k in zip(steps, modes):
+        np.random.default_rng(children[k]).standard_normal(out=row)
+    np.multiply(np.sqrt(spec.dt), steps, out=steps)
+    np.cumsum(steps, axis=1, out=steps)
     columns *= gam[modes, None]
-    return brownian, columns, modes
+    return columns, modes
 
 
 def _sums(columns: np.ndarray, vectors: np.ndarray) -> np.ndarray:
@@ -300,7 +298,7 @@ def synthesized_sup(spec: NoiseSpec, eigen: EigenSystem) -> float:
     judges the decay check.
     """
     _require_modes(spec, eigen)
-    _, columns, modes = _draw(spec)
+    columns, modes = _draw(spec)
     vectors = eigen.eigenvectors[modes]
     bound = _row_bounds(columns, vectors)
     top = int(np.argmax(bound))
@@ -427,6 +425,4 @@ def restrict(path: NoisePath, stride: int) -> NoisePath:
     if path.spec.n_steps % stride != 0:
         raise ValueError(f"stride {stride} does not divide n_steps = {path.spec.n_steps}")
     new_spec = replace(path.spec, n_steps=path.spec.n_steps // stride)
-    return NoisePath(
-        new_spec, path.grid, path.times[::stride], path.values[::stride], path.brownian[::stride]
-    )
+    return NoisePath(new_spec, path.grid, path.times[::stride], path.values[::stride])

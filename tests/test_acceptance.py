@@ -22,6 +22,7 @@ from logdiff.noise import (
     ExplicitGammas,
     NoiseSpec,
     PowerLawGammas,
+    _draw,
     restrict,
     synthesize,
     validate_decay,
@@ -331,7 +332,7 @@ def test_criterion_8_noise_correctness():
     a = synthesize(spec, eigen)
     b = synthesize(spec, eigen)
     repro_ok = np.array_equal(a.values, b.values) and np.array_equal(
-        a.brownian, b.brownian
+        _draw(spec)[0], _draw(spec)[0]
     )
 
     ok = isometry_ok and verdicts_ok and repro_ok
@@ -371,14 +372,17 @@ def test_criterion_9_degenerate_cases():
     )
     spath = synthesize(sspec, e1)
     e1v = e1.vector(1).values
+    # beta_1 by the per-mode rule: child stream 0's sqrt(dt) * N(0, 1) increments, summed
+    normals = np.random.default_rng(np.random.SeedSequence(3).spawn(1)[0]).standard_normal(100)
+    beta = np.concatenate([[0.0], np.cumsum(np.sqrt(sspec.dt) * normals)])
     mode_err = max(
         float(
-            np.max(np.abs(spath.values[n] - 0.7 * spath.brownian[n, 0] * e1v))
+            np.max(np.abs(spath.values[n] - 0.7 * beta[n] * e1v))
         )
         for n in (10, 50, 100)
     )
     norm_err = max(
-        abs(norm_l2(spath.field_at(n)) - 0.7 * abs(spath.brownian[n, 0]))
+        abs(norm_l2(spath.field_at(n)) - 0.7 * abs(beta[n]))
         for n in (10, 50, 100)
     )
     mode_ok = mode_err < 1e-14 and norm_err < 1e-12

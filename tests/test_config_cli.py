@@ -619,9 +619,9 @@ class TestCliOther:
         assert everything == alone("all", "", [1e-1, 1e-2, 1e-3, 1e-4])
         # a repeated diag eps is one row, solved once and read twice
         repeated = "diag_epsilons = 1e-1, 1e-3, 1e-3\n"
-        everything, solves = verify("repeated", BASE + f"\n[verify]\n{repeated}")
+        with_repeat, solves = verify("repeated", BASE + f"\n[verify]\n{repeated}")
         assert solves == [(42 + i, 1e-2) for i in range(30)] + [(42, 1e-1), (42, 1e-3)]
-        assert everything == alone("repeated", repeated, [1e-1, 1e-3])
+        assert with_repeat == alone("repeated", repeated, [1e-1, 1e-3])
         # only the selected diagnostics are computed; the CLI looks each one up by its name
         calls = []
 
@@ -633,6 +633,11 @@ class TestCliOther:
             spy(name)
         verify("flux_only", BASE + "\n[verify]\nchecks = flux_l1\n")
         assert calls == ["flux_l1_integral"] * 4
+        # each diagnostic is computed once per solved row, not once per diag eps entry
+        calls.clear()
+        files, _ = verify("flux_repeated", BASE + f"\n[verify]\nchecks = flux_l1\n{repeated}")
+        assert calls == ["flux_l1_integral"] * 2
+        assert files["report_flux_l1.csv"] == with_repeat["report_flux_l1.csv"]
         # a configured eps outside the diag list gets a solve of its own
         off_list = BASE.replace("epsilon = 1e-2", "epsilon = 5e-3")
         for i, (checks, expected) in enumerate((

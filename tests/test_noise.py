@@ -44,12 +44,23 @@ def path_of(values):
     spec = NoiseSpec(k_max=1, gammas=ExplicitGammas(gammas=(1.0,)), seed=0, t_final=1.0,
                      n_steps=n_steps)
     return NoisePath(spec, GridSpec(length=1.0, n_interior=values.shape[1]),
-                     np.linspace(0.0, 1.0, n_steps + 1), values, np.zeros((n_steps + 1, 1)))
+                     np.linspace(0.0, 1.0, n_steps + 1), values)
 
 
-def outer_loop_values(spec, eigen, brownian):
+def brownian_of(spec):
+    """beta[n, k] = beta_{k+1}(t_n) by the per-mode rule: child stream k of SeedSequence(seed)
+    draws n_steps increments sqrt(dt) * N(0, 1), and one cumsum per mode adds them."""
+    children = np.random.SeedSequence(spec.seed).spawn(spec.k_max)
+    beta = np.zeros((spec.n_steps + 1, spec.k_max))
+    for k, child in enumerate(children):
+        normals = np.random.default_rng(child).standard_normal(spec.n_steps)
+        beta[1:, k] = np.cumsum(np.sqrt(spec.dt) * normals)
+    return beta
+
+
+def outer_loop_values(spec, eigen):
     """Field values by the whole-array rule: one np.outer per mode, added in k order."""
-    gam = spec.gammas.values(spec.k_max)
+    gam, brownian = spec.gammas.values(spec.k_max), brownian_of(spec)
     values = np.zeros((spec.n_steps + 1, eigen.grid.n_interior))
     for k in range(spec.k_max):
         if gam[k] != 0.0:
@@ -163,7 +174,8 @@ class TestSynthesis:
     def test_initial_value_zero(self):
         path = synthesize(power_spec(n_steps=50), EIGEN)
         assert np.all(path.values[0] == 0.0)
-        assert np.all(path.brownian[0] == 0.0)
+        columns, _ = logdiff.noise._draw(power_spec(n_steps=50))
+        assert np.all(columns[:, 0] == 0.0)
 
     def test_single_mode_identity(self):
         spec = NoiseSpec(
@@ -176,15 +188,38 @@ class TestSynthesis:
         path = synthesize(spec, EIGEN)
         e1 = EIGEN.vector(1).values
         for n in (10, 50, 100):
-            beta = path.brownian[n, 0]
+            beta = brownian_of(spec)[n, 0]
             assert np.allclose(path.values[n], 0.7 * beta * e1, atol=1e-14)
             assert abs(norm_l2(path.field_at(n)) - 0.7 * abs(beta)) < 1e-12
+
+    def test_a_zero_mode_draws_nothing(self, monkeypatch):
+        # each nonzero mode makes one standard_normal call of n_steps values; a zero mode none
+        draws, default_rng = [], np.random.default_rng
+
+        class Spy:
+            def __init__(self, seed):
+                self.rng = default_rng(seed)
+
+            def standard_normal(self, *args, out):
+                draws.append(out.size)
+                return self.rng.standard_normal(*args, out=out)
+
+        monkeypatch.setattr(np.random, "default_rng", Spy)
+        gammas = ExplicitGammas(gammas=(1.0, 0.0, 0.5, 0.25, 0.0, 0.125, 3.0, 0.0))
+        spec = NoiseSpec(k_max=8, gammas=gammas, seed=4, t_final=1.0, n_steps=200)
+        path = synthesize(spec, EIGEN, override_decay_check=True)
+        assert draws == [200] * 5
+        monkeypatch.undo()
+        assert np.array_equal(path.values.view(np.int64),
+                              outer_loop_values(spec, EIGEN).view(np.int64))
 
     def test_bit_identical_reproduction(self):
         a = synthesize(power_spec(), EIGEN)
         b = synthesize(power_spec(), EIGEN)
         assert np.array_equal(a.values, b.values)
-        assert np.array_equal(a.brownian, b.brownian)
+        (a_columns, a_modes), (b_columns, b_modes) = (logdiff.noise._draw(power_spec())
+                                                      for _ in range(2))
+        assert np.array_equal(a_columns, b_columns) and np.array_equal(a_modes, b_modes)
 
     def test_different_seeds_differ(self):
         a = synthesize(power_spec(seed=1, n_steps=10), EIGEN)
@@ -194,9 +229,12 @@ class TestSynthesis:
     def test_mode_count_extension_keeps_early_modes(self):
         # per-mode substreams: going from K = 4 to K = 8 must not
         # reshuffle the first four Brownian motions
-        small = synthesize(power_spec(k_max=4, n_steps=50), eigensystem(GRID, 4))
-        large = synthesize(power_spec(k_max=8, n_steps=50), EIGEN)
-        assert np.array_equal(small.brownian, large.brownian[:, :4])
+        small, _ = logdiff.noise._draw(power_spec(k_max=4, n_steps=50))
+        large, _ = logdiff.noise._draw(power_spec(k_max=8, n_steps=50))
+        assert np.array_equal(small.view(np.int64), large[:4].view(np.int64))
+        gam = power_spec().gammas.values(4)
+        expected = gam[:, None] * brownian_of(power_spec(k_max=4, n_steps=50)).T
+        assert np.array_equal(small.view(np.int64), expected.view(np.int64))
 
     def test_amplitude_linearity(self):
         one = synthesize(power_spec(gamma0=1.0, n_steps=30), EIGEN)
@@ -211,8 +249,8 @@ class TestSynthesis:
             t_final=1.0,
             n_steps=10_000,
         )
-        path = synthesize(spec, eigensystem(GridSpec(length=1.0, n_interior=7), 1))
-        inc = np.diff(path.brownian[:, 0])
+        columns, _ = logdiff.noise._draw(spec)  # gamma_1 = 1: the row is beta_1 itself
+        inc = np.diff(columns[0])
         rho = np.corrcoef(inc[:-1], inc[1:])[0, 1]
         assert abs(rho) < 0.05
 
@@ -230,7 +268,7 @@ class TestSynthesis:
                 t_final=1.0,
                 n_steps=4,
             )
-            samples.append(synthesize(spec, es).brownian[-1, 0])
+            samples.append(logdiff.noise._draw(spec)[0][0, -1])  # gamma_1 = 1: beta_1(1)
         assert abs(np.var(samples, ddof=1) - 1.0) < 0.1
 
     def test_too_many_modes_rejected(self):
@@ -255,19 +293,17 @@ class TestSynthesis:
         # synthesize hands over read-only arrays nothing else holds; a caller's writeable
         # arrays, and views of arrays, are copied, so a later write leaves the path as it was
         path = synthesize(power_spec(n_steps=10), EIGEN)
-        times, values, brownian = path.times.copy(), path.values.copy(), path.brownian.copy()
-        built = NoisePath(path.spec, GRID, times, values, brownian)
+        times, values = path.times.copy(), path.values.copy()
+        built = NoisePath(path.spec, GRID, times, values)
         assert not any(np.shares_memory(a, b) for a, b in
-                       ((built.times, times), (built.values, values), (built.brownian, brownian)))
+                       ((built.times, times), (built.values, values)))
         values[1:] = 7.0
-        brownian[1:] = 7.0
         assert np.array_equal(built.values, path.values)
-        assert np.array_equal(built.brownian, path.brownian)
-        assert not (built.values.flags.writeable or built.brownian.flags.writeable)
+        assert not built.values.flags.writeable
         frozen_view = path.values[:, ::1]  # read-only, but a view of another array
-        assert NoisePath(path.spec, GRID, times, frozen_view, brownian).values is not frozen_view
-        again = NoisePath(path.spec, GRID, path.times, path.values, path.brownian)
-        assert again.values is path.values and again.brownian is path.brownian
+        assert NoisePath(path.spec, GRID, times, frozen_view).values is not frozen_view
+        again = NoisePath(path.spec, GRID, path.times, path.values)
+        assert again.values is path.values
 
     @pytest.mark.parametrize("gammas", [
         PowerLawGammas(gamma0=1.0, decay=8.0),
@@ -275,20 +311,17 @@ class TestSynthesis:
     ], ids=["power", "explicit-with-zeros"])
     @pytest.mark.parametrize("k_max", [1, 8, 31])
     def test_brownian_is_each_modes_cumsum(self, gammas, k_max):
-        # mode k's path is its own stream's sqrt(dt) * N(0, 1) increments summed by cumsum,
-        # whatever the layout the modes are drawn in
-        eigen = eigensystem(GridSpec(length=1.0, n_interior=31), 31)
+        # _draw's row for mode k is gamma_k times its own stream's sqrt(dt) * N(0, 1)
+        # increments summed by cumsum, whatever the layout the modes are drawn in; a zero
+        # mode has no row
         if isinstance(gammas, ExplicitGammas):
             gammas = ExplicitGammas(gammas=(gammas.gammas * 4)[:k_max])
         spec = NoiseSpec(k_max=k_max, gammas=gammas, seed=9, t_final=0.3, n_steps=250)
-        brownian = synthesize(spec, eigen, override_decay_check=True).brownian
-        assert brownian.shape == (251, k_max) and not brownian.flags.writeable
-        children = np.random.SeedSequence(9).spawn(k_max)
-        expected = np.zeros((251, k_max))
-        for k in range(k_max):
-            normals = np.random.default_rng(children[k]).standard_normal(250)
-            expected[1:, k] = np.cumsum(np.sqrt(spec.dt) * normals)
-        assert np.array_equal(brownian.view(np.int64), expected.view(np.int64))
+        columns, modes = logdiff.noise._draw(spec)
+        gam = gammas.values(k_max)
+        assert np.array_equal(modes, np.flatnonzero(gam)) and columns.shape == (len(modes), 251)
+        expected = gam[modes, None] * brownian_of(spec).T[modes]
+        assert np.array_equal(columns.view(np.int64), expected.view(np.int64))
 
     @pytest.mark.parametrize("n", [31, 127, 1023])
     # _BLOCK_VALUES of 1 or 10 rows, or the default: at 31, 127 and 1023 nodes the streamed
@@ -314,7 +347,7 @@ class TestSynthesis:
         k_max = len(gammas.gammas) if isinstance(gammas, ExplicitGammas) else 8
         spec = NoiseSpec(k_max=k_max, gammas=gammas, seed=n, t_final=1.0, n_steps=200)
         path = synthesize(spec, eigen)
-        expected = outer_loop_values(spec, eigen, path.brownian)
+        expected = outer_loop_values(spec, eigen)
         assert np.array_equal(path.values.view(np.int64), expected.view(np.int64))
         # the streamed sup sums fewer rows through the same kernel, in blocks, and reduces
         # them to the same sup; hex() tells the sign of zero apart
@@ -331,12 +364,12 @@ def spy_rows_summed(monkeypatch):
     return counts
 
 
-def mode_operands(path, eigen):
-    """_draw's columns of path and their eigenvectors, over the modes with gamma_k != 0:
+def mode_operands(spec, eigen):
+    """_draw's columns of spec and their eigenvectors, over the modes with gamma_k != 0:
     column row i is gamma_k times mode k's Brownian path, vector row i is e_k."""
-    gam = path.spec.gammas.values(path.spec.k_max)
+    gam = spec.gammas.values(spec.k_max)
     modes = np.flatnonzero(gam)
-    return gam[modes, None] * path.brownian.T[modes], eigen.eigenvectors[modes]
+    return gam[modes, None] * brownian_of(spec).T[modes], eigen.eigenvectors[modes]
 
 
 class TestRowBounds:
@@ -357,7 +390,7 @@ class TestRowBounds:
         spec = NoiseSpec(k_max=8, gammas=ExplicitGammas(gammas=(1.0, 0.0) * 4), seed=3,
                          t_final=1.0, n_steps=500)
         path = synthesize(spec, EIGEN, override_decay_check=True)
-        bound = logdiff.noise._row_bounds(*mode_operands(path, EIGEN))
+        bound = logdiff.noise._row_bounds(*mode_operands(spec, EIGEN))
         assert np.all(np.abs(path.values).max(axis=1) < bound)
 
     def test_row_whose_bound_overflows_is_summed(self, monkeypatch):
@@ -369,7 +402,7 @@ class TestRowBounds:
         g = np.finfo(float).max / sup_norm_estimate(synthesize(unit, eigen)) / 1.001
         spec = replace(unit, gammas=ExplicitGammas(gammas=(g, g)))
         path = synthesize(spec, eigen, override_decay_check=True)
-        bound = logdiff.noise._row_bounds(*mode_operands(path, eigen))
+        bound = logdiff.noise._row_bounds(*mode_operands(spec, eigen))
         sup_row = int(np.argmax(np.abs(path.values).max(axis=1)))
         assert np.isinf(bound[sup_row]) and sup_row != np.argmax(bound)
         counts = spy_rows_summed(monkeypatch)
@@ -385,13 +418,12 @@ class TestKernel:
 
     def test_workload_shape_keeps_the_outer_loop_bits(self):
         path = synthesize(self.SPEC, EIGEN)
-        expected = outer_loop_values(self.SPEC, EIGEN, path.brownian)
+        expected = outer_loop_values(self.SPEC, EIGEN)
         assert np.array_equal(path.values.view(np.int64), expected.view(np.int64))
 
     def test_one_row_keeps_its_bits(self):
-        path = synthesize(self.SPEC, EIGEN)
-        expected = outer_loop_values(self.SPEC, EIGEN, path.brownian)
-        columns, vectors = mode_operands(path, EIGEN)
+        expected = outer_loop_values(self.SPEC, EIGEN)
+        columns, vectors = mode_operands(self.SPEC, EIGEN)
         for r in (1, 4321, 10**4):
             row = logdiff.noise._sums(columns[:, r : r + 1], vectors)
             assert np.array_equal(row.view(np.int64), expected[r : r + 1].view(np.int64))
@@ -403,8 +435,7 @@ class TestKernel:
         counts = spy_rows_summed(monkeypatch)
         sup = synthesized_sup(spec, eigen)
         assert sum(counts) > spec.n_steps // 4  # flat amplitudes: the bounds prune few rows
-        expected = outer_loop_values(spec, eigen, synthesize(spec, eigen,
-                                                             override_decay_check=True).brownian)
+        expected = outer_loop_values(spec, eigen)
         assert sup.hex() == (float(np.max(np.abs(expected))) + 0.0).hex()
 
 
@@ -424,13 +455,19 @@ class TestKernelMemory:
     def test_synthesize_holds_the_path_its_operands_and_at_most_one_block(self):
         spec, rows = power_spec(seed=3, n_steps=10**4), 10**4 + 1
         peak = self.traced_peak(lambda: synthesize(spec, EIGEN))
-        values, brownian, columns = 8 * rows * 127, 8 * rows * 8, 8 * rows * 8
+        values, columns = 8 * rows * 127, 8 * rows * 8
         mask = values // 8  # NoisePath's finiteness check: one bool per value
-        assert peak <= values + mask + brownian + columns + 8 * logdiff.noise._BLOCK_VALUES
+        assert peak <= values + mask + columns + 8 * logdiff.noise._BLOCK_VALUES
+
+    def test_synthesized_sup_holds_its_operand_twice_and_one_block(self):
+        # the drawn columns and their absolute values in _row_bounds, then one block of sums
+        spec, rows = power_spec(seed=3, n_steps=10**4), 10**4 + 1
+        peak = self.traced_peak(lambda: synthesized_sup(spec, EIGEN))
+        columns = 8 * rows * 8
+        assert peak <= 2 * columns + 8 * logdiff.noise._BLOCK_VALUES + 4096
 
     def test_rows_sup_holds_one_block(self):
-        path = synthesize(power_spec(seed=3, n_steps=10**4), EIGEN)
-        columns, vectors = mode_operands(path, EIGEN)
+        columns, vectors = mode_operands(power_spec(seed=3, n_steps=10**4), EIGEN)
         peak = self.traced_peak(lambda: logdiff.noise._rows_sup(columns, vectors))
         assert peak <= 8 * logdiff.noise._BLOCK_VALUES + 4096  # 4 KiB: the blocks' headers
 
@@ -447,7 +484,7 @@ class TestSupNorm:
         )
         path = synthesize(spec, EIGEN)
         e1_inf = np.max(np.abs(EIGEN.vector(1).values))
-        expected = np.max(np.abs(path.brownian[:, 0])) * e1_inf
+        expected = np.max(np.abs(brownian_of(spec)[:, 0])) * e1_inf
         assert abs(sup_norm_estimate(path) - expected) < 1e-13
 
     def test_regression_value(self):
@@ -597,7 +634,7 @@ class TestRestrict:
         assert coarse.spec.n_steps == 10
         assert coarse.spec.t_final == path.spec.t_final
         assert np.array_equal(coarse.values, path.values[::10])
-        assert np.array_equal(coarse.brownian, path.brownian[::10])
+        assert np.array_equal(coarse.times, path.times[::10])
 
     def test_identity_stride(self):
         path = synthesize(power_spec(n_steps=30), EIGEN)

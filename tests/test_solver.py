@@ -660,9 +660,9 @@ class TestEnsemble:
         assert [t.noise.spec.seed for t in pooled] == [100, 101, 102, 103, 104]
         for a, b in zip(serial, pooled):
             assert np.array_equal(a.x_fields, b.x_fields)
-            assert np.array_equal(a.noise.brownian, b.noise.brownian)
+            assert np.array_equal(a.noise.values, b.noise.values)
             assert b.config == cfg and b.grid == G15
-            for arr in (b.y_fields, b.x_fields, b.newton_iters, b.noise.values, b.noise.brownian):
+            for arr in (b.y_fields, b.x_fields, b.newton_iters, b.noise.values, b.noise.times):
                 assert not arr.flags.writeable
 
     def test_pool_never_exceeds_the_path_count(self, monkeypatch):
@@ -725,7 +725,7 @@ def overflowing_path(grid, n_steps=6, at=3):
     spec = NoiseSpec(k_max=1, gammas=ExplicitGammas(gammas=(0.0,)), seed=99,
                      t_final=n_steps * 1e-3, n_steps=n_steps)
     return logdiff.solver.NoisePath(spec, grid, np.linspace(0.0, spec.t_final, n_steps + 1),
-                                    values, np.zeros((n_steps + 1, 1)))
+                                    values)
 
 
 class TestLockstep:

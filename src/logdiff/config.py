@@ -143,6 +143,8 @@ def _load_datum_csv(path: str, grid: GridSpec) -> Field:
             raise ConfigError(f"bad initial datum row {row}: value must be finite")
         if not (1 <= node <= grid.n_interior):
             raise ConfigError(f"initial datum node {node} outside 1..{grid.n_interior}")
+        if not np.isnan(values[node - 1]):
+            raise ConfigError(f"initial datum node {node} is listed twice")
         values[node - 1] = value
     if np.any(np.isnan(values)):
         raise ConfigError("initial datum file does not cover every node")
@@ -267,6 +269,15 @@ def _validate(cfg: ExperimentConfig) -> None:
             and abs(round(steps) * dt - t_final) <= 1e-9 * max(t_final, 1.0)):
         raise ConfigError(f"[solver] dt = {dt} does not divide [solver] t_final = {t_final} "
                           "into a finite number of steps")
+    # each eps a command may solve at, judged by the solver's one rule for a solve's eps
+    for key, values in (("[solver] epsilon", (cfg.solver.epsilon,)),
+                        ("[solver] epsilon_list", cfg.solver.epsilon_list),
+                        ("[verify] diag_epsilons", cfg.verify.diag_epsilons)):
+        for e in values:
+            try:
+                _check_step_range(cfg.grid, dt, e)
+            except ValueError as exc:
+                raise ConfigError(f"{key}: {exc}") from exc
     try:
         cfg.noise_spec()
         cfg.solver_config()
@@ -291,22 +302,9 @@ def _validate(cfg: ExperimentConfig) -> None:
         raise ConfigError("verify mu must be positive")
     if cfg.verify.tol_vi is not None and cfg.verify.tol_vi <= 0:
         raise ConfigError("verify tol_vi must be positive")
-    if any(e <= 0 for e in cfg.verify.diag_epsilons):
-        raise ConfigError("verify diag_epsilons must be positive")
     if cfg.verify.ratio_max <= 1:
         raise ConfigError("verify ratio_max must exceed 1")
     if len(cfg.solver.epsilon_list) >= 2 and any(np.diff(cfg.solver.epsilon_list) > 0):
         raise ConfigError("solver epsilon_list must be non-increasing")
-    if any(e <= 0 for e in cfg.solver.epsilon_list):
-        raise ConfigError("solver epsilon_list must be positive")
     if cfg.output.workers < 1:
         raise ConfigError("output workers must be >= 1")
-    # each eps a command may solve at; positive, as checked above
-    for key, values in (("[solver] epsilon", (cfg.solver.epsilon,)),
-                        ("[solver] epsilon_list", cfg.solver.epsilon_list),
-                        ("[verify] diag_epsilons", cfg.verify.diag_epsilons)):
-        for e in values:
-            try:
-                _check_step_range(cfg.grid, dt, e)
-            except ValueError as exc:
-                raise ConfigError(f"{key}: {exc}") from exc

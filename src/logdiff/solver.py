@@ -31,11 +31,11 @@ rounding floor
 
 so when a Newton step fails to halve the residual, or damping finds no
 decrease, Newton also stops if the residual is finite and below that
-floor.  An eps whose largest Jacobian entry, 4*(dt/h^2)*(1 + eps + eps^2)
-at u = 0, overflows cannot be solved in u; _solve_batch refuses it
-(_check_step_range).  Explicit Euler (noise at the left endpoint),
-marched by solve_explicit, is an independent cross-check; a step refuses
-to run outside its stability bound
+floor.  _solve_batch refuses, before any step, an eps that is not positive
+and finite or whose largest Jacobian entry, 4*(dt/h^2)*(1 + eps + eps^2)
+at u = 0, overflows (_check_step_range).  Explicit Euler (noise at the
+left endpoint), marched by solve_explicit, is an independent cross-check;
+a step refuses to run outside its stability bound
 
     dt * (4/h^2) * max_j F_eps'(Y_n + W_n) <= 1.
 
@@ -117,8 +117,8 @@ class SolverConfig:
         _check_eps(self.epsilon)
         if not (np.isfinite(self.newton_tol) and self.newton_tol > 0):
             raise ValueError(f"newton_tol must be positive and finite, got {self.newton_tol}")
-        if self.newton_max_iter < 1:
-            raise ValueError("newton_max_iter must be >= 1")
+        if not (isinstance(self.newton_max_iter, (int, np.integer)) and self.newton_max_iter >= 1):
+            raise ValueError(f"newton_max_iter must be an integer >= 1, got {self.newton_max_iter}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -177,12 +177,13 @@ class Trajectory:
 
 
 def _check_step_range(grid: GridSpec, dt: float, eps: float) -> None:
-    """Refuse an eps whose implicit step leaves the float range on this grid and time step.
-
-    The Newton matrix's largest entry, 4*(dt/h^2)*b with b = 1 + eps + eps^2 at u = 0
-    (module docstring), must be finite; on 31 nodes at dt = 1e-3 that admits eps = 1e150
-    and refuses 1e200, where Newton would meet inf - inf.
+    """The one rule for a solve's eps on this grid and time step: refuse it unless it is
+    positive and finite (_check_eps) and the Newton matrix's largest entry, 4*(dt/h^2)*b
+    with b = 1 + eps + eps^2 at u = 0 (module docstring), is finite; on 31 nodes at
+    dt = 1e-3 that admits eps = 1e150 and refuses 1e200, where Newton would meet inf - inf.
+    _solve_batch applies it to each row before the first step, the config to each eps.
     """
+    _check_eps(eps)
     if not 4.0 * (dt / (grid.h * grid.h)) * (1.0 + eps * (1.0 + eps)) < math.inf:
         raise ValueError(f"eps = {eps:g} puts the implicit step outside the float range at "
                          f"dt = {dt:g} and h = {grid.h:g}: 4*(dt/h^2)*(1 + eps + eps^2) overflows")
@@ -386,7 +387,8 @@ def _solve_batch(
     if any(path.grid != grid for path, _ in rows):
         raise ValueError("noise path lives on a different grid")
     n_steps, dt = rows[0][0].spec.n_steps, rows[0][0].dt
-    for _, e in rows:
+    configs = {e: replace(cfg, epsilon=e) for e in dict.fromkeys(e for _, e in rows)}
+    for e in configs:  # each distinct eps, before the first step
         _check_step_range(grid, dt, e)
     ys = [np.empty((n_steps + 1, grid.n_interior)) for _ in rows]
     iters = np.zeros((len(rows), n_steps), dtype=int)
@@ -422,7 +424,7 @@ def _solve_batch(
             break
     for y_row in ys:  # nothing else holds them, so Trajectory need not copy them
         y_row.flags.writeable = False
-    trajs = [Trajectory(config=replace(cfg, epsilon=e), noise=path, y_fields=ys[i],
+    trajs = [Trajectory(config=configs[e], noise=path, y_fields=ys[i],
                         newton_iters=iters[i], newton_residuals=resids[i])
              for i, (path, e) in enumerate(rows[:live])]
     return trajs, error
@@ -569,16 +571,15 @@ def epsilon_sweep(
 ) -> EpsilonSweepReport:
     """Re-solve the same path for each eps and measure mutual distances.
 
-    eps_list must be positive and non-increasing.  The distance between
-    runs i and j is sup_n |Y_i(t_n) - Y_j(t_n)|_-1; the consecutive
-    distances should decay as the eps gaps shrink (Cauchy behaviour of
-    the regularization), which the report flags.
+    eps_list must be non-increasing, and _solve_batch refuses an eps that
+    no solve takes (_check_step_range).  The distance between runs i and
+    j is sup_n |Y_i(t_n) - Y_j(t_n)|_-1; the consecutive distances should
+    decay as the eps gaps shrink (Cauchy behaviour of the regularization),
+    which the report flags.
     """
     eps = np.asarray(list(eps_list), dtype=float)
     if eps.size < 2:
         raise ValueError("need at least two epsilons to sweep")
-    if not np.all(eps > 0) or not np.all(np.isfinite(eps)):
-        raise ValueError("epsilons must be positive and finite")
     if np.any(np.diff(eps) > 0):
         raise ValueError("eps_list must be non-increasing")
 

@@ -225,6 +225,16 @@ class TestInitialProfiles:
         with pytest.raises(ConfigError):
             parse_config(write(tmp_path / "c.cfg", text))
 
+    def test_file_repeating_a_node_is_a_config_error(self, tmp_path, capsys):
+        # the later row would otherwise win, giving the datum [0.1, 9.0, 0.3]
+        datum = write(tmp_path / "datum.csv", "node,value\n1,0.1\n2,0.2\n2,9.0\n3,0.3\n")
+        cfg = write(tmp_path / "c.cfg", "[grid]\nn_interior = 3\n[noise]\nk_max = 2\n"
+                    f"[initial]\nprofile = file\npath = {datum}\n")
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "config error: initial datum node 2 is listed twice\n"
+        assert not out.exists()
+
 
 class TestCliSimulate:
     def test_exit_zero_and_summary(self, tmp_path):
@@ -394,6 +404,21 @@ class TestCliSimulate:
                     "[grid]\nn_interior = 31\n[solver]\nepsilon = 1e150\nt_final = 0.01\n")
         assert main(["simulate", "--config", cfg, "--out", str(out), "--paths", "2"]) == 0
         assert capsys.readouterr().err == ""
+
+    def test_eps_that_is_not_positive_is_a_config_error(self, tmp_path, capsys):
+        # the solver's one rule for a solve's eps, applied to each key that holds an eps
+        out = tmp_path / "out"
+        for key, text, command, value in (
+                ("[solver] epsilon", "[solver]\nepsilon = 0\n", "simulate", "0.0"),
+                ("[solver] epsilon_list", "[solver]\nepsilon_list = 1e-2, -1e-2\n", "sweep-eps",
+                 "-0.01"),
+                ("[verify] diag_epsilons", "[verify]\ndiag_epsilons = 1e-1, -1e-2\n", "verify",
+                 "-0.01")):
+            cfg = write(tmp_path / "eps.cfg", "[grid]\nn_interior = 31\n" + text)
+            assert main([command, "--config", cfg, "--out", str(out)]) == 2
+            assert capsys.readouterr().err == (
+                f"config error: {key}: eps must be positive and finite, got {value}\n")
+            assert not out.exists()
 
     def test_failed_tridiagonal_solve_exit_3(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr("logdiff.solver.dptsv", lambda d, e, b: (d, e, b, 1))
@@ -723,7 +748,7 @@ class TestCliOther:
         assert main(["noise-check", "--config", cfg, "--out", str(out)]) == 1
         assert sorted(p.name for p in out.iterdir()) == ["decay_report.csv"]
 
-    @pytest.mark.parametrize("command", ["noise-check", "simulate"])
+    @pytest.mark.parametrize("command", ["noise-check", "simulate", "sweep-eps", "verify"])
     def test_eigensystem_and_decay_check_run_once(self, tmp_path, monkeypatch, command):
         calls = []
 
@@ -737,11 +762,15 @@ class TestCliOther:
 
             monkeypatch.setattr(target, spy)
 
+        # main judges the decay check; synthesize and solve_rows would judge it again
         spy_on("logdiff.cli.validate_decay")
+        spy_on("logdiff.noise.validate_decay")
         spy_on("logdiff.config.eigensystem")
         cfg = write(tmp_path / "c.cfg", BASE)
         out = tmp_path / "out"
-        assert main([command, "--config", cfg, "--paths", "3", "--out", str(out)]) == 0
+        # sweep-eps takes no --paths, and verify's mean_square check needs 30 paths
+        paths = {"sweep-eps": [], "verify": ["--paths", "30"]}.get(command, ["--paths", "3"])
+        assert main([command, "--config", cfg, "--out", str(out)] + paths) == 0
         assert sorted(calls) == ["eigensystem", "validate_decay"]
 
     def test_version_string(self, capsys):

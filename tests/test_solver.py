@@ -1,6 +1,7 @@
 """Implicit/explicit steppers, the path drivers, and the epsilon sweep."""
 
 import concurrent.futures
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -34,6 +35,7 @@ from logdiff.solver import (
     run_ensemble,
     solve_explicit,
     solve_path,
+    solve_rows,
 )
 
 G15 = GridSpec(length=1.0, n_interior=15)
@@ -104,8 +106,62 @@ class TestSolverConfig:
             SolverConfig(epsilon=0.0)
         with pytest.raises(ValueError):
             SolverConfig(epsilon=1e-2, newton_tol=0.0)
-        with pytest.raises(ValueError):
-            SolverConfig(epsilon=1e-2, newton_max_iter=0)
+
+    @pytest.mark.parametrize("budget", [2.5, np.nan, np.inf, 0, -1, 3.0, "3"])
+    def test_newton_max_iter_must_be_an_integer_of_at_least_one(self, budget):
+        # 2.5 would fail a step "in 2.5 iterations", and iters >= nan or inf never holds
+        with pytest.raises(ValueError, match=re.escape(
+                f"newton_max_iter must be an integer >= 1, got {budget}")):
+            SolverConfig(epsilon=1e-2, newton_max_iter=budget)
+        for budget in (1, np.int64(3)):
+            assert SolverConfig(epsilon=1e-2, newton_max_iter=budget).newton_max_iter == budget
+
+
+def spy_steps(monkeypatch):
+    """Record each call of _step_implicit_core, which marches one step of a batch."""
+    calls = []
+    step = logdiff.solver._step_implicit_core
+    monkeypatch.setattr("logdiff.solver._step_implicit_core",
+                        lambda *args: calls.append(1) or step(*args))
+    return calls
+
+
+class TestEpsRule:
+    """Every solve judges its eps by _check_step_range before its first step."""
+
+    @pytest.mark.parametrize("rows", [
+        [(42, 0.0)], [(42, -1e-2)], [(42, np.nan)], [(42, 1e-2), (43, -1e-2)]])
+    def test_solve_rows_refuses_a_bad_eps_before_any_step(self, monkeypatch, rows):
+        grid = GridSpec(length=1.0, n_interior=31)
+        eigen = eigensystem(grid, 8)
+        spec = NoiseSpec(k_max=8, gammas=PowerLawGammas(gamma0=1.0, decay=8.0), seed=42,
+                         t_final=0.1, n_steps=50)
+        steps = spy_steps(monkeypatch)
+        with pytest.raises(ValueError, match=re.escape(
+                f"eps must be positive and finite, got {rows[-1][1]}")):
+            list(solve_rows(Field(grid, np.sin(np.pi * grid.nodes)), eigen, spec,
+                            SolverConfig(epsilon=1e-2), rows))
+        assert steps == []
+
+    @pytest.mark.parametrize("bad", [np.nan, -1e-2])
+    def test_epsilon_sweep_refuses_a_bad_eps_before_any_step(self, monkeypatch, bad):
+        steps = spy_steps(monkeypatch)
+        with pytest.raises(ValueError, match=re.escape(
+                f"eps must be positive and finite, got {bad}")):
+            epsilon_sweep(Field(G15, np.zeros(15)), zero_noise(G15), SolverConfig(epsilon=1e-2),
+                          [1e-1, bad])
+        assert steps == []
+
+    def test_rows_at_one_eps_share_its_config(self):
+        grid = GridSpec(length=1.0, n_interior=31)
+        eigen = eigensystem(grid, 8)
+        paths = [default_noise(grid, eigen, seed=s, t_final=6e-3, n_steps=6) for s in (1, 2)]
+        cfg = SolverConfig(epsilon=1e-2, newton_tol=1e-11)
+        trajs, error = logdiff.solver._solve_batch(
+            Field(grid, np.zeros(31)), cfg, [(paths[0], 1e-3), (paths[1], 1e-3), (paths[0], 1e-2)])
+        assert error is None
+        assert trajs[0].config is trajs[1].config == replace(cfg, epsilon=1e-3)
+        assert trajs[2].config == cfg
 
 
 class TestImplicitStep:

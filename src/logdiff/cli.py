@@ -286,8 +286,7 @@ def main(argv=None) -> int:
         eigen = cfg.eigen()  # carries the grid; every command shares it
         # a sum of squares that overflows is redone scaled or judged; numpy need not warn of it
         with np.errstate(over="ignore", invalid="ignore"):
-            # the one judgement of the decay check: every command runs with it overridden,
-            # and noise-check reports a failed check in its own output files
+            # a run's only decay check; noise-check reports a failure in its own files
             decay = validate_decay(cfg.noise_spec(), eigen)
             if args.command != "noise-check" and not (decay.ok or cfg.noise.override_decay_check):
                 print(f"check failure: noise amplitudes fail the decay check (margins "

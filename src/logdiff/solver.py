@@ -571,11 +571,10 @@ def epsilon_sweep(
 ) -> EpsilonSweepReport:
     """Re-solve the same path for each eps and measure mutual distances.
 
-    eps_list must be non-increasing, and _solve_batch refuses an eps that
-    no solve takes (_check_step_range).  The distance between runs i and
-    j is sup_n |Y_i(t_n) - Y_j(t_n)|_-1; the consecutive distances should
-    decay as the eps gaps shrink (Cauchy behaviour of the regularization),
-    which the report flags.
+    eps_list must be non-increasing (_solve_batch judges each eps).  The
+    distance between runs i and j is sup_n |Y_i(t_n) - Y_j(t_n)|_-1; the
+    consecutive distances should decay as the eps gaps shrink (Cauchy
+    behaviour of the regularization), which the report flags.
     """
     eps = np.asarray(list(eps_list), dtype=float)
     if eps.size < 2:
